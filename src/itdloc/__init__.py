@@ -15,7 +15,6 @@ from .frontend import (
     apply_itd,
     clap_envelope,
     condition,
-    condition_clip,
     fractional_delay,
     load_wav,
     resample,
@@ -58,7 +57,6 @@ from .lif import (
     ExternalSpike,
     LifParams,
     NetworkSpec,
-    NetworkState,
     Simulation,
     SpikeRecord,
     SynapseSpec,

@@ -36,26 +36,6 @@ def _load(args) -> RunConfig:
     return RunConfig()
 
 
-def _trial_config(cfg: RunConfig, net, noise=0.0) -> harness.TrialConfig:
-    stimulus = None
-    if cfg.stimulus.wav:
-        stimulus = load_wav(cfg.stimulus.wav)
-    return harness.TrialConfig(
-        net=net,
-        frontend=cfg.frontend,
-        clap=cfg.stimulus.clap,
-        stimulus=stimulus,
-        sample_rate=cfg.stimulus.sample_rate,
-        duration=cfg.stimulus.duration,
-        dt=cfg.dt,
-        r_src=cfg.injection.r_src,
-        injection_mode=cfg.injection.mode,
-        iteration_time=cfg.readout.iteration_time,
-        dead_time=cfg.readout.dead_time,
-        noise_amplitude=noise,
-    )
-
-
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
     target = args.target_us * 1e-6
@@ -82,16 +62,17 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     net = jeffress.build(cfg.network.to_jeffress())
+    wav = args.wav or cfg.stimulus.wav
+    trial_cfg = harness.TrialConfig.from_run(
+        cfg, net, recording=load_wav(wav) if wav else None)
     # noiseless and fully deterministic unless a seed asks for a noisy shot
     noise = cfg.sweep.noise_amplitude if args.seed is not None else 0.0
-    trial_cfg = _trial_config(cfg, net, noise=noise)
-    if args.wav:
-        trial_cfg = dataclasses.replace(trial_cfg, stimulus=load_wav(args.wav))
     itd = (args.itd or 0.0) * 1e-6
     traced = [int(x) for x in args.traces.split(",")] if args.traces else []
 
     detail = harness.run_trial_detailed(itd, args.seed, trial_cfg,
-                                        record_traces=traced)
+                                        record_traces=traced,
+                                        noise_amplitude=noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     detail.record.to_csv(out / "spikes.csv")
@@ -111,7 +92,9 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     net = jeffress.build(cfg.network.to_jeffress())
-    trial_cfg = _trial_config(cfg, net)
+    wav = cfg.stimulus.wav
+    trial_cfg = harness.TrialConfig.from_run(
+        cfg, net, recording=load_wav(wav) if wav else None)
     itds_us = cfg.sweep.itds_us
     if args.itds:
         itds_us = tuple(float(x) for x in args.itds.split(","))

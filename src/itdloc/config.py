@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -41,6 +42,7 @@ class NetworkSection:
             neuron_params=self.neuron,
             input_neuron_params=self.input_neuron,
             left_first_index=self.left_first_index,
+            w_lsb=self.w_lsb,
         )
 
 
@@ -119,14 +121,15 @@ def _build(cls, data, path):
     unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'top level'}: expected an object")
-    spec = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(spec)
+    hints = get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path or 'top level'}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        f = spec[name]
-        sub = _nested_type(f)
+        hint = hints[name]
+        # the dataclass of a section, also inside an `X | None` annotation
+        sub = next((t for t in (hint, *get_args(hint)) if is_dataclass(t)), None)
         here = f"{path}.{name}" if path else name
         if sub is not None and value is not None:
             kwargs[name] = _build(sub, value, here)
@@ -136,26 +139,6 @@ def _build(cls, data, path):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or 'top level'}: {exc}") from exc
-
-
-def _nested_type(f):
-    """Dataclass type of a field, unwrapping `X | None` annotations."""
-    t = f.type
-    if isinstance(t, str):
-        for part in t.split("|"):
-            part = part.strip()
-            if part in _KNOWN:
-                return _KNOWN[part]
-        return None
-    return t if is_dataclass(t) else None
-
-
-_KNOWN = {
-    c.__name__: c
-    for c in (LifParams, FrontEndParams, ClapSpec, GeometryParams,
-              NetworkSection, InjectionSection, ReadoutSection, PwmConfig,
-              StimulusSection, SweepSection)
-}
 
 
 def _to_plain(obj):

@@ -257,13 +257,6 @@ def condition(samples: np.ndarray, sample_rate: float, params: FrontEndParams) -
     return np.minimum(y, params.v_clip)
 
 
-def condition_clip(clip: AudioClip, params: FrontEndParams) -> AudioClip:
-    """Condition every channel of a clip."""
-    out = np.stack([condition(clip.channel(i), clip.sample_rate, params)
-                    for i in range(clip.n_channels)])
-    return AudioClip(sample_rate=clip.sample_rate, samples=out)
-
-
 def resample(clip: AudioClip, factor) -> AudioClip:
     """Linear-interpolation resampling by a positive rational/real factor.
 

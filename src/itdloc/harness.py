@@ -6,14 +6,14 @@ cross-correlation ITD estimator used as ground truth for the network path.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import InjectionSection, ReadoutSection, RunConfig, StimulusSection
 from .frontend import (
     AudioClip,
-    ClapSpec,
     FrontEndParams,
     apply_itd,
     condition,
@@ -27,33 +27,43 @@ from .readout import ReadoutConfig, poll_loop
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one localization trial needs besides the ITD and seed."""
+    """Everything one localization trial needs besides the ITD, the seed and
+    the noise amplitude: the built network plus the RunConfig sections that
+    a trial reads, with the same defaults."""
 
     net: JeffressNetwork
     frontend: FrontEndParams = field(default_factory=FrontEndParams)
-    clap: ClapSpec = field(default_factory=ClapSpec)
-    stimulus: AudioClip | None = None  # mono recording; overrides clap synth
-    sample_rate: int = 192000
-    duration: float = 1.1e-3
-    dt: float = 1e-7
-    r_src: float = 110e3
-    injection_mode: str = "resistive"
-    iteration_time: float = 55e-6
-    dead_time: float = 0.2
-    noise_amplitude: float = 0.0
+    stimulus: StimulusSection = field(default_factory=StimulusSection)
+    injection: InjectionSection = field(default_factory=InjectionSection)
+    readout: ReadoutSection = field(default_factory=ReadoutSection)
+    dt: float = RunConfig.dt
+    recording: AudioClip | None = None  # loaded clip; overrides the clap synth
+
+    @classmethod
+    def from_run(cls, run: RunConfig, net: JeffressNetwork,
+                 recording: AudioClip | None = None) -> "TrialConfig":
+        """The trial a RunConfig describes, for a network built from it."""
+        return cls(net=net, frontend=run.frontend, stimulus=run.stimulus,
+                   injection=run.injection, readout=run.readout, dt=run.dt,
+                   recording=recording)
+
+    @property
+    def duration(self) -> float:
+        return self.stimulus.duration
 
     def readout_config(self) -> ReadoutConfig:
         return ReadoutConfig(detector_ids=self.net.detectors,
-                             iteration_time=self.iteration_time,
-                             dead_time=self.dead_time)
+                             iteration_time=self.readout.iteration_time,
+                             dead_time=self.readout.dead_time)
 
     def mono_stimulus(self) -> AudioClip:
-        if self.stimulus is not None:
-            if self.stimulus.n_channels != 1:
-                return AudioClip(self.stimulus.sample_rate,
-                                 self.stimulus.channel(0)[np.newaxis, :])
-            return self.stimulus
-        return synth_clap(self.clap, self.sample_rate, self.duration)
+        if self.recording is not None:
+            if self.recording.n_channels != 1:
+                return AudioClip(self.recording.sample_rate,
+                                 self.recording.channel(0)[np.newaxis, :])
+            return self.recording
+        return synth_clap(self.stimulus.clap, self.stimulus.sample_rate,
+                          self.stimulus.duration)
 
 
 @dataclass(frozen=True)
@@ -151,10 +161,11 @@ class TrialDetail:
     conditioned: AudioClip
 
 
-def run_trial_detailed(itd: float, seed, cfg: TrialConfig,
-                       record_traces=()) -> TrialDetail:
+def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
+                       *, noise_amplitude: float = 0.0) -> TrialDetail:
     """One end-to-end localization: stimulus, inter-channel delay, optional
-    per-channel noise, conditioning, resampling to the simulator rate,
+    per-channel Gaussian noise of standard deviation noise_amplitude (volts,
+    drawn from seed), conditioning, resampling to the simulator rate,
     membrane injection, network run and readout replay.
 
     Latency is measured from the first time either conditioned channel
@@ -162,9 +173,9 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig,
     """
     stereo = apply_itd(cfg.mono_stimulus(), itd)
     raw = stereo.samples
-    if cfg.noise_amplitude > 0:
+    if noise_amplitude > 0:
         rng = np.random.default_rng(seed)
-        raw = raw + rng.normal(0.0, cfg.noise_amplitude, size=raw.shape)
+        raw = raw + rng.normal(0.0, noise_amplitude, size=raw.shape)
 
     fs = stereo.sample_rate
     cond = np.stack([condition(raw[i], fs, cfg.frontend) for i in range(2)])
@@ -181,9 +192,9 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig,
         drive = np.pad(drive, ((0, 0), (0, need - drive.shape[1])), mode="edge")
     injections = (
         AnalogInjection(cfg.net.input_left, drive[0], sim_rate,
-                        r_src=cfg.r_src, mode=cfg.injection_mode),
+                        r_src=cfg.injection.r_src, mode=cfg.injection.mode),
         AnalogInjection(cfg.net.input_right, drive[1], sim_rate,
-                        r_src=cfg.r_src, mode=cfg.injection_mode),
+                        r_src=cfg.injection.r_src, mode=cfg.injection.mode),
     )
     record, traces = Simulation(cfg.net.spec.with_injections(injections),
                                 cfg.dt).run(cfg.duration,
@@ -200,16 +211,18 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig,
                        conditioned=AudioClip(fs, cond))
 
 
-def run_trial(itd: float, seed, cfg: TrialConfig) -> TrialResult:
+def run_trial(itd: float, seed, cfg: TrialConfig, *,
+              noise_amplitude: float = 0.0) -> TrialResult:
     """Direction and latency of one trial; see run_trial_detailed."""
-    return run_trial_detailed(itd, seed, cfg).result
+    return run_trial_detailed(itd, seed, cfg,
+                              noise_amplitude=noise_amplitude).result
 
 
 def _sweep_cell(args):
     itd_index, trial_index, itd, cfg, base_seed, noise = args
-    cell = replace(cfg, noise_amplitude=noise)
     try:
-        res = run_trial(itd, trial_seed(base_seed, itd_index, trial_index), cell)
+        res = run_trial(itd, trial_seed(base_seed, itd_index, trial_index), cfg,
+                        noise_amplitude=noise)
     except Exception as exc:
         raise RuntimeError(
             f"trial failed at itd={itd * 1e6:.3f}us, trial={trial_index}, "

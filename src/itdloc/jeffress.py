@@ -16,6 +16,7 @@ from .lif import (
     NetworkSpec,
     Simulation,
     SynapseSpec,
+    quantize_weight,
 )
 
 # chain weight producing a 3.8 us per-stage delay with the default neuron
@@ -53,7 +54,8 @@ class JeffressConfig:
 
     coincidence_weight defaults to 0.7x the single-spike firing weight so a
     lone chain never triggers a detector while two roughly coincident
-    arrivals always do.
+    arrivals always do. With w_lsb set, build() snaps every synaptic weight
+    to the signed 6-bit grid of that step (see quantize_weight).
     """
 
     n_stages: int = 50
@@ -62,6 +64,7 @@ class JeffressConfig:
     neuron_params: LifParams = field(default_factory=LifParams)
     input_neuron_params: LifParams | None = None
     left_first_index: bool = True
+    w_lsb: float | None = None
 
     def __post_init__(self):
         if self.n_stages < 2:
@@ -188,18 +191,22 @@ class JeffressNetwork:
 def build(cfg: JeffressConfig) -> JeffressNetwork:
     """Construct the 3N+2 neuron network: 2 analog-injected inputs, two
     N-stage chains fed from opposite ends, and N coincidence detectors,
-    detector j receiving left-chain j and right-chain j."""
+    detector j receiving left-chain j and right-chain j. The checks below
+    see the weights as built, i.e. after quantization."""
     n = cfg.n_stages
-    w_coin = cfg.resolved_coincidence_weight()
+    w_coin, w_chain = cfg.resolved_coincidence_weight(), cfg.chain_weight
+    if cfg.w_lsb is not None:
+        w_coin = quantize_weight(w_coin, cfg.w_lsb)
+        w_chain = quantize_weight(w_chain, cfg.w_lsb)
     w_fire = single_spike_fire_weight(cfg.neuron_params)
     if w_coin >= w_fire:
         raise ValueError(
             f"coincidence_weight {w_coin:.3e} >= single-spike firing weight "
             f"{w_fire:.3e}; a lone chain would trigger detectors"
         )
-    if cfg.chain_weight <= w_fire:
+    if w_chain <= w_fire:
         raise ValueError(
-            f"chain_weight {cfg.chain_weight:.3e} <= single-spike firing "
+            f"chain_weight {w_chain:.3e} <= single-spike firing "
             f"weight {w_fire:.3e}; the chain cannot propagate"
         )
 
@@ -217,17 +224,17 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
         left_entry, left_step = n - 1, -1
         right_entry, right_step = 0, 1
 
-    synapses.append(SynapseSpec(input_left, left_chain[left_entry], cfg.chain_weight))
-    synapses.append(SynapseSpec(input_right, right_chain[right_entry], cfg.chain_weight))
+    synapses.append(SynapseSpec(input_left, left_chain[left_entry], w_chain))
+    synapses.append(SynapseSpec(input_right, right_chain[right_entry], w_chain))
     pos = left_entry
     for _ in range(n - 1):
         synapses.append(SynapseSpec(left_chain[pos], left_chain[pos + left_step],
-                                    cfg.chain_weight))
+                                    w_chain))
         pos += left_step
     pos = right_entry
     for _ in range(n - 1):
         synapses.append(SynapseSpec(right_chain[pos], right_chain[pos + right_step],
-                                    cfg.chain_weight))
+                                    w_chain))
         pos += right_step
     for j in range(n):
         synapses.append(SynapseSpec(left_chain[j], detectors[j], w_coin))

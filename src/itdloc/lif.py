@@ -46,16 +46,15 @@ class SynapseSpec:
     pre: int
     post: int
     weight: float
-    quantized: bool = False
 
 
 @dataclass(frozen=True, eq=False)
 class AnalogInjection:
     """Continuous voltage drive attached to one neuron's membrane.
 
-    In resistive mode the trace couples through r_src ohms; in trigger mode
-    the neuron fires whenever the trace is at or above its threshold and the
-    neuron is not refractory.
+    Each sample is held until the next one. In resistive mode the trace
+    couples through r_src ohms; in trigger mode the neuron fires whenever
+    the trace is at or above its threshold and the neuron is not refractory.
     """
 
     target: int
@@ -63,7 +62,6 @@ class AnalogInjection:
     sample_rate: float
     r_src: float = 110e3
     mode: str = "resistive"
-    interp: str = "hold"
 
     def __post_init__(self):
         trace = np.asarray(self.trace, dtype=float).ravel()
@@ -77,8 +75,6 @@ class AnalogInjection:
             raise ValueError("injection sample_rate must be > 0")
         if self.mode not in ("resistive", "trigger"):
             raise ValueError(f"unknown injection mode {self.mode!r}")
-        if self.interp not in ("hold", "linear"):
-            raise ValueError(f"unknown injection interpolation {self.interp!r}")
         object.__setattr__(self, "trace", trace)
 
     @property
@@ -104,7 +100,6 @@ class NetworkSpec:
     synapses: tuple = ()
     injections: tuple = ()
     external_spikes: tuple = ()
-    w_lsb: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "neurons", tuple(self.neurons))
@@ -120,16 +115,6 @@ class NetworkSpec:
         return replace(self, injections=tuple(injections))
 
 
-@dataclass
-class NetworkState:
-    """Snapshot of the dynamic simulation state."""
-
-    t: float
-    v: np.ndarray
-    i_syn: np.ndarray
-    refractory_until: np.ndarray
-
-
 def quantize_weight(w: float, w_lsb: float) -> float:
     """Snap a weight to the signed 6-bit grid: round(w / w_lsb), half away
     from zero, clamped to +-63 levels."""
@@ -142,20 +127,12 @@ def quantize_weight(w: float, w_lsb: float) -> float:
 
 
 class SpikeRecord:
-    """Time-ordered spike events plus per-neuron cumulative counters.
-
-    Counters count spikes since the last reset_counters() call; the event
-    log is never cleared.
-    """
+    """Time-ordered spike events: parallel arrays of times and neuron ids."""
 
     def __init__(self, n_neurons: int, times=None, ids=None):
         self.n_neurons = n_neurons
         self.times = np.asarray(times if times is not None else [], dtype=float)
         self.ids = np.asarray(ids if ids is not None else [], dtype=np.int64)
-        self._reset_index = 0
-        self.counters = np.zeros(n_neurons, dtype=np.int64)
-        if self.ids.size:
-            np.add.at(self.counters, self.ids, 1)
 
     def __len__(self) -> int:
         return self.times.size
@@ -166,19 +143,6 @@ class SpikeRecord:
 
     def spikes_of(self, neuron_id: int) -> np.ndarray:
         return self.times[self.ids == neuron_id]
-
-    def reset_counters(self) -> None:
-        """Zero the counters; the event log is untouched."""
-        self.counters[:] = 0
-        self._reset_index = self.times.size
-
-    def counts_since_reset(self) -> np.ndarray:
-        """Recompute per-neuron counts from the event log since the last
-        reset; must always equal `counters`."""
-        fresh = np.zeros(self.n_neurons, dtype=np.int64)
-        if self.ids.size > self._reset_index:
-            np.add.at(fresh, self.ids[self._reset_index:], 1)
-        return fresh
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -266,10 +230,7 @@ class Simulation:
         for syn in spec.synapses:
             if not (0 <= syn.pre < n and 0 <= syn.post < n):
                 raise ValueError(f"synapse {syn.pre}->{syn.post} out of range")
-            w = syn.weight
-            if syn.quantized and spec.w_lsb is not None:
-                w = quantize_weight(w, spec.w_lsb)
-            w_by_pre[syn.pre].append((syn.post, w))
+            w_by_pre[syn.pre].append((syn.post, syn.weight))
         self._syn_post = [np.array([p for p, _ in lst], dtype=np.int64)
                           for lst in w_by_pre]
         self._syn_w = [np.array([w for _, w in lst], dtype=float)
@@ -302,26 +263,17 @@ class Simulation:
 
         self._ev_times: list[float] = []
         self._ev_ids: list[int] = []
-        self._counters = np.zeros(n, dtype=np.int64)
 
     @property
     def t(self) -> float:
         return self._k * self.dt
 
-    def state(self) -> NetworkState:
-        return NetworkState(self.t, self.v.copy(), self.i_syn.copy(),
-                            self.refractory_until.copy())
-
     def _sample(self, inj: AnalogInjection, t: float) -> float:
-        x = t * inj.sample_rate
-        i = int(x + 1e-6)  # fuzz absorbs float drift when rates align with dt
+        i = int(t * inj.sample_rate + 1e-6)  # absorbs drift when rates align with dt
         last = inj.trace.size - 1
         if i >= last:
             return float(inj.trace[last])  # pad with the final DC value
-        if inj.interp == "hold":
-            return float(inj.trace[i])
-        frac = max(x - i, 0.0)
-        return float(inj.trace[i] * (1.0 - frac) + inj.trace[i + 1] * frac)
+        return float(inj.trace[i])
 
     def _emit(self, ids, t_spike: float) -> None:
         for i in ids:
@@ -330,7 +282,6 @@ class Simulation:
             self.refractory_until[i] = t_spike + self._t_ref[i]
             self._ev_times.append(t_spike)
             self._ev_ids.append(i)
-            self._counters[i] += 1
             posts = self._syn_post[i]
             if posts.size:
                 np.add.at(self._pending, posts, self._syn_w[i])
@@ -455,9 +406,7 @@ class Simulation:
                     traces.v[i][k + 1] = self.v[i]
                     traces.i_syn[i][k + 1] = self.i_syn[i]
 
-        record = SpikeRecord(self.n, self._ev_times, self._ev_ids)
-        record.counters[:] = self._counters
-        return record, traces
+        return SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
 
 
 def run(spec: NetworkSpec, duration: float, dt: float, record_traces=()) -> tuple:

@@ -73,6 +73,7 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutConfig, t_end: float):
     ids = record.ids
     ptr = 0
     events = []
+    k = 1  # boundary k * iteration_time, never a running float sum
     boundary = cfg.iteration_time
     eps = 1e-12
 
@@ -91,9 +92,9 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutConfig, t_end: float):
                 ptr += 1  # discarded: lands before the post-sleep reset
             counters[:] = 0
             k = int(np.floor(reset_time / cfg.iteration_time + 1e-9)) + 1
-            boundary = k * cfg.iteration_time
         else:
-            boundary += cfg.iteration_time
+            k += 1
+        boundary = k * cfg.iteration_time
     return events
 
 

@@ -5,19 +5,65 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from itdloc import cli
+from itdloc import cli, harness, jeffress
 from itdloc.config import (
     ConfigError,
+    InjectionSection,
+    NetworkSection,
+    ReadoutSection,
     RunConfig,
+    StimulusSection,
+    SweepSection,
     config_from_dict,
     config_to_dict,
+    dump_config,
     load_config,
     save_config,
 )
 
 from conftest import write_wav_16bit
-from itdloc.frontend import ClapSpec, synth_clap
+from itdloc.frontend import ClapSpec, FrontEndParams, synth_clap
+from itdloc.jeffress import GeometryParams
+from itdloc.lif import LifParams
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_lif = st.builds(LifParams, tau_m=_floats(1e-6, 1e-4), tau_syn=_floats(1e-6, 1e-4),
+                 v_reset=_floats(0.0, 0.45), t_ref=_floats(1e-6, 1e-3))
+valid_configs = st.builds(
+    RunConfig,
+    dt=_floats(1e-9, 1e-6),
+    frontend=st.builds(FrontEndParams, v_clip=_floats(0.5, 3.0),
+                       highpass_cutoff=_floats(0.0, 200.0),
+                       preamp_gain=_floats(0.1, 10.0)),
+    geometry=st.builds(GeometryParams, mic_distance=_floats(0.01, 1.0),
+                       head_radius=st.none() | _floats(0.01, 1.0)),
+    network=st.builds(NetworkSection, n_stages=st.integers(2, 100),
+                      chain_weight=_floats(1e-9, 1e-5),
+                      coincidence_weight=st.none() | _floats(1e-9, 1e-6),
+                      left_first_index=st.booleans(),
+                      w_lsb=st.none() | _floats(1e-10, 1e-7),
+                      neuron=_lif, input_neuron=st.none() | _lif),
+    injection=st.builds(InjectionSection, r_src=_floats(1.0, 1e7),
+                        mode=st.sampled_from(["resistive", "trigger"])),
+    readout=st.builds(ReadoutSection, iteration_time=_floats(1e-6, 1e-2),
+                      dead_time=_floats(0.0, 1.0)),
+    stimulus=st.builds(StimulusSection, sample_rate=st.integers(8000, 400000),
+                       duration=_floats(1e-4, 1.0),
+                       wav=st.none() | st.text(max_size=12),
+                       clap=st.builds(ClapSpec, onset_time=_floats(0.0, 1e-3),
+                                      rng_seed=st.integers(0, 2**32))),
+    sweep=st.builds(SweepSection, itds_us=st.lists(_floats(-200.0, 200.0),
+                                                   max_size=5),
+                    trials=st.integers(1, 500),
+                    base_seed=st.integers(0, 2**32)),
+)
 
 
 SMALL = {
@@ -55,6 +101,12 @@ class TestConfig:
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError, match="frontend"):
             config_from_dict({"frontend": {"v_floor": 2.0}})
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_configs)
+    def test_random_config_roundtrip(self, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(json.loads(dump_config(cfg))) == cfg
 
     def test_optional_nested_input_neuron(self):
         cfg = config_from_dict({"network": {"input_neuron": {"t_ref": 1e-3}}})
@@ -151,6 +203,32 @@ class TestCli:
                        "--wav", str(wav), "--itd", "0", "--out", str(out)])
         assert rc == 0
         assert "dir=" in (out / "events.txt").read_text()
+
+    def test_simulate_wav_flag_replaces_config_wav(self, tmp_path):
+        # the config names a file that does not exist; only --wav is read
+        cfg = dict(SMALL, stimulus=dict(SMALL["stimulus"],
+                                        wav=str(tmp_path / "ghost.wav")))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        wav = tmp_path / "stim.wav"
+        write_wav_16bit(wav, synth_clap(ClapSpec(rng_seed=9), 192000,
+                                        9e-4).samples, 192000)
+        rc = cli.main(["simulate", "--config", str(path), "--wav", str(wav),
+                       "--itd", "0", "--out", str(tmp_path / "o")])
+        assert rc == 0
+
+    def test_cli_trial_config_matches_library_defaults(self, tmp_path,
+                                                        monkeypatch):
+        seen = []
+
+        def capture(cfg, jobs=1, out_dir=None):
+            seen.append(cfg.trial)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(harness, "run_sweep", capture)
+        assert cli.main(["sweep", "--out", str(tmp_path)]) == 3
+        net = jeffress.build(jeffress.JeffressConfig())
+        assert seen == [harness.TrialConfig(net=net)]
 
     def test_simulate_missing_wav_exit_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--wav", str(tmp_path / "ghost.wav"),

@@ -13,7 +13,6 @@ from itdloc.frontend import (
     apply_itd,
     clap_envelope,
     condition,
-    condition_clip,
     fractional_delay,
     load_wav,
     resample,
@@ -232,12 +231,6 @@ class TestCondition:
         x = rng.normal(0.5, 2.0, 300)
         once = condition(x, 192000, p)
         assert np.array_equal(condition(once, 192000, p), once)
-
-    def test_condition_clip_channels(self):
-        clip = AudioClip(192000, np.zeros((2, 10)))
-        out = condition_clip(clip, FrontEndParams())
-        assert out.n_channels == 2
-        assert np.allclose(out.samples, 0.2)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

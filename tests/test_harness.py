@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from itdloc.config import InjectionSection, StimulusSection
 from itdloc.frontend import AudioClip, ClapSpec, apply_itd, synth_clap
 from itdloc.harness import (
     SweepConfig,
@@ -58,13 +59,13 @@ class TestRunTrial:
         assert res.direction == pytest.approx(expected, abs=2.0)
 
     def test_miss_on_subthreshold_stimulus(self, default_net):
-        quiet = dataclasses.replace(
-            TrialConfig(net=default_net),
-            clap=ClapSpec(amplitude=0.3, rng_seed=5),
-            noise_amplitude=0.02,
+        quiet = TrialConfig(
+            net=default_net,
+            stimulus=StimulusSection(clap=ClapSpec(amplitude=0.3, rng_seed=5)),
         )
         for k in range(3):
-            detail = run_trial_detailed(0.0, trial_seed(1, 0, k), quiet)
+            detail = run_trial_detailed(0.0, trial_seed(1, 0, k), quiet,
+                                        noise_amplitude=0.02)
             assert detail.result.miss
             assert detail.events == ()
             assert len(detail.record) == 0  # not a single spurious spike
@@ -92,8 +93,8 @@ class TestRunTrial:
         assert detail.conditioned.n_channels == 2
 
     def test_trigger_mode_full_pipeline(self, default_net, default_trial):
-        import dataclasses
-        trig = dataclasses.replace(default_trial, injection_mode="trigger")
+        trig = dataclasses.replace(default_trial,
+                                   injection=InjectionSection(mode="trigger"))
         res = run_trial(0.0, None, trig)
         center = (default_net.n_stages - 1) / 2
         assert res.direction == pytest.approx(center, abs=1.0)
@@ -116,6 +117,14 @@ class TestRunSweep:
         write_sweep_csv(b, run_sweep(cfg))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rows_are_seeded_noisy_trials(self, default_trial):
+        cfg = SweepConfig(trial=default_trial, itds=(60e-6,), trials=1,
+                          noise_amplitude=0.1, base_seed=3)
+        row = run_sweep(cfg).rows[0]
+        res = run_trial(60e-6, trial_seed(3, 0, 0), default_trial,
+                        noise_amplitude=0.1)
+        assert (row.direction, row.latency) == (res.direction, res.latency)
+
     def test_parallel_equals_serial(self, default_trial):
         cfg = SweepConfig(trial=default_trial, itds=(0.0, 60e-6), trials=2,
                           noise_amplitude=0.1, base_seed=3)
@@ -128,8 +137,8 @@ class TestRunSweep:
                         stage_delay=stage_delay)
 
     def test_failing_trial_aborts_with_context(self, default_net):
-        bad = TrialConfig(net=default_net,
-                          clap=ClapSpec(onset_time=5e-3))  # beyond duration
+        bad = TrialConfig(net=default_net,  # clap onset beyond the duration
+                          stimulus=StimulusSection(clap=ClapSpec(onset_time=5e-3)))
         cfg = SweepConfig(trial=bad, itds=(20e-6,), trials=1)
         with pytest.raises(RuntimeError, match=r"itd=20\.000us, trial=0"):
             run_sweep(cfg)
@@ -185,5 +194,5 @@ def test_stereo_stimulus_uses_first_channel(default_net):
     clap = synth_clap(ClapSpec(rng_seed=8), 192000, 1.1e-3)
     fake_stereo = AudioClip(192000, np.stack([clap.channel(0),
                                               np.zeros(clap.n_samples)]))
-    cfg = TrialConfig(net=default_net, stimulus=fake_stereo)
+    cfg = TrialConfig(net=default_net, recording=fake_stereo)
     assert np.array_equal(cfg.mono_stimulus().channel(0), clap.channel(0))

@@ -56,6 +56,14 @@ class TestPollLoop:
         events = poll_loop(record([(55e-6, 7)]), cfg(), 5e-3)
         assert events[0].t == pytest.approx(55e-6)
 
+    def test_late_boundary_has_no_float_drift(self):
+        # a simulator spike (step index times dt) exactly on boundary 34529;
+        # a running sum of 34529 iteration times falls 1e-12 s short of it
+        t_spike = 18990950 * 1e-7
+        events = poll_loop(record([(t_spike, 7)]), cfg(), 2.0)
+        assert events[0].t == 34529 * 55e-6
+        assert events[0].t == pytest.approx(1.899095, abs=1e-9)
+
     def test_second_clap_in_dead_time_dropped(self):
         spikes = [(30e-6, 10), (50e-3, 12)]
         events = poll_loop(record(spikes), cfg(), 0.5)
