@@ -81,6 +81,9 @@ def cmd_simulate(args) -> int:
             line = readout.serial_encode(ev)
             fh.write(line)
             sys.stdout.write(line)
+    if detail.events:
+        readout.write_pwm_csv(out / "pwm.csv", detail.events[0].direction,
+                              net.n_stages, cfg.pwm)
     if detail.traces is not None:
         detail.traces.to_csv(out / "traces.csv")
     with open(out / "network.txt", "w") as fh:

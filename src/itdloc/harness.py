@@ -138,10 +138,6 @@ class SweepResult:
     stats: tuple
     fit: LinearFit | None
 
-    def directions(self, itd: float) -> list:
-        return [r.direction for r in self.rows
-                if r.itd == itd and r.direction is not None]
-
 
 def trial_seed(base_seed: int, itd_index: int, trial_index: int) -> np.random.SeedSequence:
     """Stable per-trial seed stream."""

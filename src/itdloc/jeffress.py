@@ -116,7 +116,8 @@ class JeffressNetwork:
     position), N+2..2N+1 right chain (by detector position), 2N+2..3N+1
     coincidence detectors. With left_first_index the left input feeds
     position 0 and the right input feeds position N-1; flipping the flag
-    mirrors the two entry points.
+    mirrors the two entry points. chain_weight and coincidence_weight are
+    the weights as built, after any quantization.
     """
 
     spec: NetworkSpec
@@ -126,6 +127,8 @@ class JeffressNetwork:
     left_chain: tuple
     right_chain: tuple
     detectors: tuple
+    chain_weight: float
+    coincidence_weight: float
 
     @property
     def n_stages(self) -> int:
@@ -166,8 +169,8 @@ class JeffressNetwork:
             f"n_neurons={self.spec.n_neurons}",
             f"n_synapses={len(self.spec.synapses)}",
             f"left_first_index={cfg.left_first_index}",
-            f"chain_weight={cfg.chain_weight:.6e}",
-            f"coincidence_weight={cfg.resolved_coincidence_weight():.6e}",
+            f"chain_weight={self.chain_weight:.6e}",
+            f"coincidence_weight={self.coincidence_weight:.6e}",
             "[layout]",
             f"input_left={self.input_left}",
             f"input_right={self.input_right}",
@@ -245,6 +248,7 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
         spec=spec, config=cfg,
         input_left=input_left, input_right=input_right,
         left_chain=left_chain, right_chain=right_chain, detectors=detectors,
+        chain_weight=w_chain, coincidence_weight=w_coin,
     )
 
 
@@ -261,8 +265,7 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float,
     spec = NetworkSpec(
         neurons=net.spec.neurons,
         synapses=net.spec.synapses,
-        external_spikes=(ExternalSpike(t_inject, order[0],
-                                       net.config.chain_weight),),
+        external_spikes=(ExternalSpike(t_inject, order[0], net.chain_weight),),
     )
     duration = t_inject + net.n_stages * window_per_stage
     record, _ = Simulation(spec, dt).run(duration)

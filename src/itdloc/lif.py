@@ -217,13 +217,10 @@ class Simulation:
 
         # per-injection drive gain: weight of the trace sample in the update
         self._resistive = [
-            (inj.target, inj, float(b[inj.target] / (inj.r_src * c_m[inj.target])))
+            (inj, float(b[inj.target] / (inj.r_src * c_m[inj.target])))
             for inj in spec.injections if inj.mode == "resistive"
         ]
-        self._triggers = [(inj.target, inj) for inj in spec.injections
-                          if inj.mode == "trigger"]
-        self._stepped = sorted({t for t, _, _ in self._resistive}
-                               | {t for t, _ in self._triggers})
+        self._triggers = [inj for inj in spec.injections if inj.mode == "trigger"]
 
         # synapses grouped by presynaptic neuron for delivery
         w_by_pre = [[] for _ in range(n)]
@@ -254,26 +251,9 @@ class Simulation:
         self._buf = np.empty(n, dtype=float)
         self._refr = np.empty(n, dtype=bool)
         self._fired = np.empty(n, dtype=bool)
-        # quiet phase: until the first spike or external delivery, only
-        # injected neurons can move; everything else is exactly at rest.
-        # The precondition is checked at the first step so direct state
-        # writes made before stepping are honored.
-        self._quiet = True
-        self._quiet_unchecked = True
 
         self._ev_times: list[float] = []
         self._ev_ids: list[int] = []
-
-    @property
-    def t(self) -> float:
-        return self._k * self.dt
-
-    def _sample(self, inj: AnalogInjection, t: float) -> float:
-        i = int(t * inj.sample_rate + 1e-6)  # absorbs drift when rates align with dt
-        last = inj.trace.size - 1
-        if i >= last:
-            return float(inj.trace[last])  # pad with the final DC value
-        return float(inj.trace[i])
 
     def _emit(self, ids, t_spike: float) -> None:
         for i in ids:
@@ -286,94 +266,20 @@ class Simulation:
             if posts.size:
                 np.add.at(self._pending, posts, self._syn_w[i])
                 self._pending_any = True
-                self._quiet = False
-
-    def step(self) -> np.ndarray:
-        """Advance one step of dt; returns the ids that spiked, ascending."""
-        t = self._k * self.dt
-        t_next = (self._k + 1) * self.dt
-
-        if self._quiet and self._quiet_unchecked:
-            self._quiet_unchecked = False
-            rest = np.ones(self.n, dtype=bool)
-            rest[self._stepped] = False
-            if (not np.array_equal(self.v[rest], self._v_leak[rest])
-                    or np.any(self.i_syn != 0.0)
-                    or np.any(self.refractory_until != -np.inf)):
-                self._quiet = False
-
-        while (self._ext_ptr < len(self._ext)
-               and self._ext_steps[self._ext_ptr] <= self._k):
-            e = self._ext[self._ext_ptr]
-            self._pending[e.target] += e.weight
-            self._pending_any = True
-            self._ext_ptr += 1
-            self._quiet = False
-
-        if self._quiet:
-            fired = []
-            for i in self._stepped:
-                if self.refractory_until[i] > t:
-                    continue
-                vi = (self.v[i] - self._v_leak_eff[i]) * self._decay_v[i] \
-                    + self._v_leak_eff[i]
-                for tgt, inj, gain in self._resistive:
-                    if tgt == i:
-                        vi = vi + gain * self._sample(inj, t)
-                self.v[i] = vi
-                trig = any(tgt == i and self._sample(inj, t) >= self._v_thresh[i]
-                           for tgt, inj in self._triggers)
-                if vi >= self._v_thresh[i] or trig:
-                    fired.append(i)
-            if fired:
-                self._quiet = False
-                self._emit(fired, t_next)
-            self._k += 1
-            return np.asarray(fired, dtype=np.int64)
-
-        self.i_syn *= self._decay_syn
-        if self._pending_any:
-            self.i_syn += self._pending
-            self._pending[:] = 0.0
-            self._pending_any = False
-
-        t1 = self._t1
-        np.subtract(self.v, self._v_leak_eff, out=t1)
-        t1 *= self._decay_v
-        t1 += self._v_leak_eff
-        np.multiply(self.i_syn, self._gain_syn, out=self._buf)
-        t1 += self._buf
-        for tgt, inj, gain in self._resistive:
-            t1[tgt] += gain * self._sample(inj, t)
-
-        np.greater(self.refractory_until, t, out=self._refr)
-        np.copyto(t1, self._v_reset, where=self._refr)
-
-        np.greater_equal(t1, self._v_thresh, out=self._fired)
-        self._fired &= ~self._refr
-        for tgt, inj in self._triggers:
-            if not self._refr[tgt] and self._sample(inj, t) >= self._v_thresh[tgt]:
-                self._fired[tgt] = True
-
-        self.v, self._t1 = t1, self.v
-        if self._fired.any():
-            ids = np.flatnonzero(self._fired)
-            self._emit(ids, t_next)
-        else:
-            ids = np.empty(0, dtype=np.int64)
-        self._k += 1
-        return ids
 
     def run(self, duration: float, record_traces=()) -> tuple:
         """Step for `duration` seconds; returns (SpikeRecord, TraceSet or None).
 
-        Injection traces shorter than the run are padded with their final
-        value and a warning is issued.
+        Consecutive calls continue from the current step. Injection traces
+        shorter than the run are padded with their final value and a
+        warning is issued.
         """
         if duration <= 0:
             raise ValueError("duration must be > 0")
         n_steps = int(round(duration / self.dt))
-        end_t = self.t + n_steps * self.dt
+        k0 = self._k
+        times = np.arange(k0, k0 + n_steps + 1) * self.dt  # step boundaries
+        end_t = times[-1]
         for inj in self.spec.injections:
             if inj.duration < end_t - 1e-12:
                 warnings.warn(
@@ -389,7 +295,6 @@ class Simulation:
             bad = [i for i in traced if not 0 <= i < self.n]
             if bad:
                 raise ValueError(f"trace ids out of range: {bad}")
-            times = self.t + np.arange(n_steps + 1) * self.dt
             traces = TraceSet(
                 times=times,
                 v={i: np.empty(n_steps + 1) for i in traced},
@@ -399,15 +304,58 @@ class Simulation:
                 traces.v[i][0] = self.v[i]
                 traces.i_syn[i][0] = self.i_syn[i]
 
-        for k in range(n_steps):
-            self.step()
-            if traced:
-                for i in traced:
-                    traces.v[i][k + 1] = self.v[i]
-                    traces.i_syn[i][k + 1] = self.i_syn[i]
+        def held(inj):
+            """The sample held at each step start of this run."""
+            # the 1e-6 absorbs drift when rates align with dt
+            i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
+            return inj.trace[np.minimum(i, inj.trace.size - 1)]
+
+        drives = [(inj.target, gain * held(inj)) for inj, gain in self._resistive]
+        triggers = [(inj.target, held(inj) >= self._v_thresh[inj.target])
+                    for inj in self._triggers]
+
+        for j in range(n_steps):
+            k = k0 + j
+            t = k * self.dt
+            while (self._ext_ptr < len(self._ext)
+                   and self._ext_steps[self._ext_ptr] <= k):
+                e = self._ext[self._ext_ptr]
+                self._pending[e.target] += e.weight
+                self._pending_any = True
+                self._ext_ptr += 1
+
+            self.i_syn *= self._decay_syn
+            if self._pending_any:
+                self.i_syn += self._pending
+                self._pending[:] = 0.0
+                self._pending_any = False
+
+            t1 = self._t1
+            np.subtract(self.v, self._v_leak_eff, out=t1)
+            t1 *= self._decay_v
+            t1 += self._v_leak_eff
+            np.multiply(self.i_syn, self._gain_syn, out=self._buf)
+            t1 += self._buf
+            for tgt, drive in drives:
+                t1[tgt] += drive[j]
+
+            np.greater(self.refractory_until, t, out=self._refr)
+            np.copyto(t1, self._v_reset, where=self._refr)
+            # a refractory neuron sits at v_reset < v_thresh, so cannot fire
+            np.greater_equal(t1, self._v_thresh, out=self._fired)
+            for tgt, above in triggers:
+                if above[j] and not self._refr[tgt]:
+                    self._fired[tgt] = True
+
+            self.v, self._t1 = t1, self.v
+            if self._fired.any():
+                self._emit(np.flatnonzero(self._fired), (k + 1) * self.dt)
+            self._k = k + 1
+            for i in traced:
+                traces.v[i][j + 1] = self.v[i]
+                traces.i_syn[i][j + 1] = self.i_syn[i]
 
         return SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
-
 
 def run(spec: NetworkSpec, duration: float, dt: float, record_traces=()) -> tuple:
     """One-shot simulation of a spec from rest."""

@@ -172,6 +172,28 @@ class TestCli:
         assert (out / "network.txt").exists()
         events = (out / "events.txt").read_text().splitlines()
         assert len(events) == 1 and " dir=3.500" in events[0]
+        # servo schedule of the event: 1.5 ms pulses for the center detector
+        assert (out / "pwm.csv").read_text().splitlines()[:3] == [
+            "t_s,level", "0.000000000,1", "0.001500000,0"]
+
+    def test_simulate_pwm_period_from_config(self, tmp_path):
+        path = tmp_path / "pwm.json"
+        path.write_text(json.dumps({**SMALL, "pwm": {"period": 0.01}}))
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(path), "--itd", "0",
+                         "--out", str(out)]) == 0
+        rows = (out / "pwm.csv").read_text().splitlines()
+        assert rows[3] == "0.010000000,1"  # second rising edge
+
+    def test_simulate_without_event_writes_no_pwm(self, small_config, tmp_path):
+        # a silent recording never crosses threshold, so nothing is detected
+        wav = tmp_path / "silence.wav"
+        write_wav_16bit(wav, np.zeros((1, 192)), 192000)
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(small_config),
+                         "--wav", str(wav), "--out", str(out)]) == 0
+        assert (out / "events.txt").read_text() == ""
+        assert not (out / "pwm.csv").exists()
 
     def test_simulate_mirrored_rasters(self, small_config, tmp_path):
         # +-20 us stays inside the 8-stage detector range of +-26.6 us

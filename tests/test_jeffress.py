@@ -59,6 +59,16 @@ class TestBuild:
         assert "detectors=102..151" in text
         assert text.count("->") == 200
 
+    def test_describe_reports_built_weights(self):
+        net = build(JeffressConfig(w_lsb=2e-8))
+        lines = net.describe().splitlines()
+        table = {line.split(" w=")[0]: line.split(" w=")[1] for line in lines
+                 if " w=" in line}
+        assert f"chain_weight={table['0->2']}" in lines
+        assert f"coincidence_weight={table['2->102']}" in lines
+        assert table["0->2"] == "4.000000e-07"
+        assert net.chain_weight != net.config.chain_weight
+
     def test_id_layout_deterministic(self, default_net):
         assert default_net.left_chain == tuple(range(2, 52))
         assert default_net.right_chain == tuple(range(52, 102))
@@ -241,7 +251,7 @@ class TestGeometryMath:
 def _head_spike_direction(net, offset, t0=20e-6, duration=0.8e-3):
     """Direction read out after spiking both chain heads `offset` apart
     (positive offset delays the right head)."""
-    w = net.config.chain_weight
+    w = net.chain_weight
     spec = NetworkSpec(
         neurons=net.spec.neurons,
         synapses=net.spec.synapses,
