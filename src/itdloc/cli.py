@@ -1,14 +1,15 @@
 """Command-line front door: calibration, single-shot simulation, ITD sweeps
 and the cross-correlation oracle.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration or input error (including OS errors
+such as an unreadable file), 3 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from .config import (
     dump_config,
     load_config,
     save_config,
-    tuned_copy,
 )
 from .frontend import WavError, apply_itd, load_wav
 from .jeffress import CalibrationError
@@ -36,13 +36,21 @@ def _load(args) -> RunConfig:
     return RunConfig()
 
 
+def _trial(cfg: RunConfig, wav: str | None) -> harness.TrialConfig:
+    """The trial `cfg` describes, on a network built from it, with the
+    recording at `wav` in place of the synthetic clap if one is named."""
+    net = jeffress.build(cfg.network)
+    return harness.TrialConfig.from_run(
+        cfg, net, recording=load_wav(wav) if wav else None)
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
     target = args.target_us * 1e-6
-    weight = jeffress.tune_chain_weight(target, cfg.network.neuron, cfg.dt)
-    net = jeffress.build(
-        dataclasses.replace(cfg.network.to_jeffress(), chain_weight=weight)
-    )
+    weight = jeffress.tune_chain_weight(target, cfg.network.neuron_params,
+                                        cfg.dt)
+    tuned = replace(cfg, network=replace(cfg.network, chain_weight=weight))
+    net = jeffress.build(tuned.network)
     cal = jeffress.calibrate_stage_delay(net, cfg.dt)
     res = jeffress.angular_resolution(cal.stage_delay_mean, cfg.geometry)
     print(f"chain_weight={weight:.6e} A")
@@ -54,17 +62,15 @@ def cmd_calibrate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        save_config(tuned_copy(cfg, weight), out / "tuned_config.json")
+        save_config(tuned, out / "tuned_config.json")
         print(f"wrote {out / 'tuned_config.json'}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    net = jeffress.build(cfg.network.to_jeffress())
-    wav = args.wav or cfg.stimulus.wav
-    trial_cfg = harness.TrialConfig.from_run(
-        cfg, net, recording=load_wav(wav) if wav else None)
+    trial_cfg = _trial(cfg, args.wav or cfg.stimulus.wav)
+    net = trial_cfg.net
     # noiseless and fully deterministic unless a seed asks for a noisy shot
     noise = cfg.sweep.noise_amplitude if args.seed is not None else 0.0
     itd = (args.itd or 0.0) * 1e-6
@@ -94,17 +100,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    net = jeffress.build(cfg.network.to_jeffress())
-    wav = cfg.stimulus.wav
-    trial_cfg = harness.TrialConfig.from_run(
-        cfg, net, recording=load_wav(wav) if wav else None)
+    trial_cfg = _trial(cfg, cfg.stimulus.wav)
     itds_us = cfg.sweep.itds_us
     if args.itds:
         itds_us = tuple(float(x) for x in args.itds.split(","))
     sweep_cfg = harness.SweepConfig(
         trial=trial_cfg,
         itds=tuple(x * 1e-6 for x in itds_us),
-        trials=args.trials if args.trials else cfg.sweep.trials,
+        trials=args.trials if args.trials is not None else cfg.sweep.trials,
         noise_amplitude=cfg.sweep.noise_amplitude,
         base_seed=args.seed if args.seed is not None else cfg.sweep.base_seed,
     )
@@ -203,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WavError, FileNotFoundError) as exc:
+    except (ConfigError, WavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CalibrationError, CliRuntimeError, ValueError, RuntimeError) as exc:

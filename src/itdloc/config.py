@@ -7,7 +7,6 @@ run.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
@@ -16,34 +15,11 @@ import numpy as np
 
 from .frontend import ClapSpec, FrontEndParams
 from .jeffress import GeometryParams, JeffressConfig
-from .lif import LifParams
-from .readout import PwmConfig
+from .readout import PwmConfig, ReadoutSection
 
 
 class ConfigError(ValueError):
     """Raised for unreadable, unknown or invalid configuration input."""
-
-
-@dataclass(frozen=True)
-class NetworkSection:
-    n_stages: int = 50
-    chain_weight: float = JeffressConfig().chain_weight
-    coincidence_weight: float | None = None
-    left_first_index: bool = True
-    w_lsb: float | None = None
-    neuron: LifParams = field(default_factory=LifParams)
-    input_neuron: LifParams | None = None
-
-    def to_jeffress(self) -> JeffressConfig:
-        return JeffressConfig(
-            n_stages=self.n_stages,
-            chain_weight=self.chain_weight,
-            coincidence_weight=self.coincidence_weight,
-            neuron_params=self.neuron,
-            input_neuron_params=self.input_neuron,
-            left_first_index=self.left_first_index,
-            w_lsb=self.w_lsb,
-        )
 
 
 @dataclass(frozen=True)
@@ -56,18 +32,6 @@ class InjectionSection:
             raise ValueError("r_src must be > 0")
         if self.mode not in ("resistive", "trigger"):
             raise ValueError(f"unknown injection mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class ReadoutSection:
-    iteration_time: float = 55e-6
-    dead_time: float = 0.2
-
-    def __post_init__(self):
-        if self.iteration_time <= 0:
-            raise ValueError("iteration_time must be > 0")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,7 +68,7 @@ class RunConfig:
     dt: float = 1e-7
     frontend: FrontEndParams = field(default_factory=FrontEndParams)
     geometry: GeometryParams = field(default_factory=GeometryParams)
-    network: NetworkSection = field(default_factory=NetworkSection)
+    network: JeffressConfig = field(default_factory=JeffressConfig)
     injection: InjectionSection = field(default_factory=InjectionSection)
     readout: ReadoutSection = field(default_factory=ReadoutSection)
     pwm: PwmConfig = field(default_factory=PwmConfig)
@@ -177,9 +141,3 @@ def load_config(path) -> RunConfig:
 def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w") as fh:
         fh.write(dump_config(cfg))
-
-
-def tuned_copy(cfg: RunConfig, chain_weight: float) -> RunConfig:
-    """Config with the network chain weight replaced."""
-    network = dataclasses.replace(cfg.network, chain_weight=chain_weight)
-    return dataclasses.replace(cfg, network=network)

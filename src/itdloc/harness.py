@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import InjectionSection, ReadoutSection, RunConfig, StimulusSection
+from .config import InjectionSection, RunConfig, StimulusSection, SweepSection
 from .frontend import (
     AudioClip,
     FrontEndParams,
@@ -22,7 +22,7 @@ from .frontend import (
 )
 from .jeffress import JeffressNetwork
 from .lif import AnalogInjection, Simulation
-from .readout import ReadoutConfig, poll_loop
+from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,14 @@ class TrialResult:
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of ITDs x trials; every trial is independently seeded from
-    (base_seed, itd index, trial index)."""
+    (base_seed, itd index, trial index). The defaults are the `sweep`
+    section's, with the ITDs in seconds."""
 
     trial: TrialConfig
-    itds: tuple = tuple(np.linspace(-160e-6, 160e-6, 41))
-    trials: int = 100
-    noise_amplitude: float = 0.0
-    base_seed: int = 2026
+    itds: tuple = tuple(x * 1e-6 for x in SweepSection.itds_us)
+    trials: int = SweepSection.trials
+    noise_amplitude: float = SweepSection.noise_amplitude
+    base_seed: int = SweepSection.base_seed
     stage_delay: float | None = None  # enables detector-range validation
 
     def __post_init__(self):

@@ -14,10 +14,10 @@ from .lif import SpikeRecord
 
 
 @dataclass(frozen=True)
-class ReadoutConfig:
-    """Polling-loop timing plus the detector ids to scan, in id order."""
+class ReadoutSection:
+    """Polling-loop timing: one counter scan per iteration, then a sleep of
+    dead_time after each detection."""
 
-    detector_ids: tuple
     iteration_time: float = 55e-6
     dead_time: float = 0.2
 
@@ -26,6 +26,16 @@ class ReadoutConfig:
             raise ValueError("iteration_time must be > 0")
         if self.dead_time < 0:
             raise ValueError("dead_time must be >= 0")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ReadoutConfig(ReadoutSection):
+    """Polling-loop timing plus the detector ids to scan, in id order."""
+
+    detector_ids: tuple
+
+    def __post_init__(self):
+        super().__post_init__()
         ids = tuple(int(i) for i in self.detector_ids)
         if len(set(ids)) != len(ids) or not ids:
             raise ValueError("detector_ids must be non-empty and unique")

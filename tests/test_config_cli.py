@@ -12,7 +12,6 @@ from itdloc import cli, harness, jeffress
 from itdloc.config import (
     ConfigError,
     InjectionSection,
-    NetworkSection,
     ReadoutSection,
     RunConfig,
     StimulusSection,
@@ -26,7 +25,7 @@ from itdloc.config import (
 
 from conftest import write_wav_16bit
 from itdloc.frontend import ClapSpec, FrontEndParams, synth_clap
-from itdloc.jeffress import GeometryParams
+from itdloc.jeffress import GeometryParams, JeffressConfig
 from itdloc.lif import LifParams
 
 
@@ -44,12 +43,13 @@ valid_configs = st.builds(
                        preamp_gain=_floats(0.1, 10.0)),
     geometry=st.builds(GeometryParams, mic_distance=_floats(0.01, 1.0),
                        head_radius=st.none() | _floats(0.01, 1.0)),
-    network=st.builds(NetworkSection, n_stages=st.integers(2, 100),
+    network=st.builds(JeffressConfig, n_stages=st.integers(2, 100),
                       chain_weight=_floats(1e-9, 1e-5),
                       coincidence_weight=st.none() | _floats(1e-9, 1e-6),
                       left_first_index=st.booleans(),
                       w_lsb=st.none() | _floats(1e-10, 1e-7),
-                      neuron=_lif, input_neuron=st.none() | _lif),
+                      neuron_params=_lif,
+                      input_neuron_params=st.none() | _lif),
     injection=st.builds(InjectionSection, r_src=_floats(1.0, 1e7),
                         mode=st.sampled_from(["resistive", "trigger"])),
     readout=st.builds(ReadoutSection, iteration_time=_floats(1e-6, 1e-2),
@@ -109,9 +109,10 @@ class TestConfig:
         assert config_from_dict(json.loads(dump_config(cfg))) == cfg
 
     def test_optional_nested_input_neuron(self):
-        cfg = config_from_dict({"network": {"input_neuron": {"t_ref": 1e-3}}})
-        assert cfg.network.input_neuron.t_ref == pytest.approx(1e-3)
-        assert cfg.network.input_neuron.tau_m == pytest.approx(15e-6)
+        cfg = config_from_dict(
+            {"network": {"input_neuron_params": {"t_ref": 1e-3}}})
+        assert cfg.network.input_neuron_params.t_ref == pytest.approx(1e-3)
+        assert cfg.network.input_neuron_params.tau_m == pytest.approx(15e-6)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_missing_file(self, tmp_path):
@@ -146,6 +147,7 @@ class TestCli:
         assert cli.main(["config", "dump"]) == 0
         out = capsys.readouterr().out
         assert config_from_dict(json.loads(out)) == RunConfig()
+        assert RunConfig().network == JeffressConfig()
 
     def test_calibrate(self, small_config, tmp_path, capsys):
         rc = cli.main(["calibrate", "--config", str(small_config),
@@ -153,8 +155,14 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "stage_delay_mean=3.800 us" in out
-        tuned = load_config(tmp_path / "cal" / "tuned_config.json")
-        assert tuned.network.n_stages == 8
+        # the input config with only the chain weight replaced
+        tuned = config_to_dict(
+            load_config(tmp_path / "cal" / "tuned_config.json"))
+        given = config_to_dict(load_config(small_config))
+        weight = tuned["network"].pop("chain_weight")
+        assert given["network"].pop("chain_weight") != weight
+        assert f"chain_weight={weight:.6e} A" in out
+        assert tuned == given
 
     def test_calibrate_absurd_target_exit_3(self, small_config, capsys):
         rc = cli.main(["calibrate", "--config", str(small_config),
@@ -283,9 +291,44 @@ class TestCli:
         assert rc == 3
         assert "--itd" in capsys.readouterr().err
 
-    def test_bad_config_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, message", [
+        ({"unknown_section": 1}, "unknown keys"),
+        ({"network": {"n_stages": 1}}, "n_stages must be >= 2"),
+        ({"network": {"chain_weight": 0}}, "chain_weight must be > 0"),
+        ({"network": {"neuron": {}}}, "unknown keys ['neuron']"),
+        ({"readout": {"iteration_time": 0}}, "iteration_time must be > 0"),
+    ], ids=["unknown-section", "one-stage", "zero-chain-weight",
+            "old-neuron-key", "zero-iteration-time"])
+    def test_bad_config_exit_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"unknown_section": 1}')
+        path.write_text(json.dumps(doc))
         rc = cli.main(["config", "dump", "--config", str(path)])
         assert rc == 2
-        assert "unknown" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["out-is-file", "out-under-file",
+                                      "wav-is-dir"])
+    def test_os_error_exit_2(self, case, small_config, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = ["simulate", "--config", str(small_config), "--itd", "0",
+                "--out", str(tmp_path / "o")]
+        if case == "out-is-file":
+            argv[-1] = str(afile)
+        elif case == "out-under-file":
+            argv[-1] = str(afile / "o")
+        else:
+            argv += ["--wav", str(tmp_path)]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_sweep_zero_trials_exit_3(self, small_config, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "--config", str(small_config), "--itds", "0",
+                       "--trials", "0", "--out", str(out)])
+        assert rc == 3
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()

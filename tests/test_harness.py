@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from itdloc.config import InjectionSection, StimulusSection
+from itdloc.config import InjectionSection, RunConfig, StimulusSection
 from itdloc.frontend import AudioClip, ClapSpec, apply_itd, synth_clap
 from itdloc.harness import (
     SweepConfig,
@@ -143,8 +143,16 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=r"itd=20\.000us, trial=0"):
             run_sweep(cfg)
 
+    def test_defaults_are_the_sweep_section(self, default_trial):
+        cfg = SweepConfig(trial=default_trial)
+        section = RunConfig().sweep
+        assert cfg.itds == tuple(x * 1e-6 for x in section.itds_us)
+        assert (cfg.trials, cfg.noise_amplitude, cfg.base_seed) == (
+            section.trials, section.noise_amplitude, section.base_seed)
+
     def test_csv_formats(self, default_trial, tmp_path):
-        cfg = SweepConfig(trial=default_trial, itds=(0.0,), trials=1)
+        cfg = SweepConfig(trial=default_trial, itds=(0.0,), trials=1,
+                          noise_amplitude=0.0)
         res = run_sweep(cfg, out_dir=tmp_path)  # writes both files itself
         sweep_lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert sweep_lines[0] == "itd_us,trial,direction,latency_us,miss"
