@@ -75,12 +75,12 @@ def cmd_simulate(args) -> int:
     noise = cfg.sweep.noise_amplitude if args.seed is not None else 0.0
     itd = (args.itd or 0.0) * 1e-6
     traced = [int(x) for x in args.traces.split(",")] if args.traces else []
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
 
     detail = harness.run_trial_detailed(itd, args.seed, trial_cfg,
                                         record_traces=traced,
                                         noise_amplitude=noise)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     detail.record.to_csv(out / "spikes.csv")
     with open(out / "events.txt", "w") as fh:
         for ev in detail.events:

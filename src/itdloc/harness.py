@@ -6,6 +6,7 @@ cross-correlation ITD estimator used as ground truth for the network path.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .frontend import (
     synth_clap,
 )
 from .jeffress import JeffressNetwork
-from .lif import AnalogInjection, Simulation
+from .lif import AnalogInjection, NetworkSpec, Simulation, SpikeRecord, stack
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
@@ -158,16 +159,10 @@ class TrialDetail:
     conditioned: AudioClip
 
 
-def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
-                       *, noise_amplitude: float = 0.0) -> TrialDetail:
-    """One end-to-end localization: stimulus, inter-channel delay, optional
-    per-channel Gaussian noise of standard deviation noise_amplitude (volts,
-    drawn from seed), conditioning, resampling to the simulator rate,
-    membrane injection, network run and readout replay.
-
-    Latency is measured from the first time either conditioned channel
-    crosses the input neurons' threshold to the readout event.
-    """
+def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
+    """Stimulus, inter-channel delay, noise, conditioning and the drive at
+    the simulator rate. Returns (stereo, conditioned samples, threshold
+    crossing time or None, drive of shape (2, steps + 1))."""
     stereo = apply_itd(cfg.mono_stimulus(), itd)
     raw = stereo.samples
     if noise_amplitude > 0:
@@ -181,83 +176,169 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     above = np.flatnonzero((cond >= v_thresh).any(axis=0))
     crossing = float(above[0]) / fs if above.size else None
 
-    sim_rate = int(round(1.0 / cfg.dt))
-    cond_clip = resample(AudioClip(fs, cond), sim_rate / fs)
-    drive = cond_clip.samples
+    sim_rate = _sim_rate(cfg)
     need = int(round(cfg.duration * sim_rate)) + 1
+    # interpolation is pointwise, so resampling only the input samples that
+    # cover the run gives the same drive as resampling the whole clip
+    window = min(cond.shape[1], int(np.ceil(need * fs / sim_rate)) + 2)
+    drive = resample(AudioClip(fs, cond[:, :window]), sim_rate / fs).samples
+    drive = drive[:, :need]
     if drive.shape[1] < need:  # rounding slack; extend with the final value
         drive = np.pad(drive, ((0, 0), (0, need - drive.shape[1])), mode="edge")
-    injections = (
-        AnalogInjection(cfg.net.input_left, drive[0], sim_rate,
-                        r_src=cfg.injection.r_src, mode=cfg.injection.mode),
-        AnalogInjection(cfg.net.input_right, drive[1], sim_rate,
-                        r_src=cfg.injection.r_src, mode=cfg.injection.mode),
-    )
-    record, traces = Simulation(cfg.net.spec.with_injections(injections),
-                                cfg.dt).run(cfg.duration,
-                                            record_traces=record_traces)
-    events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
+    return stereo, cond, crossing, drive
+
+
+def _sim_rate(cfg: TrialConfig) -> int:
+    return int(round(1.0 / cfg.dt))
+
+
+def _injections(cfg: TrialConfig, drive, offset: int = 0) -> list:
+    """The two input drives, on the input neurons shifted by offset."""
+    return [AnalogInjection(target + offset, trace, _sim_rate(cfg),
+                            r_src=cfg.injection.r_src, mode=cfg.injection.mode)
+            for target, trace in zip((cfg.net.input_left, cfg.net.input_right),
+                                     drive)]
+
+
+def _result(events, crossing) -> TrialResult:
     if not events:
-        result = TrialResult(None, None, None, crossing)
-    else:
-        first = events[0]
-        latency = first.t - crossing if crossing is not None else None
-        result = TrialResult(first.direction, latency, first.t, crossing)
-    return TrialDetail(result=result, record=record, traces=traces,
-                       events=tuple(events), stereo=stereo,
-                       conditioned=AudioClip(fs, cond))
+        return TrialResult(None, None, None, crossing)
+    first = events[0]
+    latency = first.t - crossing if crossing is not None else None
+    return TrialResult(first.direction, latency, first.t, crossing)
+
+
+def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
+                       *, noise_amplitude: float = 0.0) -> TrialDetail:
+    """One end-to-end localization: stimulus, inter-channel delay, optional
+    per-channel Gaussian noise of standard deviation noise_amplitude (volts,
+    drawn from seed), conditioning, resampling to the simulator rate,
+    membrane injection, network run over the full duration and readout
+    replay.
+
+    Latency is measured from the first time either conditioned channel
+    crosses the input neurons' threshold to the readout event.
+    """
+    stereo, cond, crossing, drive = _frontend(itd, seed, cfg, noise_amplitude)
+    spec = cfg.net.spec.with_injections(_injections(cfg, drive))
+    record, traces = Simulation(spec, cfg.dt).run(cfg.duration,
+                                                  record_traces=record_traces)
+    events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
+    return TrialDetail(result=_result(events, crossing), record=record,
+                       traces=traces, events=tuple(events), stereo=stereo,
+                       conditioned=AudioClip(stereo.sample_rate, cond))
+
+
+BLOCK = 32  # trials stepped together as one stacked network
+
+
+@functools.lru_cache(maxsize=2)
+def _stacked(spec: NetworkSpec, copies: int) -> NetworkSpec:
+    return stack([spec] * copies)
+
+
+def _run_block(cfg: TrialConfig, prepared) -> list:
+    """Step several trials as one network of disjoint copies, copy b
+    driven by prepared[b] = (crossing, drive), and return their results.
+
+    A TrialResult reads only the first readout event, so the block stops
+    at the first poll boundary by which every copy has a detector spike,
+    or else at the full duration. Each copy's spikes then go through the
+    same readout replay as a full run.
+    """
+    net, readout = cfg.net, cfg.readout_config()
+    n = net.spec.n_neurons
+    injections = [inj for b, (_, drive) in enumerate(prepared)
+                  for inj in _injections(cfg, drive, offset=b * n)]
+    sim = Simulation(_stacked(net.spec, len(prepared)).with_injections(
+        injections), cfg.dt)
+    last = int(round(cfg.duration / cfg.dt))
+    record = SpikeRecord(sim.n)
+    step = k = 0
+    while step < last:
+        # poll k counts the spikes at or before its boundary, with
+        # poll_loop's 1e-12 slack; a spike lands at (its step + 1) * dt
+        k += 1
+        boundary = k * readout.iteration_time + 1e-12
+        target = min(last, int(boundary / cfg.dt) + 1)
+        while target * cfg.dt > boundary:
+            target -= 1
+        if target <= step:
+            continue
+        record, _ = sim.run((target - step) * cfg.dt)
+        step = target
+        seen = record.ids[np.isin(record.ids % n, net.detectors)] // n
+        if np.unique(seen).size == len(prepared):
+            break
+
+    results = []
+    for b, (crossing, _) in enumerate(prepared):
+        mine = record.ids // n == b
+        own = SpikeRecord(n, record.times[mine], record.ids[mine] - b * n)
+        results.append(_result(poll_loop(own, readout, t_end=cfg.duration),
+                               crossing))
+    return results
 
 
 def run_trial(itd: float, seed, cfg: TrialConfig, *,
               noise_amplitude: float = 0.0) -> TrialResult:
-    """Direction and latency of one trial; see run_trial_detailed."""
-    return run_trial_detailed(itd, seed, cfg,
-                              noise_amplitude=noise_amplitude).result
+    """Direction and latency of one trial, as run_trial_detailed gives them,
+    but the network steps only until the first readout event."""
+    _, _, crossing, drive = _frontend(itd, seed, cfg, noise_amplitude)
+    return _run_block(cfg, [(crossing, drive)])[0]
 
 
-def _sweep_cell(args):
-    itd_index, trial_index, itd, cfg, base_seed, noise = args
+def _where(cell, base_seed: int) -> str:
+    i, k, itd = cell
+    return f"itd={itd * 1e6:.3f}us, trial={k}, seed=({base_seed}, {i}, {k})"
+
+
+def _sweep_block(args):
+    """Results of one block of sweep cells (itd index, trial index, itd).
+    A failure names its cell, or the block's first and last cells when
+    stepping fails."""
+    cells, cfg, base_seed, noise = args
+    prepared = []
     try:
-        res = run_trial(itd, trial_seed(base_seed, itd_index, trial_index), cfg,
-                        noise_amplitude=noise)
+        for cell in cells:
+            where = _where(cell, base_seed)
+            i, k, itd = cell
+            _, _, crossing, drive = _frontend(
+                itd, trial_seed(base_seed, i, k), cfg, noise)
+            prepared.append((crossing, drive))
+        where = (f"the block from {_where(cells[0], base_seed)} "
+                 f"to {_where(cells[-1], base_seed)}")
+        return _run_block(cfg, prepared)
     except Exception as exc:
-        raise RuntimeError(
-            f"trial failed at itd={itd * 1e6:.3f}us, trial={trial_index}, "
-            f"seed=({base_seed}, {itd_index}, {trial_index}): {exc}"
-        ) from exc
-    return itd_index, trial_index, res
+        raise RuntimeError(f"trial failed at {where}: {exc}") from exc
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
-    """Run the full ITD x trial grid; rows are keyed by (itd, trial) and the
-    result is identical regardless of worker count. When out_dir is given,
-    sweep.csv and stats.csv are written there."""
-    work = [
-        (i, k, itd, cfg.trial, cfg.base_seed, cfg.noise_amplitude)
-        for i, itd in enumerate(cfg.itds)
-        for k in range(cfg.trials)
-    ]
-    results = {}
+    """Run the full ITD x trial grid in blocks of BLOCK trials, each stepped
+    as one network (a block per task with jobs > 1); rows are keyed by
+    (itd, trial) and identical regardless of worker count. When out_dir is
+    given, it is created first, and sweep.csv and stats.csv written there."""
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    cells = [(i, k, itd) for i, itd in enumerate(cfg.itds)
+             for k in range(cfg.trials)]
+    tasks = [(cells[lo:lo + BLOCK], cfg.trial, cfg.base_seed,
+              cfg.noise_amplitude) for lo in range(0, len(cells), BLOCK)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, k, res in pool.map(_sweep_cell, work, chunksize=8):
-                results[(i, k)] = res
+            blocks = list(pool.map(_sweep_block, tasks))
     else:
-        for args in work:
-            i, k, res = _sweep_cell(args)
-            results[(i, k)] = res
+        blocks = [_sweep_block(task) for task in tasks]
+    results = [res for block in blocks for res in block]
     rows = tuple(
-        SweepRow(itd=itd, trial=k,
-                 direction=results[(i, k)].direction,
-                 latency=results[(i, k)].latency)
-        for i, itd in enumerate(cfg.itds)
-        for k in range(cfg.trials)
+        SweepRow(itd=itd, trial=k, direction=res.direction,
+                 latency=res.latency)
+        for (_, k, itd), res in zip(cells, results)
     )
     stats_rows, fit = stats(rows)
     result = SweepResult(rows=rows, stats=stats_rows, fit=fit)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(out / "sweep.csv", result)
         write_stats_csv(out / "stats.csv", result)
     return result

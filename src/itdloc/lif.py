@@ -115,6 +115,23 @@ class NetworkSpec:
         return replace(self, injections=tuple(injections))
 
 
+def stack(specs) -> NetworkSpec:
+    """Disjoint union of networks as one spec: each network's neuron ids are
+    offset by the neurons of the networks before it, so the copies step
+    together without interacting and each spikes as it would alone."""
+    neurons, synapses, injections, external = [], [], [], []
+    for spec in specs:
+        off = len(neurons)
+        neurons += spec.neurons
+        synapses += [SynapseSpec(s.pre + off, s.post + off, s.weight)
+                     for s in spec.synapses]
+        injections += [replace(inj, target=inj.target + off)
+                       for inj in spec.injections]
+        external += [replace(e, target=e.target + off)
+                     for e in spec.external_spikes]
+    return NetworkSpec(neurons, synapses, injections, external)
+
+
 def quantize_weight(w: float, w_lsb: float) -> float:
     """Snap a weight to the signed 6-bit grid: round(w / w_lsb), half away
     from zero, clamped to +-63 levels."""
@@ -216,22 +233,30 @@ class Simulation:
         self._v_leak_eff = v_leak_eff
 
         # per-injection drive gain: weight of the trace sample in the update
-        self._resistive = [
-            (inj, float(b[inj.target] / (inj.r_src * c_m[inj.target])))
-            for inj in spec.injections if inj.mode == "resistive"
-        ]
+        self._resistive = [inj for inj in spec.injections
+                           if inj.mode == "resistive"]
+        self._res_targets = np.array([inj.target for inj in self._resistive],
+                                     dtype=np.int64)
+        self._res_gain = np.array(
+            [b[inj.target] / (inj.r_src * c_m[inj.target])
+             for inj in self._resistive], dtype=float)
         self._triggers = [inj for inj in spec.injections if inj.mode == "trigger"]
+        self._trig_targets = np.array([inj.target for inj in self._triggers],
+                                      dtype=np.int64)
 
-        # synapses grouped by presynaptic neuron for delivery
-        w_by_pre = [[] for _ in range(n)]
+        # synapses sorted by presynaptic neuron, stably, so each neuron's
+        # deliveries keep their spec order; neuron i's are the slice
+        # _syn_ptr[i]:_syn_ptr[i + 1]
         for syn in spec.synapses:
             if not (0 <= syn.pre < n and 0 <= syn.post < n):
                 raise ValueError(f"synapse {syn.pre}->{syn.post} out of range")
-            w_by_pre[syn.pre].append((syn.post, syn.weight))
-        self._syn_post = [np.array([p for p, _ in lst], dtype=np.int64)
-                          for lst in w_by_pre]
-        self._syn_w = [np.array([w for _, w in lst], dtype=float)
-                       for lst in w_by_pre]
+        pre = np.array([syn.pre for syn in spec.synapses], dtype=np.int64)
+        order = np.argsort(pre, kind="stable")
+        self._syn_post = np.array([syn.post for syn in spec.synapses],
+                                  dtype=np.int64)[order]
+        self._syn_w = np.array([syn.weight for syn in spec.synapses],
+                               dtype=float)[order]
+        self._syn_ptr = [0, *np.cumsum(np.bincount(pre, minlength=n)).tolist()]
 
         ext = sorted(spec.external_spikes, key=lambda e: (e.t, e.target))
         for e in ext:
@@ -262,9 +287,10 @@ class Simulation:
             self.refractory_until[i] = t_spike + self._t_ref[i]
             self._ev_times.append(t_spike)
             self._ev_ids.append(i)
-            posts = self._syn_post[i]
-            if posts.size:
-                np.add.at(self._pending, posts, self._syn_w[i])
+            lo, hi = self._syn_ptr[i], self._syn_ptr[i + 1]
+            if hi > lo:
+                np.add.at(self._pending, self._syn_post[lo:hi],
+                          self._syn_w[lo:hi])
                 self._pending_any = True
 
     def run(self, duration: float, record_traces=()) -> tuple:
@@ -304,15 +330,21 @@ class Simulation:
                 traces.v[i][0] = self.v[i]
                 traces.i_syn[i][0] = self.i_syn[i]
 
-        def held(inj):
-            """The sample held at each step start of this run."""
-            # the 1e-6 absorbs drift when rates align with dt
-            i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
-            return inj.trace[np.minimum(i, inj.trace.size - 1)]
+        def held(injections):
+            """The sample each injection holds at each step start of this
+            run, one row per step and one column per injection."""
+            cols = []
+            for inj in injections:
+                # the 1e-6 absorbs drift when rates align with dt
+                i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
+                cols.append(inj.trace[np.minimum(i, inj.trace.size - 1)])
+            return np.stack(cols, axis=1)
 
-        drives = [(inj.target, gain * held(inj)) for inj, gain in self._resistive]
-        triggers = [(inj.target, held(inj) >= self._v_thresh[inj.target])
-                    for inj in self._triggers]
+        res_targets, trig_targets = self._res_targets, self._trig_targets
+        if res_targets.size:
+            drives = held(self._resistive) * self._res_gain
+        if trig_targets.size:
+            above = held(self._triggers) >= self._v_thresh[trig_targets]
 
         for j in range(n_steps):
             k = k0 + j
@@ -336,16 +368,17 @@ class Simulation:
             t1 += self._v_leak_eff
             np.multiply(self.i_syn, self._gain_syn, out=self._buf)
             t1 += self._buf
-            for tgt, drive in drives:
-                t1[tgt] += drive[j]
+            if res_targets.size:
+                # adds repeated targets one after another, in injection order
+                np.add.at(t1, res_targets, drives[j])
 
             np.greater(self.refractory_until, t, out=self._refr)
             np.copyto(t1, self._v_reset, where=self._refr)
             # a refractory neuron sits at v_reset < v_thresh, so cannot fire
             np.greater_equal(t1, self._v_thresh, out=self._fired)
-            for tgt, above in triggers:
-                if above[j] and not self._refr[tgt]:
-                    self._fired[tgt] = True
+            if trig_targets.size:
+                hit = trig_targets[above[j]]
+                self._fired[hit[~self._refr[hit]]] = True
 
             self.v, self._t1 = t1, self.v
             if self._fired.any():

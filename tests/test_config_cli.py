@@ -325,6 +325,26 @@ class TestCli:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_bad_out_fails_before_any_trial(self, command, small_config,
+                                            tmp_path, capsys, monkeypatch):
+        built = []
+
+        class Counting(harness.Simulation):
+            def __init__(self, spec, dt):
+                built.append(spec)
+                super().__init__(spec, dt)
+        monkeypatch.setattr(harness, "Simulation", Counting)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        extra = ["--itds=-40,0,40", "--trials", "2"] if command == "sweep" \
+            else ["--itd", "0"]
+        rc = cli.main([command, "--config", str(small_config), *extra,
+                       "--out", str(afile)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert built == []
+
     def test_sweep_zero_trials_exit_3(self, small_config, tmp_path, capsys):
         out = tmp_path / "sw"
         rc = cli.main(["sweep", "--config", str(small_config), "--itds", "0",

@@ -6,9 +6,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from itdloc.config import InjectionSection, RunConfig, StimulusSection
+from itdloc import harness
+from itdloc.config import (
+    InjectionSection,
+    ReadoutSection,
+    RunConfig,
+    StimulusSection,
+)
 from itdloc.frontend import AudioClip, ClapSpec, apply_itd, synth_clap
+from itdloc.frontend import resample as full_resample
 from itdloc.harness import (
+    BLOCK,
     SweepConfig,
     SweepRow,
     TrialConfig,
@@ -160,6 +168,108 @@ class TestRunSweep:
         stats_lines = (tmp_path / "stats.csv").read_text().splitlines()
         assert stats_lines[0] == "itd_us,mean,std,outliers,misses"
         assert stats_lines[1] == "0.000,24.500,0.000,0,0"
+
+
+def full_run_rows(cfg: SweepConfig) -> tuple:
+    """The rows of a sweep built one full-duration trial at a time."""
+    rows = []
+    for i, itd in enumerate(cfg.itds):
+        for k in range(cfg.trials):
+            res = run_trial_detailed(itd, trial_seed(cfg.base_seed, i, k),
+                                     cfg.trial,
+                                     noise_amplitude=cfg.noise_amplitude).result
+            rows.append(SweepRow(itd, k, res.direction, res.latency))
+    return tuple(rows)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Steps of each Simulation.run call the harness makes."""
+    steps = []
+
+    class Counting(harness.Simulation):
+        def run(self, duration, record_traces=()):
+            steps.append(round(duration / self.dt))
+            return super().run(duration, record_traces=record_traces)
+    monkeypatch.setattr(harness, "Simulation", Counting)
+    return steps
+
+
+class TestBlockedSweep:
+    """run_sweep steps BLOCK trials as one stacked network and stops at the
+    first readout event; its rows must be those of full single runs."""
+
+    def test_noisy_grid_with_a_miss_matches_full_runs(self, default_trial):
+        # 36 cells: a full block whose first trial misses, then 4 more
+        cfg = SweepConfig(trial=default_trial,
+                          itds=(-140e-6, -40e-6, 0.0, 100e-6), trials=9,
+                          noise_amplitude=0.07, base_seed=5)
+        assert len(cfg.itds) * cfg.trials % BLOCK != 0
+        rows = run_sweep(cfg).rows
+        assert rows == full_run_rows(cfg)
+        first_block = rows[:BLOCK]
+        assert any(r.miss for r in first_block)
+        assert not all(r.miss for r in first_block)
+        assert run_sweep(cfg, jobs=2).rows == rows
+
+    def test_iteration_time_off_the_step_grid(self, default_trial, chunks):
+        # 55.03 us is not a whole number of 0.1 us steps
+        trial = dataclasses.replace(
+            default_trial,
+            readout=ReadoutSection(iteration_time=55.03e-6, dead_time=0.0))
+        cfg = SweepConfig(trial=trial, itds=(-100e-6, 30e-6), trials=3,
+                          noise_amplitude=0.07, base_seed=11)
+        assert run_sweep(cfg).rows == full_run_rows(cfg)
+        detail = run_trial_detailed(30e-6, None, trial)
+        steps = detail.result.event_time / trial.dt
+        assert abs(steps - round(steps)) > 0.1  # the poll falls between steps
+        chunks.clear()
+        assert run_trial(30e-6, None, trial) == detail.result
+        # each chunk ends on the last step at or before poll k's boundary
+        ends = np.cumsum(chunks)
+        it, dt = trial.readout.iteration_time, trial.dt
+        assert len(ends) == round(detail.result.event_time / it)
+        for k, end in enumerate(ends, start=1):
+            assert end * dt <= k * it + 1e-12 < (end + 1) * dt
+
+    def test_failing_block_names_its_cells(self, default_trial, monkeypatch):
+        def broken(self, duration, record_traces=()):
+            raise FloatingPointError("overflow")
+        monkeypatch.setattr(harness.Simulation, "run", broken)
+        cfg = SweepConfig(trial=default_trial, itds=(-20e-6, 20e-6), trials=2,
+                          base_seed=4)
+        with pytest.raises(RuntimeError, match=(
+                r"block from itd=-20\.000us, trial=0, seed=\(4, 0, 0\) "
+                r"to itd=20\.000us, trial=1, seed=\(4, 1, 1\): overflow")):
+            run_sweep(cfg)
+
+    def test_subthreshold_block_runs_the_full_duration(self, default_net,
+                                                       chunks):
+        quiet = TrialConfig(
+            net=default_net,
+            stimulus=StimulusSection(clap=ClapSpec(amplitude=0.3, rng_seed=5)))
+        assert run_trial(0.0, None, quiet).miss
+        assert sum(chunks) == round(quiet.duration / quiet.dt)
+
+
+class TestResampleWindow:
+    """Only the input samples that cover the run are resampled; the drive
+    equals the head of the whole clip's resample, padded as before."""
+
+    @pytest.mark.parametrize("rate, seconds", [
+        (48000, 0.05), (44100, 0.05), (8000, 0.05), (48000, 0.8e-3)],
+        ids=["48k", "44k1", "8k", "shorter-than-run"])
+    def test_window_equals_full_resample(self, default_trial, rate, seconds):
+        clip = synth_clap(ClapSpec(onset_time=1e-4, rng_seed=2), rate, seconds)
+        cfg = dataclasses.replace(default_trial, recording=clip)
+        _, cond, _, drive = harness._frontend(40e-6, 3, cfg, 0.05)
+        sim_rate = round(1 / cfg.dt)
+        need = round(cfg.duration * sim_rate) + 1
+        full = full_resample(AudioClip(rate, cond), sim_rate / rate).samples
+        if full.shape[1] < need:
+            full = np.pad(full, ((0, 0), (0, need - full.shape[1])),
+                          mode="edge")
+        assert np.array_equal(drive, full[:, :need])
 
 
 class TestStats:

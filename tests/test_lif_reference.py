@@ -1,6 +1,7 @@
 """Differential test of the stepper against a scalar reference: random small
 networks must give the same spike ids and times, and membranes within
-1e-12 V, including a run split over two calls."""
+1e-12 V, including a run split over two calls. Stacked networks must step
+each copy exactly as it steps alone."""
 
 import math
 import warnings
@@ -16,6 +17,7 @@ from itdloc.lif import (
     NetworkSpec,
     Simulation,
     SynapseSpec,
+    stack,
 )
 
 DT = 1e-7
@@ -138,3 +140,30 @@ def test_stepper_matches_reference(case):
     assert np.array_equal(tr_b.times, tr.times[split:])
     for i in range(n):
         assert np.array_equal(np.concatenate([tr_a.v[i], tr_b.v[i][1:]]), tr.v[i])
+
+
+@settings(max_examples=25, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(st.lists(networks(), min_size=2, max_size=3))
+def test_stacked_copies_step_as_alone(cases):
+    specs = [spec for spec, _, _ in cases]
+    n_steps = min(steps for _, steps, _ in cases)
+    split = min(cases[0][2], n_steps - 1)
+    stacked = stack(specs)
+    assert stacked.n_neurons == sum(spec.n_neurons for spec in specs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short traces are padded by design
+        sim = Simulation(stacked, DT)
+        _, tr_a = sim.run(split * DT, record_traces=range(sim.n))
+        rec, tr_b = sim.run((n_steps - split) * DT, record_traces=range(sim.n))
+        off = 0
+        for spec in specs:
+            alone, tr = Simulation(spec, DT).run(
+                n_steps * DT, record_traces=range(spec.n_neurons))
+            mine = (rec.ids >= off) & (rec.ids < off + spec.n_neurons)
+            assert (rec.ids[mine] - off).tolist() == alone.ids.tolist()
+            assert rec.times[mine].tolist() == alone.times.tolist()
+            for i in range(spec.n_neurons):
+                v = np.concatenate([tr_a.v[off + i], tr_b.v[off + i][1:]])
+                assert np.array_equal(v, tr.v[i])
+            off += spec.n_neurons
