@@ -202,8 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--itds" in argv[:-1]:  # a lone "-40,0,40" would parse as an option
+        i = argv.index("--itds")
+        argv[i:i + 2] = [f"--itds={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, WavError, OSError) as exc:

@@ -256,20 +256,14 @@ def _run_block(cfg: TrialConfig, prepared) -> list:
     record = SpikeRecord(sim.n)
     step = k = 0
     while step < last:
-        # poll k counts the spikes at or before its boundary, with
-        # poll_loop's 1e-12 slack; a spike lands at (its step + 1) * dt
         k += 1
-        boundary = k * readout.iteration_time + 1e-12
-        target = min(last, int(boundary / cfg.dt) + 1)
-        while target * cfg.dt > boundary:
-            target -= 1
-        if target <= step:
-            continue
-        record, _ = sim.run((target - step) * cfg.dt)
-        step = target
-        seen = record.ids[np.isin(record.ids % n, net.detectors)] // n
-        if np.unique(seen).size == len(prepared):
-            break
+        target = min(last, readout.last_step(k, cfg.dt))
+        if target > step:  # polls denser than steps can share a step
+            record, _ = sim.run((target - step) * cfg.dt)
+            step = target
+            seen = record.ids[np.isin(record.ids % n, net.detectors)] // n
+            if np.unique(seen).size == len(prepared):
+                break
 
     results = []
     for b, (crossing, _) in enumerate(prepared):

@@ -23,6 +23,12 @@ from .lif import (
 # parameters at dt = 0.1 us; center of the plateau found by tune_chain_weight
 DEFAULT_CHAIN_WEIGHT = 4.095e-07
 
+_T_INJECT = 5e-6  # when the calibration spike enters the chain head
+_WINDOW_PER_STAGE = 30e-6  # calibration run time per stage
+_TOLERANCE = 1e-7  # delay error at which tune_chain_weight stops
+_PROBE_STAGES = 9  # length of the chains tune_chain_weight probes
+_MAX_ITER = 80  # bisection steps before tune_chain_weight gives up
+
 
 class CalibrationError(RuntimeError):
     """Raised when a delay chain fails to propagate cleanly."""
@@ -136,29 +142,24 @@ class JeffressNetwork:
 
     def chain_order(self, side: str) -> tuple:
         """Chain ids in propagation order for 'left' or 'right'."""
-        fwd = self.config.left_first_index
-        if side == "left":
-            ids = self.left_chain
-            return ids if fwd else ids[::-1]
-        if side == "right":
-            ids = self.right_chain
-            return ids[::-1] if fwd else ids
-        raise ValueError("side must be 'left' or 'right'")
+        chain = self.left_chain if side == "left" else self.right_chain
+        return _firing_order(chain, side, self.config.left_first_index)
 
     def detector_index(self, neuron_id: int) -> int:
         return self.detectors.index(neuron_id)
 
+    @property
+    def _itd_sign(self) -> float:  # -1 when the left chain fires up the positions
+        return -1.0 if self.config.left_first_index else 1.0
+
     def detector_itd(self, j, delta: float) -> float:
         """ITD (right-channel delay, seconds) a detector position is tuned
         to, consistent with this network's orientation."""
-        base = detector_to_itd(j, delta, self.n_stages)
-        return -base if self.config.left_first_index else base
+        return self._itd_sign * detector_to_itd(j, delta, self.n_stages)
 
     def itd_to_position(self, itd: float, delta: float) -> float:
         """Fractional detector position tuned to a given ITD."""
-        n = self.n_stages
-        signed = -itd if self.config.left_first_index else itd
-        return (n - 1 - signed / delta) / 2.0
+        return (self.n_stages - 1 - self._itd_sign * itd / delta) / 2.0
 
     def describe(self) -> str:
         """Structured text dump: parameters, id layout and synapse table."""
@@ -191,6 +192,14 @@ class JeffressNetwork:
         return "\n".join(lines) + "\n"
 
 
+def _firing_order(chain: tuple, side: str, left_first_index: bool) -> tuple:
+    """A chain's ids in firing order: with left_first_index the left chain
+    fires up the detector positions and the right chain down; else mirrored."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return chain if (side == "left") == left_first_index else chain[::-1]
+
+
 def build(cfg: JeffressConfig) -> JeffressNetwork:
     """Construct the 3N+2 neuron network: 2 analog-injected inputs, two
     N-stage chains fed from opposite ends, and N coincidence detectors,
@@ -219,26 +228,12 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
     detectors = tuple(range(2 * n + 2, 3 * n + 2))
 
     neurons = [cfg.input_params] * 2 + [cfg.neuron_params] * (3 * n)
-    synapses = []
-    if cfg.left_first_index:
-        left_entry, left_step = 0, 1
-        right_entry, right_step = n - 1, -1
-    else:
-        left_entry, left_step = n - 1, -1
-        right_entry, right_step = 0, 1
-
-    synapses.append(SynapseSpec(input_left, left_chain[left_entry], w_chain))
-    synapses.append(SynapseSpec(input_right, right_chain[right_entry], w_chain))
-    pos = left_entry
-    for _ in range(n - 1):
-        synapses.append(SynapseSpec(left_chain[pos], left_chain[pos + left_step],
-                                    w_chain))
-        pos += left_step
-    pos = right_entry
-    for _ in range(n - 1):
-        synapses.append(SynapseSpec(right_chain[pos], right_chain[pos + right_step],
-                                    w_chain))
-        pos += right_step
+    left = _firing_order(left_chain, "left", cfg.left_first_index)
+    right = _firing_order(right_chain, "right", cfg.left_first_index)
+    synapses = [SynapseSpec(input_left, left[0], w_chain),
+                SynapseSpec(input_right, right[0], w_chain)]
+    for order in (left, right):
+        synapses += [SynapseSpec(a, b, w_chain) for a, b in zip(order, order[1:])]
     for j in range(n):
         synapses.append(SynapseSpec(left_chain[j], detectors[j], w_coin))
         synapses.append(SynapseSpec(right_chain[j], detectors[j], w_coin))
@@ -252,9 +247,7 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
     )
 
 
-def calibrate_stage_delay(net: JeffressNetwork, dt: float,
-                          t_inject: float = 5e-6,
-                          window_per_stage: float = 30e-6) -> CalibrationResult:
+def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
     """Inject one synthetic spike at the left chain head and measure the
     successive chain spike times; the stage delay is their first difference.
 
@@ -265,9 +258,9 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float,
     spec = NetworkSpec(
         neurons=net.spec.neurons,
         synapses=net.spec.synapses,
-        external_spikes=(ExternalSpike(t_inject, order[0], net.chain_weight),),
+        external_spikes=(ExternalSpike(_T_INJECT, order[0], net.chain_weight),),
     )
-    duration = t_inject + net.n_stages * window_per_stage
+    duration = _T_INJECT + net.n_stages * _WINDOW_PER_STAGE
     record, _ = Simulation(spec, dt).run(duration)
 
     spike_times = []
@@ -288,11 +281,11 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float,
     )
 
 
-def _probe_delay(weight: float, params: LifParams, dt: float, stages: int) -> float:
+def _probe_delay(weight: float, params: LifParams, dt: float) -> float:
     """Per-stage delay of a bare chain driven by one injected spike, or inf
     if the chain does not propagate."""
     cfg = JeffressConfig(
-        n_stages=stages,
+        n_stages=_PROBE_STAGES,
         chain_weight=weight,
         coincidence_weight=0.5 * single_spike_fire_weight(params),
         neuron_params=params,
@@ -304,27 +297,25 @@ def _probe_delay(weight: float, params: LifParams, dt: float, stages: int) -> fl
         return math.inf
 
 
-def tune_chain_weight(target_delay: float, params: LifParams, dt: float,
-                      tolerance: float = 1e-7, probe_stages: int = 9,
-                      max_iter: int = 80) -> float:
-    """Bisect the chain weight until the calibrated per-stage delay is
-    within `tolerance` of the target. Deterministic; raises if the target
-    lies outside the achievable delay range."""
+def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> float:
+    """Bisect the chain weight until the per-stage delay of a short probe
+    chain is within _TOLERANCE of the target. Deterministic; raises if the
+    target lies outside the achievable delay range."""
     if target_delay <= 0:
         raise ValueError("target_delay must be > 0")
     w_fire = single_spike_fire_weight(params)
     lo, hi = 1.02 * w_fire, 400.0 * w_fire
-    d_lo = _probe_delay(lo, params, dt, probe_stages)
-    d_hi = _probe_delay(hi, params, dt, probe_stages)
+    d_lo = _probe_delay(lo, params, dt)
+    d_hi = _probe_delay(hi, params, dt)
     if not d_hi <= target_delay <= d_lo:
         raise ValueError(
             f"target delay {target_delay:.3g}s outside achievable range "
             f"[{d_hi:.3g}, {d_lo:.3g}]s"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        d = _probe_delay(mid, params, dt, probe_stages)
-        if abs(d - target_delay) < tolerance:
+        d = _probe_delay(mid, params, dt)
+        if abs(d - target_delay) < _TOLERANCE:
             return mid
         if d > target_delay:
             lo = mid  # too slow, drive harder
@@ -332,7 +323,7 @@ def tune_chain_weight(target_delay: float, params: LifParams, dt: float,
             hi = mid
     raise RuntimeError(
         f"chain weight search did not converge to {target_delay:.3g}s "
-        f"within {max_iter} iterations"
+        f"within {_MAX_ITER} iterations"
     )
 
 

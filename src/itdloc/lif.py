@@ -9,12 +9,14 @@ drive is integrated to machine precision.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 WEIGHT_LEVELS = 63  # signed 6-bit weight range
+_STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,8 @@ class Simulation:
         self._v_leak = np.array([p.v_leak for p in spec.neurons], dtype=float)
         self._v_thresh = np.array([p.v_thresh for p in spec.neurons], dtype=float)
         self._v_reset = np.array([p.v_reset for p in spec.neurons], dtype=float)
-        self._t_ref = np.array([p.t_ref for p in spec.neurons], dtype=float)
+        # firing on step k clamps steps k + 1 .. k + ceil(t_ref / dt)
+        self._ref_steps = [math.ceil(p.t_ref / dt - _STEP_SLACK) for p in spec.neurons]
 
         g_inj = np.zeros(n, dtype=float)
         for inj in spec.injections:
@@ -262,14 +265,15 @@ class Simulation:
         for e in ext:
             if not 0 <= e.target < n:
                 raise ValueError(f"external spike target {e.target} out of range")
-        self._ext_steps = np.array([int(np.floor(e.t / dt + 1e-9)) for e in ext],
-                                   dtype=np.int64)
+        # times may be off the step grid; _STEP_SLACK keeps on-grid ones
+        self._ext_steps = np.array(
+            [math.floor(e.t / dt + _STEP_SLACK) for e in ext], dtype=np.int64)
         self._ext = ext
         self._ext_ptr = 0
 
         self.v = self._v_leak.copy()
         self.i_syn = np.zeros(n, dtype=float)
-        self.refractory_until = np.full(n, -np.inf)
+        self._free_from = np.zeros(n, dtype=np.int64)  # first unclamped step
         self._pending = np.zeros(n, dtype=float)
         self._pending_any = False
         self._t1 = np.empty(n, dtype=float)
@@ -280,12 +284,11 @@ class Simulation:
         self._ev_times: list[float] = []
         self._ev_ids: list[int] = []
 
-    def _emit(self, ids, t_spike: float) -> None:
-        for i in ids:
-            i = int(i)
+    def _emit(self, ids, step: int) -> None:
+        for i in ids.tolist():
             self.v[i] = self._v_reset[i]
-            self.refractory_until[i] = t_spike + self._t_ref[i]
-            self._ev_times.append(t_spike)
+            self._free_from[i] = step + self._ref_steps[i]
+            self._ev_times.append(step * self.dt)
             self._ev_ids.append(i)
             lo, hi = self._syn_ptr[i], self._syn_ptr[i + 1]
             if hi > lo:
@@ -335,7 +338,7 @@ class Simulation:
             run, one row per step and one column per injection."""
             cols = []
             for inj in injections:
-                # the 1e-6 absorbs drift when rates align with dt
+                # rates may be off the step grid; 1e-6 keeps on-grid samples
                 i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
                 cols.append(inj.trace[np.minimum(i, inj.trace.size - 1)])
             return np.stack(cols, axis=1)
@@ -348,7 +351,6 @@ class Simulation:
 
         for j in range(n_steps):
             k = k0 + j
-            t = k * self.dt
             while (self._ext_ptr < len(self._ext)
                    and self._ext_steps[self._ext_ptr] <= k):
                 e = self._ext[self._ext_ptr]
@@ -372,7 +374,7 @@ class Simulation:
                 # adds repeated targets one after another, in injection order
                 np.add.at(t1, res_targets, drives[j])
 
-            np.greater(self.refractory_until, t, out=self._refr)
+            np.greater(self._free_from, k, out=self._refr)
             np.copyto(t1, self._v_reset, where=self._refr)
             # a refractory neuron sits at v_reset < v_thresh, so cannot fire
             np.greater_equal(t1, self._v_thresh, out=self._fired)
@@ -382,7 +384,7 @@ class Simulation:
 
             self.v, self._t1 = t1, self.v
             if self._fired.any():
-                self._emit(np.flatnonzero(self._fired), (k + 1) * self.dt)
+                self._emit(np.flatnonzero(self._fired), k + 1)
             self._k = k + 1
             for i in traced:
                 traces.v[i][j + 1] = self.v[i]

@@ -12,11 +12,13 @@ import numpy as np
 
 from .lif import SpikeRecord
 
+_SLACK = 1e-12  # seconds; a spike on a poll boundary counts in that poll
+
 
 @dataclass(frozen=True)
 class ReadoutSection:
-    """Polling-loop timing: one counter scan per iteration, then a sleep of
-    dead_time after each detection."""
+    """Polling-loop timing: poll k reads the counters at k * iteration_time;
+    after a detection the processor sleeps for dead_time."""
 
     iteration_time: float = 55e-6
     dead_time: float = 0.2
@@ -26,6 +28,19 @@ class ReadoutSection:
             raise ValueError("iteration_time must be > 0")
         if self.dead_time < 0:
             raise ValueError("dead_time must be >= 0")
+
+    @property
+    def dead_polls(self) -> int:
+        """Polls the sleep skips: the dead time in whole iterations; the
+        1e-9 keeps an exact multiple whole despite division noise."""
+        return int(self.dead_time / self.iteration_time + 1e-9)
+
+    def last_step(self, k: int, dt: float) -> int:
+        """The last step boundary s * dt that poll k sees; a spike fired on
+        step s - 1 lands on it."""
+        boundary = k * self.iteration_time + _SLACK
+        q = int(boundary / dt)  # off by at most one from rounding
+        return max(s for s in (q - 1, q, q + 1) if s * dt <= boundary)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -72,39 +87,32 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutConfig, t_end: float):
     plain mean of the active detector positions (each active detector
     counts once, regardless of its spike count), an event is emitted at the
     boundary, the processor sleeps for dead_time and only then clears the
-    counters; spikes landing during the sleep are wiped by that reset,
-    while spikes after the reset survive into the next read.
+    counters, skipping dead_polls reads; spikes landing during the sleep
+    are wiped by that reset, while spikes after it survive into the next
+    read.
     """
     index_of = {nid: j for j, nid in enumerate(cfg.detector_ids)}
-    n_det = len(cfg.detector_ids)
-    counters = np.zeros(n_det, dtype=np.int64)
-
-    times = record.times
-    ids = record.ids
-    ptr = 0
-    events = []
+    counters = np.zeros(len(index_of), dtype=np.int64)
+    times, ids = record.times, record.ids
+    ptr, events = 0, []
     k = 1  # boundary k * iteration_time, never a running float sum
-    boundary = cfg.iteration_time
-    eps = 1e-12
 
-    while boundary <= t_end + eps:
-        while ptr < times.size and times[ptr] <= boundary + eps:
+    while (boundary := k * cfg.iteration_time) <= t_end + _SLACK:
+        while ptr < times.size and times[ptr] <= boundary + _SLACK:
             j = index_of.get(int(ids[ptr]))
             if j is not None:
                 counters[j] += 1
             ptr += 1
+        k += 1
         active = np.flatnonzero(counters)
         if active.size:
             events.append(DirectionEvent(t=boundary,
                                          direction=float(np.mean(active))))
             reset_time = boundary + cfg.dead_time
-            while ptr < times.size and times[ptr] <= reset_time + eps:
+            while ptr < times.size and times[ptr] <= reset_time + _SLACK:
                 ptr += 1  # discarded: lands before the post-sleep reset
             counters[:] = 0
-            k = int(np.floor(reset_time / cfg.iteration_time + 1e-9)) + 1
-        else:
-            k += 1
-        boundary = k * cfg.iteration_time
+            k += cfg.dead_polls
     return events
 
 

@@ -275,6 +275,21 @@ class TestCli:
         assert len(lines) == 2  # header + one row
         assert (out / "stats.csv").exists()
 
+    def test_sweep_itds_may_start_with_a_minus(self, small_config, tmp_path,
+                                               capsys):
+        # "--itds -40,0,40" as documented writes what "--itds=-40,0,40" does
+        outs = [tmp_path / "spaced", tmp_path / "joined"]
+        for out, spelling in zip(outs, (["--itds", "-40,0,40"],
+                                        ["--itds=-40,0,40"])):
+            rc = cli.main(["sweep", "--config", str(small_config), *spelling,
+                           "--trials", "2", "--out", str(out)])
+            assert rc == 0
+        for name in ("sweep.csv", "stats.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        itds = [line.split(",")[0] for line in
+                (outs[0] / "stats.csv").read_text().splitlines()[1:]]
+        assert itds == ["-40.000", "0.000", "40.000"]
+
     def test_oracle_on_self_shifted_clip(self, tmp_path, capsys):
         clap = synth_clap(ClapSpec(rng_seed=12), 192000, 3e-3)
         wav = tmp_path / "clap.wav"

@@ -4,6 +4,8 @@ expected value is not trivial."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itdloc.frontend import (
     AudioClip,
@@ -214,13 +216,18 @@ class TestCondition:
         out = condition(np.array([0.0, 1.65, -2.0, 0.45]), 192000, p)
         assert np.allclose(out, [0.2, 1.2, 0.2, 0.65])
 
-    def test_bounds_property(self):
-        rng = np.random.default_rng(5)
-        p = FrontEndParams()
-        for _ in range(25):
-            x = rng.normal(0, rng.uniform(0.01, 30.0), size=rng.integers(1, 400))
-            out = condition(x, 192000, p)
-            assert np.all(out >= p.v_floor) and np.all(out <= p.v_clip)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=400),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 2.0),
+           st.floats(0.0, 1.0), st.sampled_from([0.0, 20.0, 2000.0]),
+           st.floats(0.1, 30.0), st.sampled_from([8000, 48000, 192000]))
+    def test_bounds_property(self, x, v_floor, above_floor, clip_span, v_diode,
+                             cutoff, gain, rate):
+        p = FrontEndParams(v_offset=v_floor + above_floor, v_diode=v_diode,
+                           v_floor=v_floor, v_clip=v_floor + clip_span,
+                           highpass_cutoff=cutoff, preamp_gain=gain)
+        out = condition(np.array(x), rate, p)
+        assert np.all(out >= p.v_floor) and np.all(out <= p.v_clip)
 
     def test_clamp_stage_idempotent(self):
         # with offset and diode zeroed the chain reduces to the clamp, which

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itdloc import harness
 from itdloc.config import (
@@ -28,6 +30,7 @@ from itdloc.harness import (
     write_sweep_csv,
     xcorr_oracle,
 )
+from itdloc.jeffress import build
 
 
 class TestXcorrOracle:
@@ -91,6 +94,26 @@ class TestRunTrial:
         itd_fwd = default_net.detector_itd(d_fwd, stage_delay)
         itd_flip = flipped_net.detector_itd(d_flip, stage_delay)
         assert itd_fwd == pytest.approx(itd_flip, abs=2 * stage_delay)
+
+    @settings(max_examples=10, deadline=None)
+    @given(itd_us=st.floats(-180.0, 180.0), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 0.07]))
+    def test_mirrored_orientation_mirrors_direction_property(
+            self, default_trial, itd_us, seed, noise):
+        # mirroring left_first_index mirrors every detector position, so the
+        # same trial reads the mirrored direction and the same ITD
+        flipped = TrialConfig(net=build(dataclasses.replace(
+            default_trial.net.config, left_first_index=False)))
+        fwd = run_trial(itd_us * 1e-6, seed, default_trial,
+                        noise_amplitude=noise)
+        flip = run_trial(itd_us * 1e-6, seed, flipped, noise_amplitude=noise)
+        assert fwd.latency == flip.latency
+        if fwd.miss:
+            assert flip.miss
+        else:
+            n = default_trial.net.n_stages
+            assert flip.direction == pytest.approx(n - 1 - fwd.direction,
+                                                   abs=1e-9)
 
     def test_detail_exposes_record_and_traces(self, default_trial, default_net):
         detail = run_trial_detailed(0.0, None, default_trial,

@@ -69,6 +69,25 @@ class TestBuild:
         assert table["0->2"] == "4.000000e-07"
         assert net.chain_weight != net.config.chain_weight
 
+    @pytest.mark.parametrize("left_first_index", [True, False])
+    def test_chains_link_in_firing_order(self, left_first_index):
+        net = build(JeffressConfig(n_stages=5,
+                                   left_first_index=left_first_index))
+        links = {(s.pre, s.post) for s in net.spec.synapses}
+        for side, head in (("left", net.input_left), ("right", net.input_right)):
+            order = net.chain_order(side)
+            assert (head, order[0]) in links
+            assert all((a, b) in links for a, b in zip(order, order[1:]))
+        # the left chain fires up the detector positions with the flag set,
+        # the right chain down them; clearing it mirrors both
+        up, down = net.left_chain, net.right_chain[::-1]
+        if not left_first_index:
+            up, down = net.left_chain[::-1], net.right_chain
+        assert net.chain_order("left") == up
+        assert net.chain_order("right") == down
+        with pytest.raises(ValueError, match="side"):
+            net.chain_order("middle")
+
     def test_id_layout_deterministic(self, default_net):
         assert default_net.left_chain == tuple(range(2, 52))
         assert default_net.right_chain == tuple(range(52, 102))
@@ -156,9 +175,12 @@ class TestDetectorMap:
             detector_to_itd(-0.5, 3.8e-6, 50)
 
     def test_orientation_roundtrip(self, default_net, stage_delay):
+        flipped = build(JeffressConfig(left_first_index=False))
         for j in (0.0, 10.25, 24.5, 49.0):
             itd = default_net.detector_itd(j, stage_delay)
             assert default_net.itd_to_position(itd, stage_delay) == pytest.approx(j)
+            assert flipped.detector_itd(j, stage_delay) == -itd
+            assert flipped.itd_to_position(-itd, stage_delay) == pytest.approx(j)
 
 
 class TestGeometryMath:

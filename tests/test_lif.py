@@ -77,6 +77,50 @@ class TestIntegrator:
         assert abs(t_coarse - t_fine) < DT
 
 
+class TestStepRules:
+    """Each time that enters the stepper becomes a whole step, pinned where
+    the float form could fall either side of a step boundary."""
+
+    @pytest.mark.parametrize("t_ref, clamped", [(3e-6, 30), (5e-4, 5000)])
+    @pytest.mark.parametrize("mode", ["resistive", "trigger"])
+    def test_constant_drive_gives_one_interval(self, mode, t_ref, clamped):
+        # the spikes fall on many absolute steps; each clamps ceil(t_ref / dt)
+        p = LifParams(t_ref=t_ref)
+        inj = AnalogInjection(0, np.full(3, 2.0), 1e3, mode=mode)
+        rec, tr = run(single_neuron(p, injections=(inj,)), 2e-3, DT,
+                      record_traces=[0])
+        steps = np.round(rec.times / DT).astype(int)  # spike step boundaries
+        assert len(steps) >= 4
+        isis = set(np.diff(steps).tolist())
+        assert len(isis) == 1
+        if mode == "trigger":
+            assert isis == {clamped + 1}
+        for s in steps[:-1]:
+            assert np.all(tr.v[0][s + 1:s + clamped + 1] == p.v_reset)
+            if mode == "resistive":
+                assert tr.v[0][s + clamped + 1] > p.v_reset
+
+    # 13 * DT / DT and 183 * DT / DT fall just below 13 and 183
+    @pytest.mark.parametrize("t, step", [(13 * DT, 13), (183 * DT, 183),
+                                         (3.7e-6, 37), (3.75e-6, 37),
+                                         (55e-6, 550), (1.0999e-3, 10999)])
+    def test_external_spike_on_a_step_lands_on_it(self, t, step):
+        spec = single_neuron(external_spikes=(ExternalSpike(t, 0, 1e-9),))
+        _, tr = run(spec, (step + 2) * DT, DT, record_traces=[0])
+        assert tr.i_syn[0][step] == 0.0
+        assert tr.i_syn[0][step + 1] == 1e-9
+
+    @pytest.mark.parametrize("sample", [0, 3, 29, 550, 1001])
+    def test_injection_at_the_simulator_rate_holds_one_sample_per_step(
+            self, sample):
+        # a lone supra-threshold trigger sample fires on its own step
+        trace = np.zeros(sample + 5)
+        trace[sample] = 2.0
+        inj = AnalogInjection(0, trace, 10_000_000, mode="trigger")
+        rec, _ = run(single_neuron(injections=(inj,)), trace.size * DT, DT)
+        assert rec.times.tolist() == [(sample + 1) * DT]
+
+
 class TestSpikes:
     def test_empty_network(self):
         rec, traces = run(NetworkSpec(neurons=()), 1e-4, DT)

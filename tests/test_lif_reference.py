@@ -29,15 +29,18 @@ def reference_run(spec: NetworkSpec, dt: float, n_steps: int):
     of the previous step, external spikes at step floor(t / dt)); the
     membrane then follows the exact solution with current, held injection
     samples (trace[int(t * rate)], padded with the last one) and leak frozen
-    over the step. Refractory neurons are clamped to v_reset; a neuron
-    fires at the step end when it reaches v_thresh or a trigger sample it
-    receives does. Returns spike times, spike ids and the membrane history,
-    one row per step boundary."""
+    over the step. A neuron fires at the step end when it reaches v_thresh
+    or a trigger sample it receives does; firing on step k clamps it to
+    v_reset for steps k + 1 .. k + ceil(t_ref / dt), a whole number of
+    steps fixed up front (the 1e-9 keeps an on-grid t_ref exact). Returns
+    spike times, spike ids and the membrane history, one row per step
+    boundary."""
     ps = spec.neurons
     n = len(ps)
     v = [p.v_leak for p in ps]
     i_syn, pending = [0.0] * n, [0.0] * n
-    refractory_until = [-math.inf] * n
+    ref_steps = [math.ceil(p.t_ref / dt - 1e-9) for p in ps]
+    free_from = [0] * n
     ext = sorted(spec.external_spikes, key=lambda e: (e.t, e.target))
     times, ids, history = [], [], [list(v)]
     for k in range(n_steps):
@@ -63,13 +66,13 @@ def reference_run(spec: NetworkSpec, dt: float, n_steps: int):
                     trigger = trigger or u >= p.v_thresh
             v_inf = drive / rate
             v[i] = v_inf + (v[i] - v_inf) * math.exp(-dt * rate)
-            if refractory_until[i] > t:
+            if free_from[i] > k:
                 v[i] = p.v_reset
             elif v[i] >= p.v_thresh or trigger:
                 fired.append(i)
         for i in fired:
             v[i] = ps[i].v_reset
-            refractory_until[i] = t_next + ps[i].t_ref
+            free_from[i] = k + 1 + ref_steps[i]
             times.append(t_next)
             ids.append(i)
             for s in spec.synapses:

@@ -3,12 +3,15 @@ serial text framing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itdloc.lif import SpikeRecord
 from itdloc.readout import (
     DirectionEvent,
     PwmConfig,
     ReadoutConfig,
+    ReadoutSection,
     poll_loop,
     pwm_edges,
     pwm_pulse_width,
@@ -135,6 +138,99 @@ class TestPollLoop:
             ReadoutConfig(detector_ids=(1, 1))
         with pytest.raises(ValueError):
             ReadoutConfig(detector_ids=(1,), iteration_time=0.0)
+
+
+class TestPollTiming:
+    """The poll-index rules: a dead time in whole polls, and the last
+    simulator step each poll sees."""
+
+    @pytest.mark.parametrize("iteration, m", [(55e-6, 1), (55e-6, 3),
+                                              (1e-4, 7), (0.1, 3)])
+    def test_dead_time_of_exactly_m_polls(self, iteration, m):
+        # one detector spike inside every poll window: after a detection
+        # the m polls inside the sleep are skipped and the next one reads
+        assert ReadoutSection(iteration, m * iteration).dead_polls == m
+        n_polls = 4 * (m + 1)
+        spikes = [((k - 0.5) * iteration, 7) for k in range(1, n_polls + 1)]
+        events = poll_loop(record(spikes), cfg(iteration, m * iteration),
+                           n_polls * iteration)
+        assert [round(e.t / iteration) for e in events] == list(
+            range(1, n_polls + 1, m + 1))
+
+    def test_decimal_dead_time_counts_whole_polls(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        assert ReadoutSection(iteration_time=0.1, dead_time=0.3).dead_polls == 3
+        assert ReadoutSection(iteration_time=0.1, dead_time=0.29).dead_polls == 2
+
+    @pytest.mark.parametrize("iteration, tenths_of_a_step", [(55.03e-6, 5503),
+                                                            (55e-6, 5500)])
+    def test_last_step_seen_by_each_poll(self, iteration, tenths_of_a_step):
+        # poll k reads at k * iteration: 550.3 k steps of 0.1 us off the
+        # grid, 550 k steps on it, where the boundary step itself counts
+        section = ReadoutSection(iteration_time=iteration)
+        dt = 1e-7
+        for k in range(1, 201):
+            s = section.last_step(k, dt)
+            assert s == tenths_of_a_step * k // 10
+            # a spike on that step's boundary is read by poll k, one a step
+            # later by poll k + 1
+            for spike, poll in ((s, k), (s + 1, k + 1)):
+                events = poll_loop(record([(spike * dt, 0)]),
+                                   cfg(iteration, 0.0), 300 * iteration)
+                assert round(events[0].t / iteration) == poll
+
+
+def replay(spikes, detector_ids, iteration, dead, t_end):
+    """Brute-force polling program on integer time ticks: every poll k in
+    turn reads the detector spikes since the previous read or, after a
+    detection, since the reset that ends the sleep; a poll inside the
+    sleep therefore reads nothing."""
+    position = {nid: j for j, nid in enumerate(detector_ids)}
+    events, seen_until = [], -1
+    for k in range(1, t_end // iteration + 1):
+        boundary = k * iteration
+        active = sorted({position[i] for t, i in spikes
+                         if seen_until < t <= boundary and i in position})
+        seen_until = max(seen_until, boundary)
+        if active:
+            events.append((boundary, sum(active) / len(active)))
+            seen_until = boundary + dead
+    return events
+
+
+@st.composite
+def poll_cases(draw):
+    """Spikes as (tick, id), detector ids, iteration and dead time in
+    ticks, and the end tick. Spikes fall anywhere up to tick 3000, and
+    detector spikes also on or next to a few anchor polls and the resets
+    that would follow a detection there."""
+    iteration = draw(st.integers(1, 120))
+    dead = draw(st.integers(0, 800))
+    detector_ids = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8,
+                                 unique=True))
+    spikes = draw(st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 11)),
+                           max_size=30))
+    for k in draw(st.lists(st.integers(1, 3000 // iteration), max_size=4)):
+        for at in (k * iteration, k * iteration + dead):
+            off = draw(st.sampled_from([-1, 0, 1, None]))
+            if off is not None:
+                spikes.append((max(1, at + off),
+                               draw(st.sampled_from(detector_ids))))
+    t_end = draw(st.just(3000) | st.integers(1, 3000))
+    return sorted(spikes), detector_ids, iteration, dead, t_end
+
+
+@settings(max_examples=200, deadline=None)
+@given(poll_cases())
+def test_poll_loop_equals_brute_force_replay(case):
+    spikes, detector_ids, iteration, dead, t_end = case
+    tick = 1e-6
+    rec = SpikeRecord(12, [t * tick for t, _ in spikes],
+                      [i for _, i in spikes])
+    got = poll_loop(rec, cfg(iteration * tick, dead * tick, detector_ids),
+                    t_end * tick)
+    want = replay(spikes, detector_ids, iteration, dead, t_end)
+    assert [(round(e.t / tick), e.direction) for e in got] == want
 
 
 class TestPwm:
