@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from .frontend import (
     resample,
     synth_clap,
 )
-from .jeffress import JeffressNetwork
-from .lif import AnalogInjection, NetworkSpec, Simulation, SpikeRecord, stack
+from .jeffress import JeffressNetwork, psp_peak_per_ampere
+from .lif import (AnalogInjection, ExternalSpike, NetworkSpec, Simulation,
+                  SpikeRecord)
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
@@ -58,13 +60,20 @@ class TrialConfig:
                              dead_time=self.readout.dead_time)
 
     def mono_stimulus(self) -> AudioClip:
-        if self.recording is not None:
-            if self.recording.n_channels != 1:
-                return AudioClip(self.recording.sample_rate,
-                                 self.recording.channel(0)[np.newaxis, :])
-            return self.recording
-        return synth_clap(self.stimulus.clap, self.stimulus.sample_rate,
-                          self.stimulus.duration)
+        return self._mono
+
+    @functools.cached_property
+    def _mono(self) -> AudioClip:
+        """The mono stimulus, made once; its samples are read-only."""
+        clip = self.recording or synth_clap(
+            self.stimulus.clap, self.stimulus.sample_rate, self.stimulus.duration)
+        samples = clip.samples[:1].view()
+        samples.flags.writeable = False
+        return AudioClip(clip.sample_rate, samples)
+
+    @functools.cached_property
+    def _tables(self) -> tuple | None:
+        return _probe_tables(self.net, self.dt)
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,7 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
     # cover the run gives the same drive as resampling the whole clip
     window = min(cond.shape[1], int(np.ceil(need * fs / sim_rate)) + 2)
     drive = resample(AudioClip(fs, cond[:, :window]), sim_rate / fs).samples
-    drive = drive[:, :need]
-    if drive.shape[1] < need:  # rounding slack; extend with the final value
-        drive = np.pad(drive, ((0, 0), (0, need - drive.shape[1])), mode="edge")
+    drive = drive[:, np.minimum(np.arange(need), drive.shape[1] - 1)]  # edge pad
     return stereo, cond, crossing, drive
 
 
@@ -192,9 +199,9 @@ def _sim_rate(cfg: TrialConfig) -> int:
     return int(round(1.0 / cfg.dt))
 
 
-def _injections(cfg: TrialConfig, drive, offset: int = 0) -> list:
-    """The two input drives, on the input neurons shifted by offset."""
-    return [AnalogInjection(target + offset, trace, _sim_rate(cfg),
+def _injections(cfg: TrialConfig, drive) -> list:
+    """The two input drives, on the input neurons."""
+    return [AnalogInjection(target, trace, _sim_rate(cfg),
                             r_src=cfg.injection.r_src, mode=cfg.injection.mode)
             for target, trace in zip((cfg.net.input_left, cfg.net.input_right),
                                      drive)]
@@ -229,107 +236,129 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
                        conditioned=AudioClip(stereo.sample_rate, cond))
 
 
-BLOCK = 32  # trials stepped together as one stacked network
+_MARGIN = 1e-9  # volts; an input membrane this near threshold is stepped
 
 
-@functools.lru_cache(maxsize=2)
-def _stacked(spec: NetworkSpec, copies: int) -> NetworkSpec:
-    return stack([spec] * copies)
+def _probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
+    """Step one chain neuron, one lone detector and detector copies kicked
+    on step 0 and at offsets 0..K, all from rest, until (stage, reach,
+    fire) can be read off their spikes: a chain neuron kicked on step s
+    fires on step s + stage (never if None); a detector kicked on steps a
+    and b fires on step max(a, b) + fire[|b - a|] if |b - a| <= reach and
+    that is >= 0, else never. Any PSP has peaked `top` steps (the lone
+    PSP's peak) after its last kick, and past top the first PSP only falls,
+    so the first silent offset past top ends the reach. None when a unit
+    could fire twice in a trial, or on one kick."""
+    params = net.config.neuron_params
+    w_chain, w_coin = net.chain_weight, net.coincidence_weight
+    # after a spike the clamp lifts with at most `left` amperes in i_syn,
+    # which must move the membrane less than half way to threshold
+    left = max(abs(w_chain), 2 * abs(w_coin)) * math.exp(-params.t_ref / params.tau_syn)
+    if 2 * left * psp_peak_per_ampere(params) >= params.v_thresh - max(
+            params.v_reset, params.v_leak):
+        return None
+    # a PSP peaks within max(tau_m, tau_syn) of its kick
+    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
+    k, chunk, done, lone, silent = 4 * peak, max(1, peak // 4), 0, [], ()
+    kicks = [ExternalSpike(0.0, 0, w_chain), ExternalSpike(0.0, 1, w_coin)] + [
+        ExternalSpike(t, 2 + off, w_coin) for off in range(k + 1)
+        for t in (0.0, off * dt)]
+    sim = Simulation(NetworkSpec((params,) * (k + 3), external_spikes=kicks), dt)
+    while not len(silent):
+        record, traces = sim.run(chunk * dt, record_traces=[1])
+        lone.append(traces.v[1][1:])
+        done += chunk
+        top = int(np.argmax(np.concatenate(lone))) + 1
+        ids, steps = record.ids, np.rint(record.times / dt).astype(np.int64)
+        fire = np.full(k + 1, -1, dtype=np.int64)
+        fire[ids[ids >= 2] - 2] = steps[ids >= 2] - (ids[ids >= 2] - 2)
+        silent = np.flatnonzero(fire[top:done - top] < 0)  # settled pairs
+        if 1 in ids or (not silent.size and done > k + top):
+            return None
+    reach = top + int(silent[0]) - 1
+    return (int(steps[ids == 0][0]) if 0 in ids else None, reach,
+            fire[:reach + 1])
 
 
-def _run_block(cfg: TrialConfig, prepared) -> list:
-    """Step several trials as one network of disjoint copies, copy b
-    driven by prepared[b] = (crossing, drive), and return their results.
-
-    A TrialResult reads only the first readout event, so the block stops
-    at the first poll boundary by which every copy has a detector spike,
-    or else at the full duration. Each copy's spikes then go through the
-    same readout replay as a full run.
-    """
-    net, readout = cfg.net, cfg.readout_config()
-    n = net.spec.n_neurons
-    injections = [inj for b, (_, drive) in enumerate(prepared)
-                  for inj in _injections(cfg, drive, offset=b * n)]
-    sim = Simulation(_stacked(net.spec, len(prepared)).with_injections(
-        injections), cfg.dt)
-    last = int(round(cfg.duration / cfg.dt))
-    record = SpikeRecord(sim.n)
-    step = k = 0
-    while step < last:
-        k += 1
-        target = min(last, readout.last_step(k, cfg.dt))
-        if target > step:  # polls denser than steps can share a step
-            record, _ = sim.run((target - step) * cfg.dt)
-            step = target
-            seen = record.ids[np.isin(record.ids % n, net.detectors)] // n
-            if np.unique(seen).size == len(prepared):
-                break
-
-    results = []
-    for b, (crossing, _) in enumerate(prepared):
-        mine = record.ids // n == b
-        own = SpikeRecord(n, record.times[mine], record.ids[mine] - b * n)
-        results.append(_result(poll_loop(own, readout, t_end=cfg.duration),
-                               crossing))
-    return results
+def _run_exact(cfg: TrialConfig, crossing, drive) -> TrialResult | None:
+    """One trial's result with no neuron stepped: inputs from Simulation's
+    lfilter screen, chains and detectors from the probe tables, then the
+    readout replay. None where stepping may differ: an input near threshold
+    or firing again by the first event's poll, or no tables."""
+    if cfg._tables is None:
+        return None
+    (stage, reach, fire), net, dt = cfg._tables, cfg.net, cfg.dt
+    head = net.spec.neurons[:max(net.input_left, net.input_right) + 1]
+    sim = Simulation(NetworkSpec(head, injections=_injections(cfg, drive)), dt)
+    inputs = sim.injected_spike_steps(round(cfg.duration / dt), _MARGIN)
+    if inputs is None:
+        return None
+    steps = ids = np.zeros(0, dtype=np.int64)
+    if stage is not None and all(inputs):
+        # the kick steps at each detector position, from each side's chain
+        a, b = (spikes[0] + stage * (np.argsort(net.chain_order(side)) + 1)
+                for spikes, side in zip(inputs, ("left", "right")))
+        off = np.abs(a - b)
+        j = np.flatnonzero(off <= reach)
+        j = j[fire[off[j]] >= 0]
+        steps = np.maximum(a, b)[j] + fire[off[j]]
+        order = np.lexsort((j, steps))  # by step, then by id, as stepped
+        steps, ids = steps[order], np.asarray(net.detectors)[j[order]]
+    record = SpikeRecord(net.spec.n_neurons, steps * dt, ids)
+    events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
+    horizon = events[0].t if events else cfg.duration
+    if any(len(spikes) > 1 and spikes[1] * dt <= horizon for spikes in inputs):
+        return None
+    return _result(events, crossing)
 
 
 def run_trial(itd: float, seed, cfg: TrialConfig, *,
               noise_amplitude: float = 0.0) -> TrialResult:
     """Direction and latency of one trial, as run_trial_detailed gives them,
-    but the network steps only until the first readout event."""
+    from exact spike arithmetic, or stepped by it where that may differ."""
     _, _, crossing, drive = _frontend(itd, seed, cfg, noise_amplitude)
-    return _run_block(cfg, [(crossing, drive)])[0]
+    return _run_exact(cfg, crossing, drive) or run_trial_detailed(
+        itd, seed, cfg, noise_amplitude=noise_amplitude).result
 
 
-def _where(cell, base_seed: int) -> str:
-    i, k, itd = cell
-    return f"itd={itd * 1e6:.3f}us, trial={k}, seed=({base_seed}, {i}, {k})"
-
-
-def _sweep_block(args):
-    """Results of one block of sweep cells (itd index, trial index, itd).
-    A failure names its cell, or the block's first and last cells when
-    stepping fails."""
+def _sweep_cells(args):
+    """Results of sweep cells (itd index, trial index, itd), in order; a
+    failure names its cell."""
     cells, cfg, base_seed, noise = args
-    prepared = []
-    try:
-        for cell in cells:
-            where = _where(cell, base_seed)
-            i, k, itd = cell
-            _, _, crossing, drive = _frontend(
-                itd, trial_seed(base_seed, i, k), cfg, noise)
-            prepared.append((crossing, drive))
-        where = (f"the block from {_where(cells[0], base_seed)} "
-                 f"to {_where(cells[-1], base_seed)}")
-        return _run_block(cfg, prepared)
-    except Exception as exc:
-        raise RuntimeError(f"trial failed at {where}: {exc}") from exc
+    results = []
+    for i, k, itd in cells:
+        try:
+            results.append(run_trial(itd, trial_seed(base_seed, i, k), cfg,
+                                     noise_amplitude=noise))
+        except Exception as exc:
+            raise RuntimeError(
+                f"trial failed at itd={itd * 1e6:.3f}us, trial={k}, "
+                f"seed=({base_seed}, {i}, {k}): {exc}") from exc
+    return results
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
-    """Run the full ITD x trial grid in blocks of BLOCK trials, each stepped
-    as one network (a block per task with jobs > 1); rows are keyed by
-    (itd, trial) and identical regardless of worker count. When out_dir is
-    given, it is created first, and sweep.csv and stats.csv written there."""
+    """Run the full ITD x trial grid, in chunks of cells (a chunk per task
+    with jobs > 1); rows are keyed by (itd, trial) and identical regardless
+    of worker count. When out_dir is given, it is created first, and
+    sweep.csv and stats.csv written there."""
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     cells = [(i, k, itd) for i, itd in enumerate(cfg.itds)
              for k in range(cfg.trials)]
-    tasks = [(cells[lo:lo + BLOCK], cfg.trial, cfg.base_seed,
-              cfg.noise_amplitude) for lo in range(0, len(cells), BLOCK)]
+    size = -(-len(cells) // (4 * jobs))  # a few chunks per worker
+    tasks = [(cells[lo:lo + size], cfg.trial, cfg.base_seed,
+              cfg.noise_amplitude) for lo in range(0, len(cells), size)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_sweep_block, tasks))
+            chunks = list(pool.map(_sweep_cells, tasks))
     else:
-        blocks = [_sweep_block(task) for task in tasks]
-    results = [res for block in blocks for res in block]
-    rows = tuple(
-        SweepRow(itd=itd, trial=k, direction=res.direction,
-                 latency=res.latency)
-        for (_, k, itd), res in zip(cells, results)
-    )
+        chunks = [_sweep_cells(task) for task in tasks]
+    results = [res for chunk in chunks for res in chunk]
+    rows = tuple(SweepRow(itd=itd, trial=k, direction=res.direction,
+                          latency=res.latency)
+                 for (_, k, itd), res in zip(cells, results))
     stats_rows, fit = stats(rows)
     result = SweepResult(rows=rows, stats=stats_rows, fit=fit)
     if out_dir is not None:

@@ -14,9 +14,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.signal import lfilter
 
 WEIGHT_LEVELS = 63  # signed 6-bit weight range
 _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
+_CHUNK = 4096  # steps per linear-filter call in injected_spike_steps
 
 
 @dataclass(frozen=True)
@@ -117,23 +119,6 @@ class NetworkSpec:
         return replace(self, injections=tuple(injections))
 
 
-def stack(specs) -> NetworkSpec:
-    """Disjoint union of networks as one spec: each network's neuron ids are
-    offset by the neurons of the networks before it, so the copies step
-    together without interacting and each spikes as it would alone."""
-    neurons, synapses, injections, external = [], [], [], []
-    for spec in specs:
-        off = len(neurons)
-        neurons += spec.neurons
-        synapses += [SynapseSpec(s.pre + off, s.post + off, s.weight)
-                     for s in spec.synapses]
-        injections += [replace(inj, target=inj.target + off)
-                       for inj in spec.injections]
-        external += [replace(e, target=e.target + off)
-                     for e in spec.external_spikes]
-    return NetworkSpec(neurons, synapses, injections, external)
-
-
 def quantize_weight(w: float, w_lsb: float) -> float:
     """Snap a weight to the signed 6-bit grid: round(w / w_lsb), half away
     from zero, clamped to +-63 levels."""
@@ -185,6 +170,17 @@ class TraceSet:
             for k, t in enumerate(self.times):
                 for i in ids:
                     fh.write(f"{t:.9f},{i},{self.v[i][k]:.9f},{self.i_syn[i][k]:.6e}\n")
+
+
+def _held(injections, times) -> np.ndarray:
+    """The sample each injection holds at each step start times[:-1], one
+    row per step and one column per injection."""
+    cols = []
+    for inj in injections:
+        # rates may be off the step grid; 1e-6 keeps on-grid samples
+        i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
+        cols.append(inj.trace[np.minimum(i, inj.trace.size - 1)])
+    return np.stack(cols, axis=1)
 
 
 class Simulation:
@@ -333,21 +329,11 @@ class Simulation:
                 traces.v[i][0] = self.v[i]
                 traces.i_syn[i][0] = self.i_syn[i]
 
-        def held(injections):
-            """The sample each injection holds at each step start of this
-            run, one row per step and one column per injection."""
-            cols = []
-            for inj in injections:
-                # rates may be off the step grid; 1e-6 keeps on-grid samples
-                i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
-                cols.append(inj.trace[np.minimum(i, inj.trace.size - 1)])
-            return np.stack(cols, axis=1)
-
         res_targets, trig_targets = self._res_targets, self._trig_targets
         if res_targets.size:
-            drives = held(self._resistive) * self._res_gain
+            drives = _held(self._resistive, times) * self._res_gain
         if trig_targets.size:
-            above = held(self._triggers) >= self._v_thresh[trig_targets]
+            above = _held(self._triggers, times) >= self._v_thresh[trig_targets]
 
         for j in range(n_steps):
             k = k0 + j
@@ -391,6 +377,37 @@ class Simulation:
                 traces.i_syn[i][j + 1] = self.i_syn[i]
 
         return SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
+
+    def injected_spike_steps(self, n_steps: int, margin: float):
+        """The first two spike steps of each injection's target in a run of
+        n_steps from rest, found without stepping, for targets with one
+        injection each and no synaptic input. A resistive target's membrane
+        is run()'s update as a linear filter, equal to the stepper's up to
+        rounding: None if it comes within margin volts of threshold."""
+        out = []
+        for inj in self.spec.injections:
+            i = inj.target
+            thresh, d, v_inf = self._v_thresh[i], self._decay_v[i], self._v_leak_eff[i]
+            spikes, k, v0 = [], 0, self._v_leak[i]
+            while k < n_steps and len(spikes) < 2:
+                stop = min(k + _CHUNK, n_steps)
+                v = _held([inj], np.arange(k, stop + 1) * self.dt)[:, 0]
+                if inj.mode == "resistive":  # v[j]: membrane after step k + j
+                    v = lfilter([1.0], [1.0, -d],
+                                v * self._res_gain[self._resistive.index(inj)],
+                                zi=[d * (v0 - v_inf)])[0] + v_inf
+                above = np.flatnonzero(v >= thresh)
+                end = above[0] + 1 if above.size else v.size
+                if inj.mode == "resistive" and np.any(
+                        np.abs(v[:end] - thresh) < margin):
+                    return None
+                if above.size:
+                    spikes.append(k + int(above[0]) + 1)
+                    k, v0 = spikes[-1] + self._ref_steps[i], self._v_reset[i]
+                else:
+                    k, v0 = stop, v[-1]
+            out.append(spikes)
+        return out
 
 def run(spec: NetworkSpec, duration: float, dt: float, record_traces=()) -> tuple:
     """One-shot simulation of a spec from rest."""

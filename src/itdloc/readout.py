@@ -35,13 +35,6 @@ class ReadoutSection:
         1e-9 keeps an exact multiple whole despite division noise."""
         return int(self.dead_time / self.iteration_time + 1e-9)
 
-    def last_step(self, k: int, dt: float) -> int:
-        """The last step boundary s * dt that poll k sees; a spike fired on
-        step s - 1 lands on it."""
-        boundary = k * self.iteration_time + _SLACK
-        q = int(boundary / dt)  # off by at most one from rounding
-        return max(s for s in (q - 1, q, q + 1) if s * dt <= boundary)
-
 
 @dataclass(frozen=True, kw_only=True)
 class ReadoutConfig(ReadoutSection):

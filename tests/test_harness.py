@@ -2,6 +2,7 @@
 oracle."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from itdloc.config import (
 from itdloc.frontend import AudioClip, ClapSpec, apply_itd, synth_clap
 from itdloc.frontend import resample as full_resample
 from itdloc.harness import (
-    BLOCK,
     SweepConfig,
     SweepRow,
     TrialConfig,
@@ -30,7 +30,7 @@ from itdloc.harness import (
     write_sweep_csv,
     xcorr_oracle,
 )
-from itdloc.jeffress import build
+from itdloc.jeffress import JeffressConfig, LifParams, build, tune_chain_weight
 
 
 class TestXcorrOracle:
@@ -205,37 +205,95 @@ def full_run_rows(cfg: SweepConfig) -> tuple:
     return tuple(rows)
 
 
+@pytest.fixture(scope="module")
+def tuned_trial():
+    """The acceptance suite's network: chain weight tuned to 3.8 us."""
+    weight = tune_chain_weight(3.8e-6, LifParams(), 1e-7)
+    return TrialConfig(net=build(JeffressConfig(chain_weight=weight)))
+
+
+def csv_digest(result, tmp_path) -> str:
+    harness.write_sweep_csv(tmp_path / "sweep.csv", result)
+    harness.write_stats_csv(tmp_path / "stats.csv", result)
+    return hashlib.sha256((tmp_path / "sweep.csv").read_bytes()
+                          + (tmp_path / "stats.csv").read_bytes()).hexdigest()
+
+
 @pytest.fixture
-def chunks(monkeypatch):
-    """Steps of each Simulation.run call the harness makes."""
-    steps = []
+def fallbacks(monkeypatch):
+    """Cells that run_trial hands to run_trial_detailed."""
+    calls = []
 
-    class Counting(harness.Simulation):
-        def run(self, duration, record_traces=()):
-            steps.append(round(duration / self.dt))
-            return super().run(duration, record_traces=record_traces)
-    monkeypatch.setattr(harness, "Simulation", Counting)
-    return steps
+    def counting(itd, seed, cfg, *args, **kwargs):
+        calls.append(itd)
+        return run_trial_detailed(itd, seed, cfg, *args, **kwargs)
+    monkeypatch.setattr(harness, "run_trial_detailed", counting)
+    return calls
 
 
-class TestBlockedSweep:
-    """run_sweep steps BLOCK trials as one stacked network and stops at the
-    first readout event; its rows must be those of full single runs."""
+class TestEventEngine:
+    """run_trial and run_sweep compute each trial from spike arithmetic;
+    their rows must be those of full stepped runs."""
+
+    def test_criterion_4_grid_matches_full_runs(self, tuned_trial, tmp_path,
+                                                fallbacks):
+        cfg = SweepConfig(trial=tuned_trial,
+                          itds=tuple(np.linspace(-160e-6, 160e-6, 41)),
+                          trials=1, noise_amplitude=0.0)
+        result = run_sweep(cfg)
+        assert fallbacks == []
+        assert result.rows == full_run_rows(cfg)
+        # the bytes the stepped sweep wrote before the engine existed
+        assert csv_digest(result, tmp_path) == (
+            "03dadc69933087f51e9a4b355350958952b3a1a857cac0fb4d74bc0c89196410")
+
+    def test_criterion_5_grid_matches_full_runs(self, tuned_trial, tmp_path,
+                                                fallbacks):
+        cfg = SweepConfig(trial=tuned_trial,
+                          itds=tuple(np.linspace(-140e-6, 140e-6, 8)),
+                          trials=100, noise_amplitude=0.07, base_seed=2026)
+        result = run_sweep(cfg)
+        assert fallbacks == []
+        assert csv_digest(result, tmp_path) == (
+            "0d634c71904d45b4c5f8cae9eea8211ef18f6564190a5c5c08b7ebd61b4fb0c9")
+        # every miss and one trial per ITD, stepped in full
+        picked = [n for n, r in enumerate(result.rows)
+                  if r.miss or r.trial == 37]
+        assert sum(result.rows[n].miss for n in picked) == 3
+        for n in picked:
+            i, k = divmod(n, cfg.trials)
+            full = run_trial_detailed(cfg.itds[i],
+                                      trial_seed(cfg.base_seed, i, k),
+                                      cfg.trial, noise_amplitude=0.07).result
+            assert (result.rows[n].direction, result.rows[n].latency) == (
+                full.direction, full.latency)
 
     def test_noisy_grid_with_a_miss_matches_full_runs(self, default_trial):
-        # 36 cells: a full block whose first trial misses, then 4 more
         cfg = SweepConfig(trial=default_trial,
                           itds=(-140e-6, -40e-6, 0.0, 100e-6), trials=9,
                           noise_amplitude=0.07, base_seed=5)
-        assert len(cfg.itds) * cfg.trials % BLOCK != 0
         rows = run_sweep(cfg).rows
         assert rows == full_run_rows(cfg)
-        first_block = rows[:BLOCK]
-        assert any(r.miss for r in first_block)
-        assert not all(r.miss for r in first_block)
+        assert any(r.miss for r in rows) and not all(r.miss for r in rows)
         assert run_sweep(cfg, jobs=2).rows == rows
 
-    def test_iteration_time_off_the_step_grid(self, default_trial, chunks):
+    @settings(max_examples=12, deadline=None)
+    @given(itd_us=st.floats(-180.0, 180.0), noise=st.sampled_from([0.0, 0.07]),
+           seed=st.integers(0, 2**32 - 1), left_first_index=st.booleans(),
+           w_lsb=st.one_of(st.none(), st.floats(6.5e-9, 2.5e-8)),
+           mode=st.sampled_from(["resistive", "trigger"]))
+    def test_trial_equals_full_run_property(self, itd_us, noise, seed,
+                                            left_first_index, w_lsb, mode):
+        cfg = TrialConfig(
+            net=build(JeffressConfig(left_first_index=left_first_index,
+                                     w_lsb=w_lsb)),
+            injection=InjectionSection(mode=mode))
+        fast = run_trial(itd_us * 1e-6, seed, cfg, noise_amplitude=noise)
+        full = run_trial_detailed(itd_us * 1e-6, seed, cfg,
+                                  noise_amplitude=noise).result
+        assert fast == full
+
+    def test_iteration_time_off_the_step_grid(self, default_trial):
         # 55.03 us is not a whole number of 0.1 us steps
         trial = dataclasses.replace(
             default_trial,
@@ -246,33 +304,75 @@ class TestBlockedSweep:
         detail = run_trial_detailed(30e-6, None, trial)
         steps = detail.result.event_time / trial.dt
         assert abs(steps - round(steps)) > 0.1  # the poll falls between steps
-        chunks.clear()
         assert run_trial(30e-6, None, trial) == detail.result
-        # each chunk ends on the last step at or before poll k's boundary
-        ends = np.cumsum(chunks)
-        it, dt = trial.readout.iteration_time, trial.dt
-        assert len(ends) == round(detail.result.event_time / it)
-        for k, end in enumerate(ends, start=1):
-            assert end * dt <= k * it + 1e-12 < (end + 1) * dt
 
-    def test_failing_block_names_its_cells(self, default_trial, monkeypatch):
-        def broken(self, duration, record_traces=()):
-            raise FloatingPointError("overflow")
-        monkeypatch.setattr(harness.Simulation, "run", broken)
+    @pytest.mark.parametrize("case", ["drive-inside-margin", "input-fires-twice"])
+    def test_fallback_steps_the_trial(self, case, default_net, fallbacks,
+                                      monkeypatch):
+        if case == "drive-inside-margin":
+            # every drive lies within a 10 V margin of threshold
+            monkeypatch.setattr(harness, "_MARGIN", 10.0)
+            trial = TrialConfig(net=default_net)
+        else:
+            # a 2 us refractory period lets the inputs fire again long
+            # before any detector does
+            trial = TrialConfig(net=build(JeffressConfig(
+                input_neuron_params=LifParams(t_ref=2e-6))))
+        cfg = SweepConfig(trial=trial, itds=(-60e-6, 20e-6), trials=2,
+                          noise_amplitude=0.07, base_seed=9)
+        rows = run_sweep(cfg).rows
+        assert fallbacks == [itd for itd in cfg.itds for _ in range(2)]
+        assert rows == full_run_rows(cfg)
+
+    def test_failing_trial_names_its_cell(self, default_trial, monkeypatch):
+        calls, poll_loop = [], harness.poll_loop
+
+        def broken(*args, **kwargs):  # fails on the third cell
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("overflow")
+            return poll_loop(*args, **kwargs)
+        monkeypatch.setattr(harness, "poll_loop", broken)
         cfg = SweepConfig(trial=default_trial, itds=(-20e-6, 20e-6), trials=2,
                           base_seed=4)
         with pytest.raises(RuntimeError, match=(
-                r"block from itd=-20\.000us, trial=0, seed=\(4, 0, 0\) "
-                r"to itd=20\.000us, trial=1, seed=\(4, 1, 1\): overflow")):
+                r"trial failed at itd=20\.000us, trial=0, seed=\(4, 1, 0\): "
+                r"overflow")):
             run_sweep(cfg)
 
-    def test_subthreshold_block_runs_the_full_duration(self, default_net,
-                                                       chunks):
+    def test_subthreshold_trial_steps_no_neuron(self, default_net,
+                                                monkeypatch):
         quiet = TrialConfig(
             net=default_net,
             stimulus=StimulusSection(clap=ClapSpec(amplitude=0.3, rng_seed=5)))
+        assert quiet._tables[0] == 38  # probes step once per TrialConfig
+        steps = []
+
+        class Counting(harness.Simulation):
+            def run(self, duration, record_traces=()):
+                steps.append(round(duration / self.dt))
+                return super().run(duration, record_traces=record_traces)
+        monkeypatch.setattr(harness, "Simulation", Counting)
         assert run_trial(0.0, None, quiet).miss
-        assert sum(chunks) == round(quiet.duration / quiet.dt)
+        assert steps == []
+
+    def test_mono_stimulus_is_made_once_and_read_only(self, default_net,
+                                                      monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return synth_clap(*args)
+        monkeypatch.setattr(harness, "synth_clap", counting)
+        cfg = TrialConfig(net=default_net)
+        run_sweep(SweepConfig(trial=cfg, itds=(0.0, 40e-6), trials=2,
+                              noise_amplitude=0.07))
+        assert len(made) == 1
+        mono = cfg.mono_stimulus()
+        assert mono is cfg.mono_stimulus()
+        assert not mono.samples.flags.writeable
+        with pytest.raises(ValueError):
+            mono.samples[0, 0] = 1.0
 
 
 class TestResampleWindow:

@@ -1,15 +1,20 @@
-"""Differential test of the stepper against a scalar reference: random small
-networks must give the same spike ids and times, and membranes within
-1e-12 V, including a run split over two calls. Stacked networks must step
-each copy exactly as it steps alone."""
+"""Differential tests against a scalar reference: random small networks
+must give the stepper's spike ids and times, and membranes within 1e-12 V,
+including a run split over two calls; the input screen must give the
+stepper's input spikes; and the event engine's probe tables must be those
+the reference steps out."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from itdloc import harness, lif
+from itdloc.jeffress import JeffressConfig, build
 from itdloc.lif import (
     AnalogInjection,
     ExternalSpike,
@@ -17,7 +22,6 @@ from itdloc.lif import (
     NetworkSpec,
     Simulation,
     SynapseSpec,
-    stack,
 )
 
 DT = 1e-7
@@ -145,28 +149,79 @@ def test_stepper_matches_reference(case):
         assert np.array_equal(np.concatenate([tr_a.v[i], tr_b.v[i][1:]]), tr.v[i])
 
 
-@settings(max_examples=25, deadline=None, phases=set(Phase) - {Phase.explain})
-@given(st.lists(networks(), min_size=2, max_size=3))
-def test_stacked_copies_step_as_alone(cases):
-    specs = [spec for spec, _, _ in cases]
-    n_steps = min(steps for _, steps, _ in cases)
-    split = min(cases[0][2], n_steps - 1)
-    stacked = stack(specs)
-    assert stacked.n_neurons == sum(spec.n_neurons for spec in specs)
+@st.composite
+def injected_inputs(draw):
+    """1-3 neurons without synapses, one injection each, on traces long
+    enough to fire several times; a run length and a screen chunk size."""
+    neurons = tuple(draw(st.lists(_params, min_size=1, max_size=3)))
+    injections = [AnalogInjection(
+        i, np.array(draw(st.lists(_floats(0.4, 1.6), min_size=1, max_size=40))),
+        draw(_floats(1e5, 2e6)), r_src=draw(_floats(5e4, 5e5)),
+        mode=draw(st.sampled_from(("resistive", "trigger"))))
+        for i in range(len(neurons))]
+    return (NetworkSpec(neurons, injections=injections),
+            draw(st.integers(1, 400)), draw(st.integers(1, 64)))
 
+
+@settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(injected_inputs())
+def test_input_screen_matches_stepper(case):
+    spec, n_steps, chunk = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short traces are padded by design
-        sim = Simulation(stacked, DT)
-        _, tr_a = sim.run(split * DT, record_traces=range(sim.n))
-        rec, tr_b = sim.run((n_steps - split) * DT, record_traces=range(sim.n))
-        off = 0
-        for spec in specs:
-            alone, tr = Simulation(spec, DT).run(
-                n_steps * DT, record_traces=range(spec.n_neurons))
-            mine = (rec.ids >= off) & (rec.ids < off + spec.n_neurons)
-            assert (rec.ids[mine] - off).tolist() == alone.ids.tolist()
-            assert rec.times[mine].tolist() == alone.times.tolist()
-            for i in range(spec.n_neurons):
-                v = np.concatenate([tr_a.v[off + i], tr_b.v[off + i][1:]])
-                assert np.array_equal(v, tr.v[i])
-            off += spec.n_neurons
+        rec, _ = Simulation(spec, DT).run(n_steps * DT)
+    with mock.patch.object(lif, "_CHUNK", chunk):  # spikes across chunks
+        screened = Simulation(spec, DT).injected_spike_steps(n_steps, 1e-9)
+    if screened is not None:  # None: a membrane came within 1 nV
+        assert screened == [
+            [round(t / DT) for t in rec.spikes_of(i)][:2]
+            for i in range(spec.n_neurons)]
+
+
+def test_input_screen_refuses_a_membrane_at_threshold():
+    # a drive whose resting point is the threshold: the membrane creeps up
+    # to it, and rounding decides whether and when it fires
+    p = LifParams()
+    g = 1.0 / (110e3 * p.c_m)
+    level = (p.v_thresh * (1.0 / p.tau_m + g) - p.v_leak / p.tau_m) / g
+    spec = NetworkSpec((p,), injections=[
+        AnalogInjection(0, np.full(10, level), 1e7)])
+    assert Simulation(spec, DT).injected_spike_steps(3000, 1e-9) is None
+
+
+def reference_tables(net) -> tuple:
+    """The chain delay D, the widest coincident offset W and the detector
+    delays g by offset, stepped out by reference_run: one chain neuron
+    kicked from rest, one detector kicked once, then a detector kicked at
+    0 and at each offset until the first offset past the lone PSP's peak
+    that stays silent."""
+    params = net.config.neuron_params
+    peak = math.ceil(max(params.tau_m, params.tau_syn) / DT)
+
+    def kicked(kicks, n_steps):
+        spec = NetworkSpec((params,), external_spikes=[
+            ExternalSpike(step * DT, 0, w) for step, w in kicks])
+        times, _, history = reference_run(spec, DT, n_steps)
+        return [round(t / DT) for t in times], history[:, 0]
+
+    chain, _ = kicked([(0, net.chain_weight)], 4 * peak)
+    lone, v = kicked([(0, net.coincidence_weight)], 4 * peak)
+    assert chain and not lone
+    top = int(np.argmax(v))
+    gaps = []
+    for off in range(10 * peak):
+        fired, _ = kicked([(0, net.coincidence_weight),
+                           (off, net.coincidence_weight)], off + top + 3)
+        if not fired and off >= top:
+            return chain[0], off - 1, gaps
+        gaps.append(fired[0] - off if fired else -1)
+    raise AssertionError("no silent offset")
+
+
+@pytest.mark.parametrize("w_lsb", [None, 2e-8], ids=["default", "quantized"])
+def test_probe_tables_match_reference(w_lsb):
+    net = build(JeffressConfig(w_lsb=w_lsb))
+    stage, reach, fire = harness._probe_tables(net, DT)
+    assert (stage, reach, fire.tolist()) == reference_tables(net)
+    if w_lsb is None:
+        assert (stage, reach) == (38, 308)
