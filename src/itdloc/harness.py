@@ -191,7 +191,9 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
     # cover the run gives the same drive as resampling the whole clip
     window = min(cond.shape[1], int(np.ceil(need * fs / sim_rate)) + 2)
     drive = resample(AudioClip(fs, cond[:, :window]), sim_rate / fs).samples
-    drive = drive[:, np.minimum(np.arange(need), drive.shape[1] - 1)]  # edge pad
+    drive = drive[:, :need]
+    if drive.shape[1] < need:  # rounding slack; extend with the final value
+        drive = np.pad(drive, ((0, 0), (0, need - drive.shape[1])), mode="edge")
     return stereo, cond, crossing, drive
 
 
@@ -249,8 +251,7 @@ def _probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     PSP's peak) after its last kick, and past top the first PSP only falls,
     so the first silent offset past top ends the reach. None when a unit
     could fire twice in a trial, or on one kick."""
-    params = net.config.neuron_params
-    w_chain, w_coin = net.chain_weight, net.coincidence_weight
+    params, w_chain, w_coin = net.config.neuron_params, net.chain_weight, net.coincidence_weight
     # after a spike the clamp lifts with at most `left` amperes in i_syn,
     # which must move the membrane less than half way to threshold
     left = max(abs(w_chain), 2 * abs(w_coin)) * math.exp(-params.t_ref / params.tau_syn)
@@ -259,7 +260,7 @@ def _probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
         return None
     # a PSP peaks within max(tau_m, tau_syn) of its kick
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
-    k, chunk, done, lone, silent = 4 * peak, max(1, peak // 4), 0, [], ()
+    k, chunk, done, lone, silent = 3 * peak, max(1, peak // 4), 0, [], ()
     kicks = [ExternalSpike(0.0, 0, w_chain), ExternalSpike(0.0, 1, w_coin)] + [
         ExternalSpike(t, 2 + off, w_coin) for off in range(k + 1)
         for t in (0.0, off * dt)]
@@ -276,8 +277,7 @@ def _probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
         if 1 in ids or (not silent.size and done > k + top):
             return None
     reach = top + int(silent[0]) - 1
-    return (int(steps[ids == 0][0]) if 0 in ids else None, reach,
-            fire[:reach + 1])
+    return int(steps[ids == 0][0]) if 0 in ids else None, reach, fire[:reach + 1]
 
 
 def _run_exact(cfg: TrialConfig, crossing, drive) -> TrialResult | None:
@@ -307,9 +307,9 @@ def _run_exact(cfg: TrialConfig, crossing, drive) -> TrialResult | None:
     record = SpikeRecord(net.spec.n_neurons, steps * dt, ids)
     events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
     horizon = events[0].t if events else cfg.duration
-    if any(len(spikes) > 1 and spikes[1] * dt <= horizon for spikes in inputs):
-        return None
-    return _result(events, crossing)
+    if all(len(spikes) < 2 or spikes[1] * dt > horizon for spikes in inputs):
+        return _result(events, crossing)
+    return None
 
 
 def run_trial(itd: float, seed, cfg: TrialConfig, *,

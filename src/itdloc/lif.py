@@ -380,32 +380,33 @@ class Simulation:
 
     def injected_spike_steps(self, n_steps: int, margin: float):
         """The first two spike steps of each injection's target in a run of
-        n_steps from rest, found without stepping, for targets with one
-        injection each and no synaptic input. A resistive target's membrane
-        is run()'s update as a linear filter, equal to the stepper's up to
-        rounding: None if it comes within margin volts of threshold."""
-        out = []
+        n_steps from rest, without stepping, for targets with one injection
+        and no synaptic input each. A resistive target's membrane is run()'s
+        update as a linear filter, equal to the stepper's up to rounding: None
+        if it, or a trigger sample, comes within margin volts of threshold."""
+        times, out = np.arange(n_steps + 1) * self.dt, []
         for inj in self.spec.injections:
-            i = inj.target
+            i, x = inj.target, _held([inj], times)[:, 0]
             thresh, d, v_inf = self._v_thresh[i], self._decay_v[i], self._v_leak_eff[i]
+            if inj.mode == "resistive":  # v[j] below: membrane after step k + j
+                x = x * self._res_gain[self._resistive.index(inj)]
             spikes, k, v0 = [], 0, self._v_leak[i]
             while k < n_steps and len(spikes) < 2:
-                stop = min(k + _CHUNK, n_steps)
-                v = _held([inj], np.arange(k, stop + 1) * self.dt)[:, 0]
-                if inj.mode == "resistive":  # v[j]: membrane after step k + j
-                    v = lfilter([1.0], [1.0, -d],
-                                v * self._res_gain[self._resistive.index(inj)],
-                                zi=[d * (v0 - v_inf)])[0] + v_inf
-                above = np.flatnonzero(v >= thresh)
-                end = above[0] + 1 if above.size else v.size
-                if inj.mode == "resistive" and np.any(
-                        np.abs(v[:end] - thresh) < margin):
+                v = x[k:k + _CHUNK]
+                if inj.mode == "resistive":
+                    # v never passes max(v0, the highest resting point of the drive)
+                    rest = v_inf + v.max() / (1 - d)
+                    if k + _CHUNK >= n_steps and max(v0, rest) < thresh - margin:
+                        break
+                    v = lfilter([1.0], [1.0, -d], v, zi=[d * (v0 - v_inf)])[0] + v_inf
+                above = np.flatnonzero(v >= thresh - margin)
+                if above.size and v[above[0]] < thresh + margin:
                     return None
                 if above.size:
                     spikes.append(k + int(above[0]) + 1)
                     k, v0 = spikes[-1] + self._ref_steps[i], self._v_reset[i]
                 else:
-                    k, v0 = stop, v[-1]
+                    k, v0 = k + v.size, v[-1]
             out.append(spikes)
         return out
 
