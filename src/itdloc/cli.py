@@ -23,7 +23,6 @@ from .config import (
     save_config,
 )
 from .frontend import WavError, apply_itd, load_wav
-from .jeffress import CalibrationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +101,7 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     trial_cfg = _trial(cfg, cfg.stimulus.wav)
     itds_us = cfg.sweep.itds_us
-    if args.itds:
+    if args.itds is not None:  # "--itds=" is an error, not the default list
         itds_us = tuple(float(x) for x in args.itds.split(","))
     sweep_cfg = harness.SweepConfig(
         trial=trial_cfg,
@@ -127,7 +126,7 @@ def cmd_oracle(args) -> int:
     clip = load_wav(args.wav)
     if clip.n_channels == 1:
         if args.itd is None:
-            raise CliRuntimeError(
+            raise ValueError(
                 "mono input: pass --itd US to self-shift it for the oracle")
         clip = apply_itd(clip, args.itd * 1e-6)
     max_lag = min(0.49 * clip.duration, 500e-6)
@@ -140,10 +139,6 @@ def cmd_config_dump(args) -> int:
     cfg = _load(args)
     sys.stdout.write(dump_config(cfg))
     return EXIT_OK
-
-
-class CliRuntimeError(RuntimeError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +207,7 @@ def main(argv=None) -> int:
     except (ConfigError, WavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CalibrationError, CliRuntimeError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # CalibrationError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

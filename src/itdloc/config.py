@@ -15,23 +15,12 @@ import numpy as np
 
 from .frontend import ClapSpec, FrontEndParams
 from .jeffress import GeometryParams, JeffressConfig
+from .lif import InjectionSection
 from .readout import PwmConfig, ReadoutSection
 
 
 class ConfigError(ValueError):
     """Raised for unreadable, unknown or invalid configuration input."""
-
-
-@dataclass(frozen=True)
-class InjectionSection:
-    r_src: float = 110e3
-    mode: str = "resistive"
-
-    def __post_init__(self):
-        if self.r_src <= 0:
-            raise ValueError("r_src must be > 0")
-        if self.mode not in ("resistive", "trigger"):
-            raise ValueError(f"unknown injection mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +46,8 @@ class SweepSection:
 
     def __post_init__(self):
         object.__setattr__(self, "itds_us", tuple(float(x) for x in self.itds_us))
+        if not self.itds_us:
+            raise ValueError("the ITD list must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.noise_amplitude < 0:

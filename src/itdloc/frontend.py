@@ -235,7 +235,7 @@ def apply_itd(mono: AudioClip, itd: float) -> AudioClip:
 
 
 def condition(samples: np.ndarray, sample_rate: float, params: FrontEndParams) -> np.ndarray:
-    """Run one channel through the passive conditioning chain.
+    """Run each channel, time on the last axis, through the passive chain.
 
     Stages: preamp gain, single-pole high-pass (DC removal, skipped when
     highpass_cutoff is 0), re-bias by v_offset, series-diode cut
@@ -243,15 +243,15 @@ def condition(samples: np.ndarray, sample_rate: float, params: FrontEndParams) -
     inside [v_floor, v_clip].
     """
     x = np.asarray(samples, dtype=float) * params.preamp_gain
-    if x.ndim != 1:
-        raise ValueError("condition expects a single channel")
     if not np.all(np.isfinite(x)):
         raise ValueError("condition input must be finite")
     if params.highpass_cutoff > 0 and x.size:
         rc = 1.0 / (2.0 * np.pi * params.highpass_cutoff)
         alpha = rc / (rc + 1.0 / sample_rate)
-        # zi primes the filter with x[0] so a constant input yields exactly 0
-        x, _ = lfilter([alpha, -alpha], [1.0, -alpha], x, zi=[-alpha * x[0]])
+        # zi primes each channel with its first sample, so a constant
+        # input yields exactly 0
+        x, _ = lfilter([alpha, -alpha], [1.0, -alpha], x, axis=-1,
+                       zi=-alpha * x[..., :1])
     y = x + params.v_offset
     y = np.maximum(y - params.v_diode, params.v_floor)
     return np.minimum(y, params.v_clip)

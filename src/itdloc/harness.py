@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import correlate, correlation_lags
 
 from .config import InjectionSection, RunConfig, StimulusSection, SweepSection
 from .frontend import (
@@ -103,8 +104,8 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "itds", tuple(float(x) for x in self.itds))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        SweepSection(tuple(x * 1e6 for x in self.itds), self.trials,
+                     self.noise_amplitude, self.base_seed)
         if self.stage_delay is not None:
             reach = (self.trial.net.n_stages - 1) * self.stage_delay
             worst = max(abs(x) for x in self.itds)
@@ -179,7 +180,7 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
         raw = raw + rng.normal(0.0, noise_amplitude, size=raw.shape)
 
     fs = stereo.sample_rate
-    cond = np.stack([condition(raw[i], fs, cfg.frontend) for i in range(2)])
+    cond = condition(raw, fs, cfg.frontend)
 
     v_thresh = cfg.net.config.input_params.v_thresh
     above = np.flatnonzero((cond >= v_thresh).any(axis=0))
@@ -321,44 +322,39 @@ def run_trial(itd: float, seed, cfg: TrialConfig, *,
         itd, seed, cfg, noise_amplitude=noise_amplitude).result
 
 
-def _sweep_cells(args):
-    """Results of sweep cells (itd index, trial index, itd), in order; a
-    failure names its cell."""
-    cells, cfg, base_seed, noise = args
-    results = []
-    for i, k, itd in cells:
-        try:
-            results.append(run_trial(itd, trial_seed(base_seed, i, k), cfg,
-                                     noise_amplitude=noise))
-        except Exception as exc:
-            raise RuntimeError(
-                f"trial failed at itd={itd * 1e6:.3f}us, trial={k}, "
-                f"seed=({base_seed}, {i}, {k}): {exc}") from exc
-    return results
+def _sweep_row(cfg: SweepConfig, cell) -> SweepRow:
+    """The row of grid cell (itd index, trial index); a failure names it."""
+    i, k = cell
+    itd = cfg.itds[i]
+    try:
+        res = run_trial(itd, trial_seed(cfg.base_seed, i, k), cfg.trial,
+                        noise_amplitude=cfg.noise_amplitude)
+    except Exception as exc:
+        raise RuntimeError(
+            f"trial failed at itd={itd * 1e6:.3f}us, trial={k}, "
+            f"seed=({cfg.base_seed}, {i}, {k}): {exc}") from exc
+    return SweepRow(itd, k, res.direction, res.latency)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
-    """Run the full ITD x trial grid, in chunks of cells (a chunk per task
-    with jobs > 1); rows are keyed by (itd, trial) and identical regardless
-    of worker count. When out_dir is given, it is created first, and
-    sweep.csv and stats.csv written there."""
+    """Run the full ITD x trial grid, cell by cell (in chunks of cells on
+    `jobs` worker processes when jobs > 1); rows are keyed by (itd, trial)
+    and identical regardless of worker count. When out_dir is given, it is
+    created first, and sweep.csv and stats.csv written there."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    cells = [(i, k, itd) for i, itd in enumerate(cfg.itds)
-             for k in range(cfg.trials)]
-    size = -(-len(cells) // (4 * jobs))  # a few chunks per worker
-    tasks = [(cells[lo:lo + size], cfg.trial, cfg.base_seed,
-              cfg.noise_amplitude) for lo in range(0, len(cells), size)]
+    cells = [(i, k) for i in range(len(cfg.itds)) for k in range(cfg.trials)]
+    row = functools.partial(_sweep_row, cfg)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_cells, tasks))
+            # a few chunks per worker
+            rows = tuple(pool.map(row, cells,
+                                  chunksize=-(-len(cells) // (4 * jobs))))
     else:
-        chunks = [_sweep_cells(task) for task in tasks]
-    results = [res for chunk in chunks for res in chunk]
-    rows = tuple(SweepRow(itd=itd, trial=k, direction=res.direction,
-                          latency=res.latency)
-                 for (_, k, itd), res in zip(cells, results))
+        rows = tuple(map(row, cells))
     stats_rows, fit = stats(rows)
     result = SweepResult(rows=rows, stats=stats_rows, fit=fit)
     if out_dir is not None:
@@ -413,16 +409,12 @@ def xcorr_oracle(stereo: AudioClip, max_lag: float) -> float:
     if norm == 0:
         raise ValueError("xcorr_oracle: a channel is silent (zero variance)")
 
-    n = left.size
     max_shift = int(np.floor(max_lag * stereo.sample_rate))
-    nfft = 1
-    while nfft < 2 * n:
-        nfft *= 2
-    spec = np.fft.rfft(right, nfft) * np.conj(np.fft.rfft(left, nfft))
-    cc = np.fft.irfft(spec, nfft) / norm
-    # cc[m] correlates right[k + m] with left[k]; positive lag = right lags
-    lags = np.concatenate([np.arange(-max_shift, 0), np.arange(max_shift + 1)])
-    vals = np.concatenate([cc[nfft - max_shift:], cc[:max_shift + 1]])
+    # lag m correlates right[k + m] with left[k]; positive lag = right lags
+    lags = correlation_lags(right.size, left.size)
+    window = np.abs(lags) <= max_shift
+    vals = correlate(right, left, method="fft")[window] / norm
+    lags = lags[window]
     peak = int(np.argmax(vals))
     lag = float(lags[peak])
     if 0 < peak < vals.size - 1:

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .lif import (
     ExternalSpike,
@@ -355,22 +356,18 @@ def woodworth_itd(theta: float, geom: GeometryParams) -> float:
 
 def woodworth_angle(itd: float, geom: GeometryParams,
                     residual_tol: float = 1e-9) -> float:
-    """Invert the Woodworth map by bisection on the strictly increasing
-    forward formula. The interval is shrunk below 1e-10 rad, so the
+    """Invert the Woodworth map by Brent's method on the strictly
+    increasing forward formula. The root is bracketed to 1e-10 rad, so the
     returned angle reproduces the ITD well inside `residual_tol` seconds."""
     bound = woodworth_itd(math.pi / 2, geom)
     if abs(itd) > bound + residual_tol:
         raise ValueError(
             f"|itd|={abs(itd):.3g}s exceeds the half-space maximum {bound:.3g}s"
         )
-    lo, hi = -math.pi / 2, math.pi / 2
-    while hi - lo > 1e-10:
-        theta = 0.5 * (lo + hi)
-        if woodworth_itd(theta, geom) < itd:
-            lo = theta
-        else:
-            hi = theta
-    theta = 0.5 * (lo + hi)
+    # up to residual_tol past the bound is accepted; the ends must bracket
+    target = min(max(itd, -bound), bound)
+    theta = brentq(lambda th: woodworth_itd(th, geom) - target,
+                   -math.pi / 2, math.pi / 2, xtol=1e-10)
     if abs(woodworth_itd(theta, geom) - itd) >= residual_tol:
         raise RuntimeError("woodworth inversion failed to converge")
     return theta

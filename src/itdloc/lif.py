@@ -52,6 +52,20 @@ class SynapseSpec:
     weight: float
 
 
+@dataclass(frozen=True)
+class InjectionSection:
+    """How a drive reaches a membrane: through r_src ohms, or as a trigger."""
+
+    r_src: float = 110e3
+    mode: str = "resistive"
+
+    def __post_init__(self):
+        if self.r_src <= 0:
+            raise ValueError("r_src must be > 0")
+        if self.mode not in ("resistive", "trigger"):
+            raise ValueError(f"unknown injection mode {self.mode!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class AnalogInjection:
     """Continuous voltage drive attached to one neuron's membrane.
@@ -64,8 +78,8 @@ class AnalogInjection:
     target: int
     trace: np.ndarray
     sample_rate: float
-    r_src: float = 110e3
-    mode: str = "resistive"
+    r_src: float = InjectionSection.r_src
+    mode: str = InjectionSection.mode
 
     def __post_init__(self):
         trace = np.asarray(self.trace, dtype=float).ravel()
@@ -73,12 +87,9 @@ class AnalogInjection:
             raise ValueError("injection trace must be finite")
         if trace.size == 0:
             raise ValueError("injection trace is empty")
-        if self.r_src <= 0:
-            raise ValueError("r_src must be > 0")
+        InjectionSection(self.r_src, self.mode)
         if self.sample_rate <= 0:
             raise ValueError("injection sample_rate must be > 0")
-        if self.mode not in ("resistive", "trigger"):
-            raise ValueError(f"unknown injection mode {self.mode!r}")
         object.__setattr__(self, "trace", trace)
 
     @property
@@ -196,19 +207,18 @@ class Simulation:
         n = spec.n_neurons
         if dt <= 0:
             raise ValueError("dt must be > 0")
-        if n:
-            tau_min = min(min(p.tau_m, p.tau_syn) for p in spec.neurons)
-            if dt > tau_min / 10 + 1e-18:
-                raise ValueError(
-                    f"dt={dt:g} too coarse: must be <= min(tau_m, tau_syn)/10 = {tau_min / 10:g}"
-                )
+        tau_m = np.array([p.tau_m for p in spec.neurons], dtype=float)
+        tau_s = np.array([p.tau_syn for p in spec.neurons], dtype=float)
+        tau_min = np.minimum(tau_m, tau_s).min(initial=np.inf)
+        if dt > tau_min / 10 + 1e-18:
+            raise ValueError(
+                f"dt={dt:g} too coarse: must be <= min(tau_m, tau_syn)/10 = {tau_min / 10:g}"
+            )
         self.spec = spec
         self.dt = dt
         self.n = n
         self._k = 0  # completed steps
 
-        tau_m = np.array([p.tau_m for p in spec.neurons], dtype=float)
-        tau_s = np.array([p.tau_syn for p in spec.neurons], dtype=float)
         c_m = np.array([p.c_m for p in spec.neurons], dtype=float)
         self._v_leak = np.array([p.v_leak for p in spec.neurons], dtype=float)
         self._v_thresh = np.array([p.v_thresh for p in spec.neurons], dtype=float)
@@ -223,11 +233,11 @@ class Simulation:
             if inj.mode == "resistive":
                 g_inj[inj.target] += 1.0 / (inj.r_src * c_m[inj.target])
         rate = 1.0 / tau_m + g_inj
-        self._decay_syn = np.exp(-dt / tau_s) if n else np.zeros(0)
-        self._decay_v = np.exp(-dt * rate) if n else np.zeros(0)
-        b = -np.expm1(-dt * rate) / rate if n else np.zeros(0)
-        self._gain_syn = b / c_m if n else np.zeros(0)
-        v_leak_eff = (self._v_leak / tau_m) / rate if n else np.zeros(0)
+        self._decay_syn = np.exp(-dt / tau_s)
+        self._decay_v = np.exp(-dt * rate)
+        b = -np.expm1(-dt * rate) / rate
+        self._gain_syn = b / c_m
+        v_leak_eff = (self._v_leak / tau_m) / rate
         v_leak_eff[g_inj == 0.0] = self._v_leak[g_inj == 0.0]  # exact rest point
         self._v_leak_eff = v_leak_eff
 

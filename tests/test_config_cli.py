@@ -60,7 +60,7 @@ valid_configs = st.builds(
                        clap=st.builds(ClapSpec, onset_time=_floats(0.0, 1e-3),
                                       rng_seed=st.integers(0, 2**32))),
     sweep=st.builds(SweepSection, itds_us=st.lists(_floats(-200.0, 200.0),
-                                                   max_size=5),
+                                                   min_size=1, max_size=5),
                     trials=st.integers(1, 500),
                     base_seed=st.integers(0, 2**32)),
 )
@@ -312,8 +312,9 @@ class TestCli:
         ({"network": {"chain_weight": 0}}, "chain_weight must be > 0"),
         ({"network": {"neuron": {}}}, "unknown keys ['neuron']"),
         ({"readout": {"iteration_time": 0}}, "iteration_time must be > 0"),
+        ({"sweep": {"itds_us": []}}, "the ITD list must not be empty"),
     ], ids=["unknown-section", "one-stage", "zero-chain-weight",
-            "old-neuron-key", "zero-iteration-time"])
+            "old-neuron-key", "zero-iteration-time", "empty-itds"])
     def test_bad_config_exit_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -367,3 +368,22 @@ class TestCli:
         assert rc == 3
         assert "trials must be >= 1" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_sweep_empty_itds_flag_exit_3(self, small_config, tmp_path,
+                                          capsys):
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "--config", str(small_config), "--itds=",
+                       "--trials", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exit_3(self, jobs, small_config, tmp_path,
+                                         capsys):
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "--config", str(small_config), "--itds", "0",
+                       "--trials", "1", "--jobs", jobs, "--out", str(out)])
+        assert rc == 3
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -228,6 +228,11 @@ class TestCondition:
                            highpass_cutoff=cutoff, preamp_gain=gain)
         out = condition(np.array(x), rate, p)
         assert np.all(out >= p.v_floor) and np.all(out <= p.v_clip)
+        # two channels in one call: each row as the 1-D call gives it
+        rows = np.array([x, [-0.5 * v for v in reversed(x)]])
+        both = condition(rows, rate, p)
+        assert np.array_equal(both[0], out)
+        assert np.array_equal(both[1], condition(rows[1], rate, p))
 
     def test_clamp_stage_idempotent(self):
         # with offset and diode zeroed the chain reduces to the clamp, which

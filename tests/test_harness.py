@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itdloc import harness
@@ -33,7 +33,48 @@ from itdloc.harness import (
 from itdloc.jeffress import JeffressConfig, LifParams, build, tune_chain_weight
 
 
+def oracle_reference(stereo: AudioClip, max_lag: float) -> float:
+    """xcorr_oracle from its definition: np.correlate at every lag, the lags
+    within max_lag, then the same parabolic refinement."""
+    left = stereo.channel(0) - np.mean(stereo.channel(0))
+    right = stereo.channel(1) - np.mean(stereo.channel(1))
+    cc = np.correlate(right, left, "full") / np.sqrt(
+        np.sum(left**2) * np.sum(right**2))
+    n, m = left.size, int(np.floor(max_lag * stereo.sample_rate))
+    vals = cc[n - 1 - m:n + m]  # lags -m .. m
+    peak = int(np.argmax(vals))
+    lag = float(peak - m)
+    if 0 < peak < vals.size - 1:
+        y0, y1, y2 = vals[peak - 1:peak + 2]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0:
+            lag += 0.5 * (y0 - y2) / denom
+    return lag / stereo.sample_rate
+
+
 class TestXcorrOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(48, 400),
+           rate=st.sampled_from([8000, 48000, 192000]),
+           window=st.integers(0, 40), at_edge=st.booleans(),
+           past_edge=st.integers(-2, 2), sign=st.sampled_from([-1, 1]),
+           anywhere=st.integers(-45, 45))
+    @example(seed=1, n=64, rate=192000, window=0, at_edge=True, past_edge=0,
+             sign=1, anywhere=0)
+    @example(seed=2, n=64, rate=192000, window=1, at_edge=True, past_edge=0,
+             sign=-1, anywhere=0)
+    def test_matches_direct_correlation_property(
+            self, seed, n, rate, window, at_edge, past_edge, sign, anywhere):
+        # the right channel lags the left by `shift` samples, often at or
+        # just past the edge of the lag window
+        shift = sign * (window + past_edge) if at_edge else anywhere
+        noise = np.random.default_rng(seed).normal(size=n + 100)
+        stereo = AudioClip(rate, np.stack([noise[50:50 + n],
+                                           noise[50 - shift:50 - shift + n]]))
+        max_lag = (window + 0.5) / rate
+        assert xcorr_oracle(stereo, max_lag) == pytest.approx(
+            oracle_reference(stereo, max_lag), abs=1e-12)
+
     def test_identical_channels_zero_lag(self):
         clap = synth_clap(ClapSpec(rng_seed=3), 192000, 3e-3)
         stereo = apply_itd(clap, 0.0)
@@ -174,6 +215,24 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=r"itd=20\.000us, trial=0"):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_out_dir(self, default_trial,
+                                                    tmp_path, jobs):
+        cfg = SweepConfig(trial=default_trial, itds=(0.0,), trials=1)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_sweep(cfg, jobs=jobs, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"itds": ()}, "the ITD list must not be empty"),
+        ({"noise_amplitude": -0.01}, "noise_amplitude must be >= 0"),
+        ({"trials": 0}, "trials must be >= 1"),
+    ], ids=["no-itds", "negative-noise", "no-trials"])
+    def test_config_runs_the_sweep_section_checks(self, default_trial,
+                                                  change, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(trial=default_trial, **change)
+
     def test_defaults_are_the_sweep_section(self, default_trial):
         cfg = SweepConfig(trial=default_trial)
         section = RunConfig().sweep
@@ -292,6 +351,38 @@ class TestEventEngine:
         full = run_trial_detailed(itd_us * 1e-6, seed, cfg,
                                   noise_amplitude=noise).result
         assert fast == full
+
+    def test_engine_spikes_equal_stepped_spikes(self, default_trial, fallbacks,
+                                                monkeypatch):
+        # the detector spikes the engine hands to poll_loop are the stepped
+        # run's, id for id and time for time, up to the first event's poll
+        # (the end of the run on a miss)
+        records, poll_loop = [], harness.poll_loop
+
+        def capturing(record, *args, **kwargs):
+            records.append(record)
+            return poll_loop(record, *args, **kwargs)
+        monkeypatch.setattr(harness, "poll_loop", capturing)
+        cfg, detectors = default_trial, default_trial.net.detectors
+        cells = [(itd, None, 0.0) for itd in np.linspace(-160e-6, 160e-6, 41)]
+        cells += [(itd, trial_seed(2026, i, k), 0.07) for i, itd in
+                  enumerate(np.linspace(-140e-6, 140e-6, 8)) for k in range(3)]
+        compared = 0
+        for itd, seed, noise in cells:
+            records.clear()
+            result = run_trial(itd, seed, cfg, noise_amplitude=noise)
+            assert fallbacks == []
+            (engine,) = records
+            stepped = run_trial_detailed(itd, seed, cfg,
+                                         noise_amplitude=noise).record
+            horizon = cfg.duration if result.miss else result.event_time
+
+            def upto(record):
+                keep = np.isin(record.ids, detectors) & (record.times <= horizon)
+                return record.ids[keep].tolist(), record.times[keep].tolist()
+            assert upto(engine) == upto(stepped)
+            compared += len(upto(engine)[0])
+        assert compared > len(cells)
 
     def test_iteration_time_off_the_step_grid(self, default_trial):
         # 55.03 us is not a whole number of 0.1 us steps
