@@ -105,7 +105,7 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "itds", tuple(float(x) for x in self.itds))
         SweepSection(tuple(x * 1e6 for x in self.itds), self.trials,
-                     self.noise_amplitude, self.base_seed)
+                     self.noise_amplitude, self.base_seed)  # its checks
         if self.stage_delay is not None:
             reach = (self.trial.net.n_stages - 1) * self.stage_delay
             worst = max(abs(x) for x in self.itds)

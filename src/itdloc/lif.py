@@ -87,7 +87,7 @@ class AnalogInjection:
             raise ValueError("injection trace must be finite")
         if trace.size == 0:
             raise ValueError("injection trace is empty")
-        InjectionSection(self.r_src, self.mode)
+        InjectionSection(self.r_src, self.mode)  # the section's checks
         if self.sample_rate <= 0:
             raise ValueError("injection sample_rate must be > 0")
         object.__setattr__(self, "trace", trace)
