@@ -23,7 +23,7 @@ from .frontend import (
     resample,
     synth_clap,
 )
-from .jeffress import JeffressNetwork, psp_peak_per_ampere
+from .jeffress import JeffressNetwork, fires_once, kick_fire_step
 from .lif import (AnalogInjection, ExternalSpike, NetworkSpec, Simulation,
                   SpikeRecord)
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
@@ -243,42 +243,39 @@ _MARGIN = 1e-9  # volts; an input membrane this near threshold is stepped
 
 
 def _probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
-    """Step one chain neuron, one lone detector and detector copies kicked
-    on step 0 and at offsets 0..K, all from rest, until (stage, reach,
-    fire) can be read off their spikes: a chain neuron kicked on step s
-    fires on step s + stage (never if None); a detector kicked on steps a
-    and b fires on step max(a, b) + fire[|b - a|] if |b - a| <= reach and
-    that is >= 0, else never. Any PSP has peaked `top` steps (the lone
-    PSP's peak) after its last kick, and past top the first PSP only falls,
-    so the first silent offset past top ends the reach. None when a unit
-    could fire twice in a trial, or on one kick."""
+    """Read (stage, reach, fire) off probes from rest: a chain neuron
+    kicked on step s fires on step s + stage (never if None; see
+    jeffress.kick_fire_step); a detector kicked on steps a and b fires on
+    step max(a, b) + fire[|b - a|] if |b - a| <= reach and that is >= 0,
+    else never. The detector tables come from one lone detector and
+    detector copies kicked on step 0 and at offsets 0..K. Any PSP has
+    peaked `top` steps (the lone PSP's peak) after its last kick, and past
+    top the first PSP only falls, so the first silent offset past top ends
+    the reach. None when a unit could fire twice in a trial, or on one
+    kick."""
     params, w_chain, w_coin = net.config.neuron_params, net.chain_weight, net.coincidence_weight
-    # after a spike the clamp lifts with at most `left` amperes in i_syn,
-    # which must move the membrane less than half way to threshold
-    left = max(abs(w_chain), 2 * abs(w_coin)) * math.exp(-params.t_ref / params.tau_syn)
-    if 2 * left * psp_peak_per_ampere(params) >= params.v_thresh - max(
-            params.v_reset, params.v_leak):
+    if not fires_once(params, max(abs(w_chain), 2 * abs(w_coin))):
         return None
     # a PSP peaks within max(tau_m, tau_syn) of its kick
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
     k, chunk, done, lone, silent = 3 * peak, max(1, peak // 4), 0, [], ()
-    kicks = [ExternalSpike(0.0, 0, w_chain), ExternalSpike(0.0, 1, w_coin)] + [
-        ExternalSpike(t, 2 + off, w_coin) for off in range(k + 1)
+    kicks = [ExternalSpike(0.0, 0, w_coin)] + [
+        ExternalSpike(t, 1 + off, w_coin) for off in range(k + 1)
         for t in (0.0, off * dt)]
-    sim = Simulation(NetworkSpec((params,) * (k + 3), external_spikes=kicks), dt)
+    sim = Simulation(NetworkSpec((params,) * (k + 2), external_spikes=kicks), dt)
     while not len(silent):
-        record, traces = sim.run(chunk * dt, record_traces=[1])
-        lone.append(traces.v[1][1:])
+        record, traces = sim.run(chunk * dt, record_traces=[0])
+        lone.append(traces.v[0][1:])
         done += chunk
         top = int(np.argmax(np.concatenate(lone))) + 1
         ids, steps = record.ids, np.rint(record.times / dt).astype(np.int64)
         fire = np.full(k + 1, -1, dtype=np.int64)
-        fire[ids[ids >= 2] - 2] = steps[ids >= 2] - (ids[ids >= 2] - 2)
+        fire[ids[ids >= 1] - 1] = steps[ids >= 1] - (ids[ids >= 1] - 1)
         silent = np.flatnonzero(fire[top:done - top] < 0)  # settled pairs
-        if 1 in ids or (not silent.size and done > k + top):
+        if 0 in ids or (not silent.size and done > k + top):
             return None
     reach = top + int(silent[0]) - 1
-    return int(steps[ids == 0][0]) if 0 in ids else None, reach, fire[:reach + 1]
+    return kick_fire_step(params, w_chain, dt), reach, fire[:reach + 1]
 
 
 def _run_exact(cfg: TrialConfig, crossing, drive) -> TrialResult | None:
@@ -422,7 +419,7 @@ def xcorr_oracle(stereo: AudioClip, max_lag: float) -> float:
         denom = y0 - 2.0 * y1 + y2
         if denom < 0:
             lag += 0.5 * (y0 - y2) / denom
-    return lag / stereo.sample_rate
+    return float(lag / stereo.sample_rate)
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:

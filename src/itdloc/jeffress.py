@@ -12,11 +12,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .lif import (
+    _STEP_SLACK,
     ExternalSpike,
     LifParams,
     NetworkSpec,
     Simulation,
     SynapseSpec,
+    check_dt,
     quantize_weight,
 )
 
@@ -47,6 +49,32 @@ def psp_peak_per_ampere(params: LifParams) -> float:
             math.exp(-t_star / tm) - math.exp(-t_star / ts)
         )
     return peak / params.c_m
+
+
+def fires_once(params: LifParams, weight: float) -> bool:
+    """Whether a neuron that fired with at most |weight| amperes in i_syn
+    cannot fire again from them: the clamp lifts with at most
+    |weight| * exp(-t_ref / tau_syn) left, which must move the membrane
+    less than half way to threshold."""
+    left = abs(weight) * math.exp(-params.t_ref / params.tau_syn)
+    return 2 * left * psp_peak_per_ampere(params) < params.v_thresh - max(
+        params.v_reset, params.v_leak)
+
+
+def kick_fire_step(params: LifParams, weight: float, dt: float) -> int | None:
+    """The step D on which a neuron at rest fires after one synaptic kick
+    of `weight` amperes on step 0, stepped by Simulation: a neuron kicked
+    on step s fires on step s + D. None if it has not fired once its PSP
+    is past its peak."""
+    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # PSP peak bound
+    chunk = max(1, peak // 4)
+    sim = Simulation(NetworkSpec((params,), external_spikes=(
+        ExternalSpike(0.0, 0, weight),)), dt)
+    for _ in range(-(-(peak + 2) // chunk)):
+        record, _ = sim.run(chunk * dt)
+        if len(record):
+            return int(round(record.times[0] / dt))
+    return None
 
 
 def single_spike_fire_weight(params: LifParams) -> float:
@@ -251,27 +279,36 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
 def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
     """Inject one synthetic spike at the left chain head and measure the
     successive chain spike times; the stage delay is their first difference.
+    A plain feed-forward chain is walked with kick_fire_step; any other
+    network is stepped whole.
 
     Fails if any stage stays silent or fires more than once inside the
     observation window.
     """
     order = net.chain_order("left")
-    spec = NetworkSpec(
-        neurons=net.spec.neurons,
-        synapses=net.spec.synapses,
-        external_spikes=(ExternalSpike(_T_INJECT, order[0], net.chain_weight),),
-    )
     duration = _T_INJECT + net.n_stages * _WINDOW_PER_STAGE
-    record, _ = Simulation(spec, dt).run(duration)
+    check_dt(net.spec.neurons, dt)
+    walk = _chain_walk(net, order, dt)
+    if walk is None:
+        spec = NetworkSpec(
+            neurons=net.spec.neurons,
+            synapses=net.spec.synapses,
+            external_spikes=(ExternalSpike(_T_INJECT, order[0], net.chain_weight),),
+        )
+        record, _ = Simulation(spec, dt).run(duration)
+        firings = [record.spikes_of(nid) for nid in order]
+    else:
+        n_steps = int(round(duration / dt))
+        # each spike time as Simulation records it
+        firings = [[step * dt] if step <= n_steps else [] for step in walk]
 
     spike_times = []
-    for stage, nid in enumerate(order):
-        times = record.spikes_of(nid)
-        if times.size == 0:
+    for stage, (nid, times) in enumerate(zip(order, firings)):
+        if len(times) == 0:
             raise CalibrationError(f"chain stage {stage} (neuron {nid}) never fired")
-        if times.size > 1:
+        if len(times) > 1:
             raise CalibrationError(
-                f"chain stage {stage} (neuron {nid}) fired {times.size} times"
+                f"chain stage {stage} (neuron {nid}) fired {len(times)} times"
             )
         spike_times.append(times[0])
     deltas = np.diff(spike_times)
@@ -280,6 +317,39 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
         stage_delay_mean=float(np.mean(deltas)),
         stage_delay_std=float(np.std(deltas)),
     )
+
+
+def _chain_walk(net: JeffressNetwork, order: tuple, dt: float) -> list | None:
+    """The step on which each stage fires in a calibration run (inf if
+    never), from kick_fire_step: the head is kicked on the injection step
+    and each later stage on the step its predecessor fires. None unless
+    that is exact: each stage's only synaptic input is its predecessor,
+    the head's apart from neurons no synapse reaches (they stay at rest),
+    and no stage can fire twice."""
+    inputs = {nid: [] for nid in order}
+    for syn in net.spec.synapses:
+        if syn.post in inputs:
+            inputs[syn.post].append(syn)
+    reached = {syn.post for syn in net.spec.synapses}
+    if any(syn.pre in reached for syn in inputs[order[0]]):
+        return None
+    kicks = [net.chain_weight]
+    for prev, nid in zip(order, order[1:]):
+        if any(syn.pre != prev for syn in inputs[nid]):
+            return None
+        kicks.append(sum(syn.weight for syn in inputs[nid]))  # as delivered
+
+    delays, step, out = {}, math.floor(_T_INJECT / dt + _STEP_SLACK), []
+    for nid, weight in zip(order, kicks):
+        params = net.spec.neurons[nid]
+        if not fires_once(params, weight):
+            return None
+        if (params, weight) not in delays:
+            delays[params, weight] = kick_fire_step(params, weight, dt)
+        d = delays[params, weight]
+        step = math.inf if d is None else step + d
+        out.append(step)
+    return out
 
 
 def _probe_delay(weight: float, params: LifParams, dt: float) -> float:

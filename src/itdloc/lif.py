@@ -194,6 +194,18 @@ def _held(injections, times) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def check_dt(neurons, dt: float) -> None:
+    """Raise ValueError unless 0 < dt <= min(tau_m, tau_syn) / 10 over the
+    given neuron parameters, as a Simulation of them requires."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    tau_min = min((min(p.tau_m, p.tau_syn) for p in neurons), default=math.inf)
+    if dt > tau_min / 10 + 1e-18:
+        raise ValueError(
+            f"dt={dt:g} too coarse: must be <= min(tau_m, tau_syn)/10 = {tau_min / 10:g}"
+        )
+
+
 class Simulation:
     """Stepped simulation of one NetworkSpec.
 
@@ -205,15 +217,9 @@ class Simulation:
 
     def __init__(self, spec: NetworkSpec, dt: float):
         n = spec.n_neurons
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        check_dt(spec.neurons, dt)
         tau_m = np.array([p.tau_m for p in spec.neurons], dtype=float)
         tau_s = np.array([p.tau_syn for p in spec.neurons], dtype=float)
-        tau_min = np.minimum(tau_m, tau_s).min(initial=np.inf)
-        if dt > tau_min / 10 + 1e-18:
-            raise ValueError(
-                f"dt={dt:g} too coarse: must be <= min(tau_m, tau_syn)/10 = {tau_min / 10:g}"
-            )
         self.spec = spec
         self.dt = dt
         self.n = n

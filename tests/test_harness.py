@@ -85,6 +85,7 @@ class TestXcorrOracle:
         for itd in (149e-6, -149e-6):
             stereo = apply_itd(clap, itd)
             est = xcorr_oracle(stereo, 400e-6)
+            assert type(est) is float
             assert est == pytest.approx(itd, abs=2.6e-6)  # half a sample
 
     def test_silent_channel_rejected(self):

@@ -1,11 +1,16 @@
 """Topology, calibration, weight tuning and the ITD/angle mathematics."""
 
+import dataclasses
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from itdloc import readout
+from itdloc import jeffress, readout
 from itdloc.jeffress import (
     CalibrationError,
     GeometryParams,
@@ -21,7 +26,8 @@ from itdloc.jeffress import (
     woodworth_angle,
     woodworth_itd,
 )
-from itdloc.lif import ExternalSpike, LifParams, NetworkSpec, run
+from itdloc.lif import (ExternalSpike, LifParams, NetworkSpec, Simulation,
+                        SynapseSpec, run)
 
 from conftest import DT
 
@@ -132,10 +138,109 @@ class TestCalibration:
         cut = tuple(s for s in net.spec.synapses
                     if (s.pre, s.post) != (net.left_chain[1], net.left_chain[2]))
         broken = NetworkSpec(neurons=net.spec.neurons, synapses=cut)
-        import dataclasses
         netb = dataclasses.replace(net, spec=broken)
         with pytest.raises(CalibrationError, match="stage 2"):
             calibrate_stage_delay(netb, DT)
+
+
+def stepped_calibration(net, dt):
+    """The calibration stepped whole: the network run from rest for the
+    calibration window with one spike into the left chain head, the stage
+    spike times read off the record. Returns the CalibrationResult, or the
+    CalibrationError message calibrate_stage_delay gives."""
+    order = net.chain_order("left")
+    spec = NetworkSpec(net.spec.neurons, net.spec.synapses, external_spikes=[
+        ExternalSpike(jeffress._T_INJECT, order[0], net.chain_weight)])
+    record, _ = run(spec, jeffress._T_INJECT
+                    + net.n_stages * jeffress._WINDOW_PER_STAGE, dt)
+    times = []
+    for stage, nid in enumerate(order):
+        fired = record.spikes_of(nid)
+        if fired.size != 1:
+            return (f"chain stage {stage} (neuron {nid}) never fired"
+                    if fired.size == 0 else
+                    f"chain stage {stage} (neuron {nid}) fired {fired.size} times")
+        times.append(fired[0])
+    deltas = np.diff(times)
+    return jeffress.CalibrationResult(tuple(float(d) for d in deltas),
+                                      float(np.mean(deltas)), float(np.std(deltas)))
+
+
+def calibrated(net, dt):
+    """calibrate_stage_delay's result or CalibrationError message, and the
+    size of every network it simulated."""
+    sizes = []
+
+    class Sized(Simulation):
+        def __init__(self, spec, dt):
+            sizes.append(spec.n_neurons)
+            super().__init__(spec, dt)
+
+    with mock.patch.object(jeffress, "Simulation", Sized):
+        try:
+            return calibrate_stage_delay(net, dt), sizes
+        except CalibrationError as exc:
+            return str(exc), sizes
+
+
+class TestChainWalk:
+    """calibrate_stage_delay walks a plain chain with one-neuron probes and
+    steps any other network; either way it equals the stepped calibration."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(factor=st.floats(1.05, 8.0), n_stages=st.integers(2, 12),
+           dt=st.sampled_from([1e-7, 5e-8, 2e-8]),
+           w_lsb=st.sampled_from([None, 2e-8]), left_first=st.booleans())
+    def test_walk_equals_stepped_calibration(self, factor, n_stages, dt,
+                                             w_lsb, left_first):
+        w = factor * single_spike_fire_weight(LifParams())
+        net = build(JeffressConfig(n_stages=n_stages, chain_weight=w,
+                                   w_lsb=w_lsb, left_first_index=left_first))
+        fast, sizes = calibrated(net, dt)
+        reference = stepped_calibration(net, dt)
+        assert set(sizes) == {1}  # walked, never stepped whole
+        assert fast == reference
+        if not isinstance(reference, str):
+            assert fast.stage_delays == reference.stage_delays
+
+    def test_stage_that_can_fire_again_is_stepped(self):
+        # a 2 us clamp lifts with most of the kick left: the head fires
+        # again, which only the stepped network shows
+        p = LifParams(t_ref=2e-6)
+        net = build(JeffressConfig(n_stages=4, neuron_params=p,
+                                   chain_weight=3 * single_spike_fire_weight(p)))
+        message, sizes = calibrated(net, DT)
+        assert message == "chain stage 0 (neuron 2) fired 3 times"
+        assert message == stepped_calibration(net, DT)
+        assert net.spec.n_neurons in sizes
+
+    def test_stage_past_the_window_never_fired(self):
+        # a stage delay of over 60 us: stage 1 fires after the 125 us window
+        p = LifParams(tau_m=100e-6, tau_syn=100e-6)
+        net = build(JeffressConfig(n_stages=4, neuron_params=p,
+                                   chain_weight=1.0005 * single_spike_fire_weight(p)))
+        message, sizes = calibrated(net, DT)
+        assert message == "chain stage 1 (neuron 3) never fired"
+        assert message == stepped_calibration(net, DT)
+        assert set(sizes) == {1}
+
+    def test_chain_with_another_input_is_stepped(self):
+        # a right-chain neuron also feeds left stage 2; it stays silent, so
+        # the delays are the plain chain's, but only stepping can tell
+        net = build(JeffressConfig(n_stages=5))
+        extra = SynapseSpec(net.right_chain[0], net.left_chain[2], net.chain_weight)
+        wired = dataclasses.replace(net, spec=NetworkSpec(
+            net.spec.neurons, net.spec.synapses + (extra,)))
+        result, sizes = calibrated(wired, DT)
+        assert result == calibrated(net, DT)[0] == stepped_calibration(net, DT)
+        assert wired.spec.n_neurons in sizes
+
+    def test_coarse_dt_for_the_inputs_refused(self):
+        # the chain neurons allow dt = 0.1 us, the input neurons do not
+        net = build(JeffressConfig(
+            n_stages=3, input_neuron_params=LifParams(tau_m=5e-7, tau_syn=5e-7)))
+        with pytest.raises(ValueError, match="too coarse"):
+            calibrate_stage_delay(net, DT)
 
 
 class TestTuner:
