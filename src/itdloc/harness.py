@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,9 +22,8 @@ from .frontend import (
     resample,
     synth_clap,
 )
-from .jeffress import JeffressNetwork, fires_once, kick_fire_step
-from .lif import (AnalogInjection, ExternalSpike, NetworkSpec, Simulation,
-                  SpikeRecord)
+from .jeffress import JeffressNetwork, probe_tables
+from .lif import AnalogInjection, NetworkSpec, Simulation, SpikeRecord
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
@@ -74,7 +72,7 @@ class TrialConfig:
 
     @functools.cached_property
     def _tables(self) -> tuple | None:
-        return _probe_tables(self.net, self.dt)
+        return probe_tables(self.net, self.dt)
 
 
 @dataclass(frozen=True)
@@ -240,42 +238,6 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
 
 
 _MARGIN = 1e-9  # volts; an input membrane this near threshold is stepped
-
-
-def _probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
-    """Read (stage, reach, fire) off probes from rest: a chain neuron
-    kicked on step s fires on step s + stage (never if None; see
-    jeffress.kick_fire_step); a detector kicked on steps a and b fires on
-    step max(a, b) + fire[|b - a|] if |b - a| <= reach and that is >= 0,
-    else never. The detector tables come from one lone detector and
-    detector copies kicked on step 0 and at offsets 0..K. Any PSP has
-    peaked `top` steps (the lone PSP's peak) after its last kick, and past
-    top the first PSP only falls, so the first silent offset past top ends
-    the reach. None when a unit could fire twice in a trial, or on one
-    kick."""
-    params, w_chain, w_coin = net.config.neuron_params, net.chain_weight, net.coincidence_weight
-    if not fires_once(params, max(abs(w_chain), 2 * abs(w_coin))):
-        return None
-    # a PSP peaks within max(tau_m, tau_syn) of its kick
-    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
-    k, chunk, done, lone, silent = 3 * peak, max(1, peak // 4), 0, [], ()
-    kicks = [ExternalSpike(0.0, 0, w_coin)] + [
-        ExternalSpike(t, 1 + off, w_coin) for off in range(k + 1)
-        for t in (0.0, off * dt)]
-    sim = Simulation(NetworkSpec((params,) * (k + 2), external_spikes=kicks), dt)
-    while not len(silent):
-        record, traces = sim.run(chunk * dt, record_traces=[0])
-        lone.append(traces.v[0][1:])
-        done += chunk
-        top = int(np.argmax(np.concatenate(lone))) + 1
-        ids, steps = record.ids, np.rint(record.times / dt).astype(np.int64)
-        fire = np.full(k + 1, -1, dtype=np.int64)
-        fire[ids[ids >= 1] - 1] = steps[ids >= 1] - (ids[ids >= 1] - 1)
-        silent = np.flatnonzero(fire[top:done - top] < 0)  # settled pairs
-        if 0 in ids or (not silent.size and done > k + top):
-            return None
-    reach = top + int(silent[0]) - 1
-    return kick_fire_step(params, w_chain, dt), reach, fire[:reach + 1]
 
 
 def _run_exact(cfg: TrialConfig, crossing, drive) -> TrialResult | None:

@@ -5,6 +5,7 @@ emergent per-stage delay, and the ITD/angle conversions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,13 +62,19 @@ def fires_once(params: LifParams, weight: float) -> bool:
         params.v_reset, params.v_leak)
 
 
+def _psp_steps(params: LifParams, dt: float) -> tuple:
+    """A bound on the steps a PSP takes to peak after its kick (it peaks
+    within max(tau_m, tau_syn)), and the chunk a probe is stepped in."""
+    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
+    return peak, max(1, peak // 4)
+
+
 def kick_fire_step(params: LifParams, weight: float, dt: float) -> int | None:
     """The step D on which a neuron at rest fires after one synaptic kick
     of `weight` amperes on step 0, stepped by Simulation: a neuron kicked
     on step s fires on step s + D. None if it has not fired once its PSP
     is past its peak."""
-    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # PSP peak bound
-    chunk = max(1, peak // 4)
+    peak, chunk = _psp_steps(params, dt)
     sim = Simulation(NetworkSpec((params,), external_spikes=(
         ExternalSpike(0.0, 0, weight),)), dt)
     for _ in range(-(-(peak + 2) // chunk)):
@@ -145,34 +152,75 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class JeffressNetwork:
-    """Built network plus its deterministic id layout.
+    """The 3N+2 neuron network a config describes: 2 analog-injected
+    inputs, two N-stage chains fed from opposite ends, and N coincidence
+    detectors, detector j receiving left-chain j and right-chain j.
 
-    Ids: 0 left input, 1 right input, 2..N+1 left chain (by detector
-    position), N+2..2N+1 right chain (by detector position), 2N+2..3N+1
-    coincidence detectors. With left_first_index the left input feeds
-    position 0 and the right input feeds position N-1; flipping the flag
-    mirrors the two entry points. chain_weight and coincidence_weight are
-    the weights as built, after any quantization.
+    The config is the only field; the ids, the weights and spec are derived
+    from it, so equality and hashing go by config. Ids: 0 left input,
+    1 right input, 2..N+1 left chain (by detector position), N+2..2N+1
+    right chain (by detector position), 2N+2..3N+1 coincidence detectors.
+    With left_first_index the left input feeds position 0 and the right
+    input feeds position N-1; flipping the flag mirrors the two entry
+    points. chain_weight and coincidence_weight are the weights as built,
+    after any quantization, and construction checks them.
     """
 
-    spec: NetworkSpec
     config: JeffressConfig
-    input_left: int
-    input_right: int
-    left_chain: tuple
-    right_chain: tuple
-    detectors: tuple
-    chain_weight: float
-    coincidence_weight: float
+    input_left = 0  # class attributes, not fields
+    input_right = 1
+
+    def __post_init__(self):
+        cfg, n = self.config, self.config.n_stages
+        w_coin, w_chain = cfg.resolved_coincidence_weight(), cfg.chain_weight
+        if cfg.w_lsb is not None:
+            w_coin = quantize_weight(w_coin, cfg.w_lsb)
+            w_chain = quantize_weight(w_chain, cfg.w_lsb)
+        w_fire = single_spike_fire_weight(cfg.neuron_params)
+        if w_coin >= w_fire:
+            raise ValueError(
+                f"coincidence_weight {w_coin:.3e} >= single-spike firing weight "
+                f"{w_fire:.3e}; a lone chain would trigger detectors"
+            )
+        if w_chain <= w_fire:
+            raise ValueError(
+                f"chain_weight {w_chain:.3e} <= single-spike firing "
+                f"weight {w_fire:.3e}; the chain cannot propagate"
+            )
+        # derived, not fields: set past the frozen __setattr__
+        self.__dict__.update(
+            chain_weight=w_chain, coincidence_weight=w_coin,
+            left_chain=tuple(range(2, n + 2)),
+            right_chain=tuple(range(n + 2, 2 * n + 2)),
+            detectors=tuple(range(2 * n + 2, 3 * n + 2)))
+
+    @functools.cached_property
+    def spec(self) -> NetworkSpec:
+        """Neurons and synapses, built on first use."""
+        cfg, w_chain = self.config, self.chain_weight
+        left, right = self.chain_order("left"), self.chain_order("right")
+        synapses = [SynapseSpec(self.input_left, left[0], w_chain),
+                    SynapseSpec(self.input_right, right[0], w_chain)]
+        for order in (left, right):
+            synapses += [SynapseSpec(a, b, w_chain) for a, b in zip(order, order[1:])]
+        for a, b, det in zip(self.left_chain, self.right_chain, self.detectors):
+            synapses += [SynapseSpec(a, det, self.coincidence_weight),
+                         SynapseSpec(b, det, self.coincidence_weight)]
+        neurons = (cfg.input_params,) * 2 + (cfg.neuron_params,) * (3 * cfg.n_stages)
+        return NetworkSpec(neurons=neurons, synapses=tuple(synapses))
 
     @property
     def n_stages(self) -> int:
         return self.config.n_stages
 
     def chain_order(self, side: str) -> tuple:
-        """Chain ids in propagation order for 'left' or 'right'."""
+        """Chain ids in propagation order for 'left' or 'right': with
+        left_first_index the left chain fires up the detector positions
+        and the right chain down; else mirrored."""
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
         chain = self.left_chain if side == "left" else self.right_chain
-        return _firing_order(chain, side, self.config.left_first_index)
+        return chain if (side == "left") == self.config.left_first_index else chain[::-1]
 
     def detector_index(self, neuron_id: int) -> int:
         return self.detectors.index(neuron_id)
@@ -221,75 +269,75 @@ class JeffressNetwork:
         return "\n".join(lines) + "\n"
 
 
-def _firing_order(chain: tuple, side: str, left_first_index: bool) -> tuple:
-    """A chain's ids in firing order: with left_first_index the left chain
-    fires up the detector positions and the right chain down; else mirrored."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return chain if (side == "left") == left_first_index else chain[::-1]
-
-
 def build(cfg: JeffressConfig) -> JeffressNetwork:
-    """Construct the 3N+2 neuron network: 2 analog-injected inputs, two
-    N-stage chains fed from opposite ends, and N coincidence detectors,
-    detector j receiving left-chain j and right-chain j. The checks below
-    see the weights as built, i.e. after quantization."""
-    n = cfg.n_stages
-    w_coin, w_chain = cfg.resolved_coincidence_weight(), cfg.chain_weight
-    if cfg.w_lsb is not None:
-        w_coin = quantize_weight(w_coin, cfg.w_lsb)
-        w_chain = quantize_weight(w_chain, cfg.w_lsb)
-    w_fire = single_spike_fire_weight(cfg.neuron_params)
-    if w_coin >= w_fire:
-        raise ValueError(
-            f"coincidence_weight {w_coin:.3e} >= single-spike firing weight "
-            f"{w_fire:.3e}; a lone chain would trigger detectors"
-        )
-    if w_chain <= w_fire:
-        raise ValueError(
-            f"chain_weight {w_chain:.3e} <= single-spike firing "
-            f"weight {w_fire:.3e}; the chain cannot propagate"
-        )
+    """The network a config describes (see JeffressNetwork)."""
+    return JeffressNetwork(cfg)
 
-    input_left, input_right = 0, 1
-    left_chain = tuple(range(2, n + 2))
-    right_chain = tuple(range(n + 2, 2 * n + 2))
-    detectors = tuple(range(2 * n + 2, 3 * n + 2))
 
-    neurons = [cfg.input_params] * 2 + [cfg.neuron_params] * (3 * n)
-    left = _firing_order(left_chain, "left", cfg.left_first_index)
-    right = _firing_order(right_chain, "right", cfg.left_first_index)
-    synapses = [SynapseSpec(input_left, left[0], w_chain),
-                SynapseSpec(input_right, right[0], w_chain)]
-    for order in (left, right):
-        synapses += [SynapseSpec(a, b, w_chain) for a, b in zip(order, order[1:])]
-    for j in range(n):
-        synapses.append(SynapseSpec(left_chain[j], detectors[j], w_coin))
-        synapses.append(SynapseSpec(right_chain[j], detectors[j], w_coin))
+def _fires_once(net: JeffressNetwork) -> bool:
+    """Whether no chain neuron (one chain kick) and no detector (two
+    coincidence kicks) can fire twice, so that spike arithmetic from
+    kick_fire_step and probe_tables equals stepping the network."""
+    return fires_once(net.config.neuron_params,
+                      max(abs(net.chain_weight), 2 * abs(net.coincidence_weight)))
 
-    spec = NetworkSpec(neurons=tuple(neurons), synapses=tuple(synapses))
-    return JeffressNetwork(
-        spec=spec, config=cfg,
-        input_left=input_left, input_right=input_right,
-        left_chain=left_chain, right_chain=right_chain, detectors=detectors,
-        chain_weight=w_chain, coincidence_weight=w_coin,
-    )
+
+def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
+    """Read (stage, reach, fire) off probes from rest: a chain neuron
+    kicked on step s fires on step s + stage (never if None; see
+    kick_fire_step); a detector kicked on steps a and b fires on
+    step max(a, b) + fire[|b - a|] if |b - a| <= reach and that is >= 0,
+    else never. The detector tables come from one lone detector and
+    detector copies kicked on step 0 and at offsets 0..K. Any PSP has
+    peaked `top` steps (the lone PSP's peak) after its last kick, and past
+    top the first PSP only falls, so the first silent offset past top ends
+    the reach. None unless _fires_once(net), or when a detector fires on
+    one kick."""
+    if not _fires_once(net):
+        return None
+    params, w_coin = net.config.neuron_params, net.coincidence_weight
+    peak, chunk = _psp_steps(params, dt)
+    k, done, lone, silent = 3 * peak, 0, [], ()
+    kicks = [ExternalSpike(0.0, 0, w_coin)] + [
+        ExternalSpike(t, 1 + off, w_coin) for off in range(k + 1)
+        for t in (0.0, off * dt)]
+    sim = Simulation(NetworkSpec((params,) * (k + 2), external_spikes=kicks), dt)
+    while not len(silent):
+        record, traces = sim.run(chunk * dt, record_traces=[0])
+        lone.append(traces.v[0][1:])
+        done += chunk
+        top = int(np.argmax(np.concatenate(lone))) + 1
+        ids, steps = record.ids, np.rint(record.times / dt).astype(np.int64)
+        fire = np.full(k + 1, -1, dtype=np.int64)
+        fire[ids[ids >= 1] - 1] = steps[ids >= 1] - (ids[ids >= 1] - 1)
+        silent = np.flatnonzero(fire[top:done - top] < 0)  # settled pairs
+        if 0 in ids or (not silent.size and done > k + top):
+            return None
+    reach = top + int(silent[0]) - 1
+    return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
 
 
 def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
     """Inject one synthetic spike at the left chain head and measure the
     successive chain spike times; the stage delay is their first difference.
-    A plain feed-forward chain is walked with kick_fire_step; any other
-    network is stepped whole.
+    Where _fires_once(net), stage k fires (k + 1) * kick_fire_step steps
+    after the injection step; otherwise the network is stepped whole.
 
     Fails if any stage stays silent or fires more than once inside the
     observation window.
     """
-    order = net.chain_order("left")
+    cfg, order = net.config, net.chain_order("left")
     duration = _T_INJECT + net.n_stages * _WINDOW_PER_STAGE
-    check_dt(net.spec.neurons, dt)
-    walk = _chain_walk(net, order, dt)
-    if walk is None:
+    check_dt((cfg.input_params, cfg.neuron_params), dt)
+    if _fires_once(net):
+        d = kick_fire_step(cfg.neuron_params, net.chain_weight, dt)
+        start = math.floor(_T_INJECT / dt + _STEP_SLACK)
+        steps = [math.inf if d is None else start + k * d
+                 for k in range(1, len(order) + 1)]
+        # each spike time as Simulation records it
+        firings = [[step * dt] if step <= round(duration / dt) else []
+                   for step in steps]
+    else:
         spec = NetworkSpec(
             neurons=net.spec.neurons,
             synapses=net.spec.synapses,
@@ -297,10 +345,6 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
         )
         record, _ = Simulation(spec, dt).run(duration)
         firings = [record.spikes_of(nid) for nid in order]
-    else:
-        n_steps = int(round(duration / dt))
-        # each spike time as Simulation records it
-        firings = [[step * dt] if step <= n_steps else [] for step in walk]
 
     spike_times = []
     for stage, (nid, times) in enumerate(zip(order, firings)):
@@ -317,39 +361,6 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
         stage_delay_mean=float(np.mean(deltas)),
         stage_delay_std=float(np.std(deltas)),
     )
-
-
-def _chain_walk(net: JeffressNetwork, order: tuple, dt: float) -> list | None:
-    """The step on which each stage fires in a calibration run (inf if
-    never), from kick_fire_step: the head is kicked on the injection step
-    and each later stage on the step its predecessor fires. None unless
-    that is exact: each stage's only synaptic input is its predecessor,
-    the head's apart from neurons no synapse reaches (they stay at rest),
-    and no stage can fire twice."""
-    inputs = {nid: [] for nid in order}
-    for syn in net.spec.synapses:
-        if syn.post in inputs:
-            inputs[syn.post].append(syn)
-    reached = {syn.post for syn in net.spec.synapses}
-    if any(syn.pre in reached for syn in inputs[order[0]]):
-        return None
-    kicks = [net.chain_weight]
-    for prev, nid in zip(order, order[1:]):
-        if any(syn.pre != prev for syn in inputs[nid]):
-            return None
-        kicks.append(sum(syn.weight for syn in inputs[nid]))  # as delivered
-
-    delays, step, out = {}, math.floor(_T_INJECT / dt + _STEP_SLACK), []
-    for nid, weight in zip(order, kicks):
-        params = net.spec.neurons[nid]
-        if not fires_once(params, weight):
-            return None
-        if (params, weight) not in delays:
-            delays[params, weight] = kick_fire_step(params, weight, dt)
-        d = delays[params, weight]
-        step = math.inf if d is None else step + d
-        out.append(step)
-    return out
 
 
 def _probe_delay(weight: float, params: LifParams, dt: float) -> float:

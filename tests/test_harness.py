@@ -398,18 +398,25 @@ class TestEventEngine:
         assert abs(steps - round(steps)) > 0.1  # the poll falls between steps
         assert run_trial(30e-6, None, trial) == detail.result
 
-    @pytest.mark.parametrize("case", ["drive-inside-margin", "input-fires-twice"])
+    @pytest.mark.parametrize("case", ["drive-inside-margin", "input-fires-twice",
+                                      "unit-fires-twice"])
     def test_fallback_steps_the_trial(self, case, default_net, fallbacks,
                                       monkeypatch):
         if case == "drive-inside-margin":
             # every drive lies within a 10 V margin of threshold
             monkeypatch.setattr(harness, "_MARGIN", 10.0)
             trial = TrialConfig(net=default_net)
-        else:
+        elif case == "input-fires-twice":
             # a 2 us refractory period lets the inputs fire again long
             # before any detector does
             trial = TrialConfig(net=build(JeffressConfig(
                 input_neuron_params=LifParams(t_ref=2e-6))))
+        else:
+            # with a 2 us refractory period a chain neuron or detector
+            # could fire again, so the network has no tables
+            trial = TrialConfig(net=build(JeffressConfig(
+                neuron_params=LifParams(t_ref=2e-6))))
+            assert trial._tables is None
         cfg = SweepConfig(trial=trial, itds=(-60e-6, 20e-6), trials=2,
                           noise_amplitude=0.07, base_seed=9)
         rows = run_sweep(cfg).rows

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from itdloc import harness, lif
+from itdloc import jeffress, lif
 from itdloc.jeffress import JeffressConfig, build
 from itdloc.lif import (
     AnalogInjection,
@@ -221,7 +221,7 @@ def reference_tables(net) -> tuple:
 @pytest.mark.parametrize("w_lsb", [None, 2e-8], ids=["default", "quantized"])
 def test_probe_tables_match_reference(w_lsb):
     net = build(JeffressConfig(w_lsb=w_lsb))
-    stage, reach, fire = harness._probe_tables(net, DT)
+    stage, reach, fire = jeffress.probe_tables(net, DT)
     assert (stage, reach, fire.tolist()) == reference_tables(net)
     if w_lsb is None:
         assert (stage, reach) == (38, 308)
