@@ -15,7 +15,7 @@ import numpy as np
 
 from .frontend import ClapSpec, FrontEndParams
 from .jeffress import GeometryParams, JeffressConfig
-from .lif import InjectionSection
+from .lif import InjectionSection, check_dt
 from .readout import PwmConfig, ReadoutSection
 
 
@@ -67,8 +67,7 @@ class RunConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        check_dt((self.network.input_params, self.network.neuron_params), self.dt)
 
 
 def _build(cls, data, path):

@@ -135,6 +135,8 @@ def load_wav(path) -> AudioClip:
     audio_format, n_channels, sample_rate, _, block_align, bits = fmt
     if n_channels == 0 or n_channels > 2:
         raise WavError(f"{path}: {n_channels} channels unsupported (need 1 or 2)")
+    if sample_rate == 0:
+        raise WavError(f"{path}: sample rate 0")
 
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(payload[:len(payload) - len(payload) % 2], dtype="<i2")

@@ -23,7 +23,7 @@ from .frontend import (
     synth_clap,
 )
 from .jeffress import JeffressNetwork, probe_tables
-from .lif import AnalogInjection, NetworkSpec, Simulation, SpikeRecord
+from .lif import AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
@@ -168,9 +168,8 @@ class TrialDetail:
 
 
 def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
-    """Stimulus, inter-channel delay, noise, conditioning and the drive at
-    the simulator rate. Returns (stereo, conditioned samples, threshold
-    crossing time or None, drive of shape (2, steps + 1))."""
+    """Stimulus, inter-channel delay, noise and conditioning. Returns
+    (stereo, conditioned samples, threshold crossing time or None)."""
     stereo = apply_itd(cfg.mono_stimulus(), itd)
     raw = stereo.samples
     if noise_amplitude > 0:
@@ -183,8 +182,14 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
     v_thresh = cfg.net.config.input_params.v_thresh
     above = np.flatnonzero((cond >= v_thresh).any(axis=0))
     crossing = float(above[0]) / fs if above.size else None
+    return stereo, cond, crossing
 
-    sim_rate = _sim_rate(cfg)
+
+def _injections(cfg: TrialConfig, cond, fs: int) -> list:
+    """The two conditioned channels resampled to the simulator rate, as
+    drives of the input neurons; past the clip's end the drive holds its
+    final value."""
+    sim_rate = int(round(1.0 / cfg.dt))
     need = int(round(cfg.duration * sim_rate)) + 1
     # interpolation is pointwise, so resampling only the input samples that
     # cover the run gives the same drive as resampling the whole clip
@@ -193,16 +198,7 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
     drive = drive[:, :need]
     if drive.shape[1] < need:  # rounding slack; extend with the final value
         drive = np.pad(drive, ((0, 0), (0, need - drive.shape[1])), mode="edge")
-    return stereo, cond, crossing, drive
-
-
-def _sim_rate(cfg: TrialConfig) -> int:
-    return int(round(1.0 / cfg.dt))
-
-
-def _injections(cfg: TrialConfig, drive) -> list:
-    """The two input drives, on the input neurons."""
-    return [AnalogInjection(target, trace, _sim_rate(cfg),
+    return [AnalogInjection(target, trace, sim_rate,
                             r_src=cfg.injection.r_src, mode=cfg.injection.mode)
             for target, trace in zip((cfg.net.input_left, cfg.net.input_right),
                                      drive)]
@@ -227,8 +223,9 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     Latency is measured from the first time either conditioned channel
     crosses the input neurons' threshold to the readout event.
     """
-    stereo, cond, crossing, drive = _frontend(itd, seed, cfg, noise_amplitude)
-    spec = cfg.net.spec.with_injections(_injections(cfg, drive))
+    stereo, cond, crossing = _frontend(itd, seed, cfg, noise_amplitude)
+    spec = cfg.net.spec.with_injections(
+        _injections(cfg, cond, stereo.sample_rate))
     record, traces = Simulation(spec, cfg.dt).run(cfg.duration,
                                                   record_traces=record_traces)
     events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
@@ -240,17 +237,17 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
 _MARGIN = 1e-9  # volts; an input membrane this near threshold is stepped
 
 
-def _run_exact(cfg: TrialConfig, crossing, drive) -> TrialResult | None:
-    """One trial's result with no neuron stepped: inputs from Simulation's
-    lfilter screen, chains and detectors from the probe tables, then the
-    readout replay. None where stepping may differ: an input near threshold
-    or firing again by the first event's poll, or no tables."""
+def _run_exact(cfg: TrialConfig, cond, fs: int, crossing) -> TrialResult | None:
+    """One trial's result with no neuron stepped: inputs from the audio-rate
+    screen of the conditioned samples, chains and detectors from the probe
+    tables, then the readout replay. None where stepping may differ: an
+    input near threshold or firing again by the first event's poll, or no
+    tables."""
     if cfg._tables is None:
         return None
     (stage, reach, fire), net, dt = cfg._tables, cfg.net, cfg.dt
-    head = net.spec.neurons[:max(net.input_left, net.input_right) + 1]
-    sim = Simulation(NetworkSpec(head, injections=_injections(cfg, drive)), dt)
-    inputs = sim.injected_spike_steps(round(cfg.duration / dt), _MARGIN)
+    inputs = injected_spike_steps(net.config.input_params, cfg.injection, dt,
+                                  round(cfg.duration / dt), cond, fs, _MARGIN)
     if inputs is None:
         return None
     steps = ids = np.zeros(0, dtype=np.int64)
@@ -276,9 +273,10 @@ def run_trial(itd: float, seed, cfg: TrialConfig, *,
               noise_amplitude: float = 0.0) -> TrialResult:
     """Direction and latency of one trial, as run_trial_detailed gives them,
     from exact spike arithmetic, or stepped by it where that may differ."""
-    _, _, crossing, drive = _frontend(itd, seed, cfg, noise_amplitude)
-    return _run_exact(cfg, crossing, drive) or run_trial_detailed(
-        itd, seed, cfg, noise_amplitude=noise_amplitude).result
+    stereo, cond, crossing = _frontend(itd, seed, cfg, noise_amplitude)
+    return (_run_exact(cfg, cond, stereo.sample_rate, crossing)
+            or run_trial_detailed(itd, seed, cfg,
+                                  noise_amplitude=noise_amplitude).result)
 
 
 def _sweep_row(cfg: SweepConfig, cell) -> SweepRow:

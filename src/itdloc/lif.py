@@ -9,8 +9,10 @@ drive is integrated to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +20,6 @@ from scipy.signal import lfilter
 
 WEIGHT_LEVELS = 63  # signed 6-bit weight range
 _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
-_CHUNK = 4096  # steps per linear-filter call in injected_spike_steps
 
 
 @dataclass(frozen=True)
@@ -183,15 +184,37 @@ class TraceSet:
                     fh.write(f"{t:.9f},{i},{self.v[i][k]:.9f},{self.i_syn[i][k]:.6e}\n")
 
 
+def _held_index(times, sample_rate, size: int) -> np.ndarray:
+    """Index of the trace sample held at each step start times[:-1]; a
+    trace of `size` samples holds its last one past its end."""
+    # rates may be off the step grid; 1e-6 keeps on-grid samples
+    i = (times[:-1] * sample_rate + 1e-6).astype(np.int64)
+    return np.minimum(i, size - 1)
+
+
 def _held(injections, times) -> np.ndarray:
     """The sample each injection holds at each step start times[:-1], one
     row per step and one column per injection."""
-    cols = []
-    for inj in injections:
-        # rates may be off the step grid; 1e-6 keeps on-grid samples
-        i = (times[:-1] * inj.sample_rate + 1e-6).astype(np.int64)
-        cols.append(inj.trace[np.minimum(i, inj.trace.size - 1)])
-    return np.stack(cols, axis=1)
+    return np.stack([inj.trace[_held_index(times, inj.sample_rate, inj.trace.size)]
+                     for inj in injections], axis=1)
+
+
+def _propagator(tau_m, v_leak, g_inj, dt: float) -> tuple:
+    """(decay, b, v_rest) per neuron of the exact one-step update for inputs
+    held over the step, v' = decay * (v - v_rest) + v_rest + b * (i_syn +
+    u / r_src) / c_m, u the source voltage of resistive injections whose
+    1 / (r_src * c_m) sum to g_inj."""
+    rate = 1.0 / tau_m + g_inj
+    decay = np.exp(-dt * rate)
+    b = -np.expm1(-dt * rate) / rate
+    v_rest = (v_leak / tau_m) / rate
+    v_rest[g_inj == 0.0] = v_leak[g_inj == 0.0]  # exact rest point
+    return decay, b, v_rest
+
+
+def _refractory_steps(params: LifParams, dt: float) -> int:
+    """Whole steps a neuron stays clamped after firing: ceil(t_ref / dt)."""
+    return math.ceil(params.t_ref / dt - _STEP_SLACK)
 
 
 def check_dt(neurons, dt: float) -> None:
@@ -230,7 +253,7 @@ class Simulation:
         self._v_thresh = np.array([p.v_thresh for p in spec.neurons], dtype=float)
         self._v_reset = np.array([p.v_reset for p in spec.neurons], dtype=float)
         # firing on step k clamps steps k + 1 .. k + ceil(t_ref / dt)
-        self._ref_steps = [math.ceil(p.t_ref / dt - _STEP_SLACK) for p in spec.neurons]
+        self._ref_steps = [_refractory_steps(p, dt) for p in spec.neurons]
 
         g_inj = np.zeros(n, dtype=float)
         for inj in spec.injections:
@@ -238,14 +261,10 @@ class Simulation:
                 raise ValueError(f"injection target {inj.target} out of range")
             if inj.mode == "resistive":
                 g_inj[inj.target] += 1.0 / (inj.r_src * c_m[inj.target])
-        rate = 1.0 / tau_m + g_inj
         self._decay_syn = np.exp(-dt / tau_s)
-        self._decay_v = np.exp(-dt * rate)
-        b = -np.expm1(-dt * rate) / rate
+        self._decay_v, b, self._v_leak_eff = _propagator(tau_m, self._v_leak,
+                                                         g_inj, dt)
         self._gain_syn = b / c_m
-        v_leak_eff = (self._v_leak / tau_m) / rate
-        v_leak_eff[g_inj == 0.0] = self._v_leak[g_inj == 0.0]  # exact rest point
-        self._v_leak_eff = v_leak_eff
 
         # per-injection drive gain: weight of the trace sample in the update
         self._resistive = [inj for inj in spec.injections
@@ -394,37 +413,103 @@ class Simulation:
 
         return SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
 
-    def injected_spike_steps(self, n_steps: int, margin: float):
-        """The first two spike steps of each injection's target in a run of
-        n_steps from rest, without stepping, for targets with one injection
-        and no synaptic input each. A resistive target's membrane is run()'s
-        update as a linear filter, equal to the stepper's up to rounding: None
-        if it, or a trigger sample, comes within margin volts of threshold."""
-        times, out = np.arange(n_steps + 1) * self.dt, []
-        for inj in self.spec.injections:
-            i, x = inj.target, _held([inj], times)[:, 0]
-            thresh, d, v_inf = self._v_thresh[i], self._decay_v[i], self._v_leak_eff[i]
-            if inj.mode == "resistive":  # v[j] below: membrane after step k + j
-                x = x * self._res_gain[self._resistive.index(inj)]
-            spikes, k, v0 = [], 0, self._v_leak[i]
-            while k < n_steps and len(spikes) < 2:
-                v = x[k:k + _CHUNK]
-                if inj.mode == "resistive":
-                    # v never passes max(v0, the highest resting point of the drive)
-                    rest = v_inf + v.max() / (1 - d)
-                    if k + _CHUNK >= n_steps and max(v0, rest) < thresh - margin:
-                        break
-                    v = lfilter([1.0], [1.0, -d], v, zi=[d * (v0 - v_inf)])[0] + v_inf
-                above = np.flatnonzero(v >= thresh - margin)
-                if above.size and v[above[0]] < thresh + margin:
-                    return None
-                if above.size:
-                    spikes.append(k + int(above[0]) + 1)
-                    k, v0 = spikes[-1] + self._ref_steps[i], self._v_reset[i]
-                else:
-                    k, v0 = k + v.size, v[-1]
-            out.append(spikes)
-        return out
+
+@functools.lru_cache(maxsize=16)
+def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
+                     n_steps: int, sample_rate: int, n_samples: int) -> tuple:
+    """What injected_spike_steps needs of a run besides the samples: each
+    step's drive position on the audio sample axis; the audio intervals j
+    that hold steps and their first steps; per interval the terms of a
+    resistive membrane's end from its start, y' = m * y + alpha * c[j] +
+    beta * c[j + 1] with y = v - v_rest; the one-step decay, gain, v_rest."""
+    rate = round(1.0 / dt)  # the drive's sample rate at the simulator
+    held = _held_index(np.arange(n_steps + 1) * dt, rate, n_steps + 1)
+    # the drive is the clip resampled to `rate` by linear interpolation
+    # (frontend.resample), its final value held past the resampled end
+    pos = np.minimum(held, round(n_samples * rate / sample_rate) - 1) * (
+        sample_rate / rate)
+    j = np.minimum(np.floor(pos).astype(np.int64), n_samples - 1)
+    w = np.where(j < n_samples - 1, pos - j, 0.0)  # weight of sample j + 1
+    first = np.flatnonzero(np.diff(j, prepend=-1))
+    g_inj = (1.0 / (injection.r_src * params.c_m)
+             if injection.mode == "resistive" else 0.0)
+    decay, b, v_rest = (float(x[0]) for x in _propagator(
+        np.array([params.tau_m]), np.array([params.v_leak]),
+        np.array([g_inj]), dt))
+    gain = b / (injection.r_src * params.c_m)
+    # step k's drive reaches the interval's end decayed d^(steps after k)
+    interval = np.repeat(np.arange(first.size), np.diff(first, append=n_steps))
+    ends = np.append(first[1:], n_steps)
+    weight = gain * decay ** (ends[interval] - 1 - np.arange(n_steps))
+    alpha = np.bincount(interval, weight * (1.0 - w))
+    beta = np.bincount(interval, weight * w)
+    m = decay ** (ends - first)
+    return (pos, j[first], first.tolist(), m.tolist(), alpha, beta,
+            decay, gain, v_rest)
+
+
+def injected_spike_steps(params: LifParams, injection: InjectionSection,
+                         dt: float, n_steps: int, samples, sample_rate: int,
+                         margin: float):
+    """The first two spike steps of an input neuron in a run of n_steps from
+    rest, for each row of audio-rate samples, without building the drive.
+
+    The neuron has no synapse, and its one injection is the samples as
+    run_trial_detailed drives it: resampled linearly to 1 / dt, the final
+    value held past the end. Within audio interval j the held drive is
+    linear in samples j and j + 1, so a resistive membrane runs from
+    interval end to interval end. It is resolved step by step only where it
+    can reach thresh - margin: where an interval starts there or its
+    drive's highest rest point lies there. A trigger input is resolved only
+    where an interval's endpoint samples reach it. The result equals the
+    stepper's up to rounding: None if a membrane, or a trigger sample,
+    comes within margin volts of threshold.
+    """
+    samples = np.atleast_2d(samples)
+    pos, j, first, m, alpha, beta, d, gain, v_rest = _audio_intervals(
+        params, injection, dt, n_steps, sample_rate, samples.shape[1])
+    resistive = injection.mode == "resistive"
+    thresh, lim = params.v_thresh, params.v_thresh - margin
+    ref = _refractory_steps(params, dt)
+    base, starts = np.arange(samples.shape[1], dtype=float), first + [n_steps]
+    index = np.arange(len(first))
+    out = []
+    for c in samples:
+        lo, hi = c[j], np.append(c[1:], c[-1])[j]
+        top = np.maximum(lo, hi)
+        if resistive:  # the membrane never passes max(its start, this)
+            top = v_rest + gain * top / (1 - d)
+            u = (alpha * lo + beta * hi).tolist()
+        hot = top >= lim
+        # per interval, the first one from it on that is hot, and that is not
+        next_hot, next_cool = (
+            np.minimum.accumulate(np.where(h, index, len(first))[::-1])[::-1].tolist()
+            for h in (hot, ~hot))
+        spikes, k, y = [], 0, params.v_leak - v_rest  # y: v - v_rest at step k
+        while k < n_steps and len(spikes) < 2:
+            g = bisect_right(first, k) - 1
+            if k == first[g] and not hot[g] and (not resistive or y + v_rest < lim):
+                if resistive:  # whole intervals up to the next hot one
+                    for i in range(g, next_hot[g]):
+                        y = m[i] * y + u[i]
+                k = starts[next_hot[g]]
+                continue
+            # step to the end of this interval, or of the hot run it starts
+            end = starts[next_cool[g] if hot[g] else g + 1]
+            v = np.interp(pos[k:end], base, c)
+            if resistive:
+                v = lfilter([1.0], [1.0, -d], v * gain, zi=[d * y])[0] + v_rest
+            above = np.flatnonzero(v >= lim)
+            if above.size and v[above[0]] < thresh + margin:
+                return None
+            if above.size:
+                spikes.append(k + int(above[0]) + 1)
+                k, y = spikes[-1] + ref, params.v_reset - v_rest
+            else:
+                k, y = end, v[-1] - v_rest
+        out.append(spikes)
+    return out
+
 
 def run(spec: NetworkSpec, duration: float, dt: float, record_traces=()) -> tuple:
     """One-shot simulation of a spec from rest."""

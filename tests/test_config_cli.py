@@ -37,7 +37,7 @@ _lif = st.builds(LifParams, tau_m=_floats(1e-6, 1e-4), tau_syn=_floats(1e-6, 1e-
                  v_reset=_floats(0.0, 0.45), t_ref=_floats(1e-6, 1e-3))
 valid_configs = st.builds(
     RunConfig,
-    dt=_floats(1e-9, 1e-6),
+    dt=_floats(1e-9, 1e-7),  # at most min(tau_m, tau_syn) / 10
     frontend=st.builds(FrontEndParams, v_clip=_floats(0.5, 3.0),
                        highpass_cutoff=_floats(0.0, 200.0),
                        preamp_gain=_floats(0.1, 10.0)),
@@ -266,6 +266,18 @@ class TestCli:
         assert rc == 2
         assert "ghost.wav" in capsys.readouterr().err
 
+    def test_simulate_wav_rate_zero_exit_2(self, tmp_path, capsys):
+        wav = tmp_path / "zero.wav"
+        write_wav_16bit(wav, np.zeros((1, 192)), 192000)
+        data = bytearray(wav.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate
+        wav.write_bytes(bytes(data))
+        rc = cli.main(["simulate", "--wav", str(wav), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "sample rate 0" in err[0]
+
     def test_sweep_single_cell(self, small_config, tmp_path, capsys):
         out = tmp_path / "sw"
         rc = cli.main(["sweep", "--config", str(small_config),
@@ -313,8 +325,10 @@ class TestCli:
         ({"network": {"neuron": {}}}, "unknown keys ['neuron']"),
         ({"readout": {"iteration_time": 0}}, "iteration_time must be > 0"),
         ({"sweep": {"itds_us": []}}, "the ITD list must not be empty"),
+        ({"dt": 1e-5}, "dt=1e-05 too coarse"),
     ], ids=["unknown-section", "one-stage", "zero-chain-weight",
-            "old-neuron-key", "zero-iteration-time", "empty-itds"])
+            "old-neuron-key", "zero-iteration-time", "empty-itds",
+            "coarse-dt"])
     def test_bad_config_exit_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -423,6 +423,24 @@ class TestEventEngine:
         assert fallbacks == [itd for itd in cfg.itds for _ in range(2)]
         assert rows == full_run_rows(cfg)
 
+    def test_only_fallbacks_resample(self, fallbacks, monkeypatch):
+        # a 200 us input refractory period lets a few noisy inputs fire
+        # again before the first event; only those trials build the drive
+        resampled, resample = [], harness.resample
+
+        def counting(*args, **kwargs):
+            resampled.append(None)
+            return resample(*args, **kwargs)
+        monkeypatch.setattr(harness, "resample", counting)
+        trial = TrialConfig(net=build(JeffressConfig(
+            input_neuron_params=LifParams(t_ref=2e-4))))
+        cfg = SweepConfig(trial=trial, itds=tuple(np.linspace(-140e-6, 140e-6, 8)),
+                          trials=10, noise_amplitude=0.07, base_seed=2026)
+        rows = run_sweep(cfg).rows
+        assert 0 < len(fallbacks) < len(rows)
+        assert len(resampled) == len(fallbacks)
+        assert rows == full_run_rows(cfg)
+
     def test_failing_trial_names_its_cell(self, default_trial, monkeypatch):
         calls, poll_loop = [], harness.poll_loop
 
@@ -484,7 +502,9 @@ class TestResampleWindow:
     def test_window_equals_full_resample(self, default_trial, rate, seconds):
         clip = synth_clap(ClapSpec(onset_time=1e-4, rng_seed=2), rate, seconds)
         cfg = dataclasses.replace(default_trial, recording=clip)
-        _, cond, _, drive = harness._frontend(40e-6, 3, cfg, 0.05)
+        _, cond, _ = harness._frontend(40e-6, 3, cfg, 0.05)
+        drive = np.stack([inj.trace
+                          for inj in harness._injections(cfg, cond, rate)])
         sim_rate = round(1 / cfg.dt)
         need = round(cfg.duration * sim_rate) + 1
         full = full_resample(AudioClip(rate, cond), sim_rate / rate).samples

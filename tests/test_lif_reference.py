@@ -6,14 +6,15 @@ the reference steps out."""
 
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from itdloc import jeffress, lif
+from itdloc import harness, jeffress, lif
+from itdloc.config import InjectionSection, StimulusSection
+from itdloc.harness import TrialConfig
 from itdloc.jeffress import JeffressConfig, build
 from itdloc.lif import (
     AnalogInjection,
@@ -149,44 +150,99 @@ def test_stepper_matches_reference(case):
         assert np.array_equal(np.concatenate([tr_a.v[i], tr_b.v[i][1:]]), tr.v[i])
 
 
+_NET = build(JeffressConfig())  # only its input ids reach the drive
+
+
+def _at_threshold(params: LifParams, injection: InjectionSection) -> float:
+    """The held sample whose resting point is the threshold: the membrane
+    creeps up to it, and rounding decides whether and when it fires."""
+    if injection.mode == "trigger":
+        return params.v_thresh
+    g = 1.0 / (injection.r_src * params.c_m)
+    return (params.v_thresh * (1.0 / params.tau_m + g)
+            - params.v_leak / params.tau_m) / g
+
+
 @st.composite
-def injected_inputs(draw):
-    """1-3 neurons without synapses, one injection each, on traces long
-    enough to fire several times; a run length and a screen chunk size."""
-    neurons = tuple(draw(st.lists(_params, min_size=1, max_size=3)))
-    injections = [AnalogInjection(
-        i, np.array(draw(st.lists(_floats(0.4, 1.6), min_size=1, max_size=40))),
-        draw(_floats(1e5, 2e6)), r_src=draw(_floats(5e4, 5e5)),
-        mode=draw(st.sampled_from(("resistive", "trigger"))))
-        for i in range(len(neurons))]
-    return (NetworkSpec(neurons, injections=injections),
-            draw(st.integers(1, 400)), draw(st.integers(1, 64)))
+def screened_inputs(draw):
+    """Input params, an injection section, a step, a sample rate, two
+    conditioned channels and a run length. Rates need not divide 1 / dt,
+    nor 1 / dt be whole, clips may end before the run, and samples may sit
+    at or near the level whose resting point is the threshold."""
+    params = draw(_params)
+    injection = InjectionSection(draw(_floats(5e4, 5e5)),
+                                 draw(st.sampled_from(("resistive", "trigger"))))
+    rate = draw(st.one_of(st.sampled_from((44100, 48000, 192000, 8_000_000)),
+                          st.integers(1000, 30_000_000)))
+    sample = _floats(0.2, 1.6)
+    if draw(st.booleans()):
+        level = _at_threshold(params, injection)
+        sample = st.one_of(sample, st.sampled_from(
+            (level, level - 1e-10, level + 1e-10, level - 1e-3, level + 1e-3)))
+    dt = draw(st.sampled_from((DT, 7e-8, 3e-8)))
+    n_samples = draw(st.integers(1, 60))
+    assume(round(n_samples * round(1 / dt) / rate) >= 1)  # resamples to some
+    rows = draw(st.lists(st.lists(sample, min_size=n_samples, max_size=n_samples),
+                         min_size=2, max_size=2))
+    return params, injection, dt, rate, np.array(rows), draw(st.integers(1, 3000))
 
 
-@settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
-@given(injected_inputs())
+def _stepped_input_spikes(params, injection, dt, rate, samples, n_steps) -> list:
+    """The first two spike steps of each input, stepped on the drive that
+    run_trial_detailed resamples from the samples."""
+    cfg = TrialConfig(net=_NET, stimulus=StimulusSection(duration=n_steps * dt),
+                      injection=injection, dt=dt)
+    spec = NetworkSpec((params, params),
+                       injections=harness._injections(cfg, samples, rate))
+    rec, _ = Simulation(spec, dt).run(n_steps * dt)
+    return [[round(t / dt) for t in rec.spikes_of(i)][:2] for i in (0, 1)]
+
+
+@settings(max_examples=120, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(screened_inputs())
 def test_input_screen_matches_stepper(case):
-    spec, n_steps, chunk = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # short traces are padded by design
-        rec, _ = Simulation(spec, DT).run(n_steps * DT)
-    with mock.patch.object(lif, "_CHUNK", chunk):  # spikes across chunks
-        screened = Simulation(spec, DT).injected_spike_steps(n_steps, 1e-9)
+    params, injection, dt, rate, samples, n_steps = case
+    screened = lif.injected_spike_steps(params, injection, dt, n_steps,
+                                        samples, rate, 1e-9)
     if screened is not None:  # None: a membrane came within 1 nV
-        assert screened == [
-            [round(t / DT) for t in rec.spikes_of(i)][:2]
-            for i in range(spec.n_neurons)]
+        assert screened == _stepped_input_spikes(*case)
+
+
+@pytest.mark.parametrize("mode", ["resistive", "trigger"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_input_screen_at_the_range_edge(default_net, stage_delay, sign, mode):
+    # a clap at ITD +-(N - 1) delta, noiseless and noisy: the screen gives
+    # the input spikes that the full stepped trial records
+    cfg = TrialConfig(net=default_net, injection=InjectionSection(mode=mode))
+    itd = sign * (default_net.n_stages - 1) * stage_delay
+    n_steps = round(cfg.duration / DT)
+    for seed, noise in ((None, 0.0), (3, 0.07)):
+        stereo, cond, _ = harness._frontend(itd, seed, cfg, noise)
+        screened = lif.injected_spike_steps(
+            default_net.config.input_params, cfg.injection, DT, n_steps, cond,
+            stereo.sample_rate, 1e-9)
+        record = harness.run_trial_detailed(itd, seed, cfg,
+                                            noise_amplitude=noise).record
+        assert screened == [[round(t / DT) for t in record.spikes_of(i)][:2]
+                            for i in (default_net.input_left,
+                                      default_net.input_right)]
+        assert all(screened)
 
 
 def test_input_screen_refuses_a_membrane_at_threshold():
-    # a drive whose resting point is the threshold: the membrane creeps up
-    # to it, and rounding decides whether and when it fires
     p = LifParams()
-    g = 1.0 / (110e3 * p.c_m)
-    level = (p.v_thresh * (1.0 / p.tau_m + g) - p.v_leak / p.tau_m) / g
-    spec = NetworkSpec((p,), injections=[
-        AnalogInjection(0, np.full(10, level), 1e7)])
-    assert Simulation(spec, DT).injected_spike_steps(3000, 1e-9) is None
+    for mode in ("resistive", "trigger"):
+        injection = InjectionSection(mode=mode)
+        samples = np.full((2, 10), _at_threshold(p, injection))
+        assert lif.injected_spike_steps(p, injection, DT, 3000, samples,
+                                        192000, 1e-9) is None
+        # 1 mV higher it fires, and the screen gives the stepper's spikes
+        samples += 1e-3
+        screened = lif.injected_spike_steps(p, injection, DT, 3000, samples,
+                                            192000, 1e-9)
+        assert screened == _stepped_input_spikes(p, injection, DT, 192000,
+                                                 samples, 3000)
+        assert screened[0]
 
 
 def reference_tables(net) -> tuple:
