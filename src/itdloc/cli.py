@@ -37,10 +37,18 @@ def _load(args) -> RunConfig:
 
 def _trial(cfg: RunConfig, wav: str | None) -> harness.TrialConfig:
     """The trial `cfg` describes, on a network built from it, with the
-    recording at `wav` in place of the synthetic clap if one is named."""
+    recording at `wav` in place of the synthetic clap if one is named. A
+    recording that resamples to no sample at 1 / dt is an input error."""
     net = jeffress.build(cfg.network)
-    return harness.TrialConfig.from_run(
-        cfg, net, recording=load_wav(wav) if wav else None)
+    recording = load_wav(wav) if wav else None
+    if recording is not None:
+        rate = round(1.0 / cfg.dt)
+        if round(recording.n_samples * rate / recording.sample_rate) < 1:
+            raise WavError(
+                f"{wav}: {recording.n_samples} sample(s) at "
+                f"{recording.sample_rate} Hz resample to none at 1 / dt = "
+                f"{rate} Hz")
+    return harness.TrialConfig.from_run(cfg, net, recording=recording)
 
 
 def cmd_calibrate(args) -> int:

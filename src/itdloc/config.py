@@ -68,6 +68,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_dt((self.network.input_params, self.network.neuron_params), self.dt)
+        stim = self.stimulus
+        if stim.wav is None and stim.duration <= stim.clap.onset_time:
+            raise ValueError("stimulus.duration must exceed the clap "
+                             "onset_time unless stimulus.wav replaces the clap")
 
 
 def _build(cls, data, path):

@@ -20,6 +20,7 @@ from scipy.signal import lfilter
 
 WEIGHT_LEVELS = 63  # signed 6-bit weight range
 _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
+_CSV_STEPS = 1024  # steps of a trace CSV formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,15 @@ class TraceSet:
         ids = sorted(self.v)
         with open(path, "w") as fh:
             fh.write("time_s,neuron_id,v_volts,i_syn_amps\n")
-            for k, t in enumerate(self.times):
-                for i in ids:
-                    fh.write(f"{t:.9f},{i},{self.v[i][k]:.9f},{self.i_syn[i][k]:.6e}\n")
+            # one template per step, filled from columns taken a chunk of
+            # steps at a time; each chunk is written as one string
+            row = "".join(f"%s,{i},%.9f,%.6e\n" for i in ids)
+            for lo in range(0, self.times.size, _CSV_STEPS):
+                part = slice(lo, lo + _CSV_STEPS)
+                t = [f"{x:.9f}" for x in self.times[part].tolist()]
+                cols = [col for i in ids for col in (
+                    t, self.v[i][part].tolist(), self.i_syn[i][part].tolist())]
+                fh.write("".join(row % step for step in zip(*cols)))
 
 
 def _held_index(times, sample_rate, size: int) -> np.ndarray:
@@ -271,6 +278,10 @@ class Simulation:
                            if inj.mode == "resistive"]
         self._res_targets = np.array([inj.target for inj in self._resistive],
                                      dtype=np.int64)
+        # distinct targets take their drives in one fancy add; np.add.at
+        # adds repeated ones one after another, in injection order
+        self._res_distinct = (
+            0 < np.unique(self._res_targets).size == self._res_targets.size)
         self._res_gain = np.array(
             [b[inj.target] / (inj.r_src * c_m[inj.target])
              for inj in self._resistive], dtype=float)
@@ -305,11 +316,13 @@ class Simulation:
         self.v = self._v_leak.copy()
         self.i_syn = np.zeros(n, dtype=float)
         self._free_from = np.zeros(n, dtype=np.int64)  # first unclamped step
+        self._refr = np.zeros(n, dtype=bool)  # clamped on the current step
+        self._lift = math.inf  # the first step on which a clamp lifts
         self._pending = np.zeros(n, dtype=float)
         self._pending_any = False
+        self._syn_live = False  # every i_syn is exactly 0 until a delivery
         self._t1 = np.empty(n, dtype=float)
         self._buf = np.empty(n, dtype=float)
-        self._refr = np.empty(n, dtype=bool)
         self._fired = np.empty(n, dtype=bool)
 
         self._ev_times: list[float] = []
@@ -318,7 +331,10 @@ class Simulation:
     def _emit(self, ids, step: int) -> None:
         for i in ids.tolist():
             self.v[i] = self._v_reset[i]
-            self._free_from[i] = step + self._ref_steps[i]
+            free = step + self._ref_steps[i]
+            self._free_from[i] = free
+            self._refr[i] = True
+            self._lift = min(self._lift, free)
             self._ev_times.append(step * self.dt)
             self._ev_ids.append(i)
             lo, hi = self._syn_ptr[i], self._syn_ptr[i + 1]
@@ -369,48 +385,67 @@ class Simulation:
             drives = _held(self._resistive, times) * self._res_gain
         if trig_targets.size:
             above = _held(self._triggers, times) >= self._v_thresh[trig_targets]
+        fancy = self._res_distinct
+        recorded = [(i, traces.v[i], traces.i_syn[i]) for i in traced]
 
+        v, t1, buf, i_syn, pending = (self.v, self._t1, self._buf, self.i_syn,
+                                      self._pending)
+        refr, fired, free_from = self._refr, self._fired, self._free_from
+        decay_syn, gain_syn = self._decay_syn, self._gain_syn
+        decay_v, v_rest = self._decay_v, self._v_leak_eff
+        v_reset, v_thresh = self._v_reset, self._v_thresh
+        ext, ext_steps, n_ext = self._ext, self._ext_steps, len(self._ext)
+        ext_ptr, live, lift = self._ext_ptr, self._syn_live, self._lift
         for j in range(n_steps):
             k = k0 + j
-            while (self._ext_ptr < len(self._ext)
-                   and self._ext_steps[self._ext_ptr] <= k):
-                e = self._ext[self._ext_ptr]
-                self._pending[e.target] += e.weight
+            while ext_ptr < n_ext and ext_steps[ext_ptr] <= k:
+                e = ext[ext_ptr]
+                pending[e.target] += e.weight
                 self._pending_any = True
-                self._ext_ptr += 1
+                ext_ptr += 1
 
-            self.i_syn *= self._decay_syn
+            if live:
+                i_syn *= decay_syn
             if self._pending_any:
-                self.i_syn += self._pending
-                self._pending[:] = 0.0
+                i_syn += pending
+                pending.fill(0.0)
                 self._pending_any = False
+                live = True
 
-            t1 = self._t1
-            np.subtract(self.v, self._v_leak_eff, out=t1)
-            t1 *= self._decay_v
-            t1 += self._v_leak_eff
-            np.multiply(self.i_syn, self._gain_syn, out=self._buf)
-            t1 += self._buf
-            if res_targets.size:
-                # adds repeated targets one after another, in injection order
+            np.subtract(v, v_rest, out=t1)
+            t1 *= decay_v
+            t1 += v_rest
+            if live:
+                np.multiply(i_syn, gain_syn, out=buf)
+                t1 += buf
+            if fancy:
+                t1[res_targets] += drives[j]
+            elif res_targets.size:
                 np.add.at(t1, res_targets, drives[j])
 
-            np.greater(self._free_from, k, out=self._refr)
-            np.copyto(t1, self._v_reset, where=self._refr)
+            if k >= lift:  # a clamp lifts: rebuild the mask
+                np.greater(free_from, k, out=refr)
+                clamped = free_from[refr]
+                lift = int(clamped.min()) if clamped.size else math.inf
+            if lift < math.inf:
+                np.copyto(t1, v_reset, where=refr)
             # a refractory neuron sits at v_reset < v_thresh, so cannot fire
-            np.greater_equal(t1, self._v_thresh, out=self._fired)
+            np.greater_equal(t1, v_thresh, out=fired)
             if trig_targets.size:
                 hit = trig_targets[above[j]]
-                self._fired[hit[~self._refr[hit]]] = True
+                fired[hit[~refr[hit]]] = True
 
-            self.v, self._t1 = t1, self.v
-            if self._fired.any():
-                self._emit(np.flatnonzero(self._fired), k + 1)
-            self._k = k + 1
-            for i in traced:
-                traces.v[i][j + 1] = self.v[i]
-                traces.i_syn[i][j + 1] = self.i_syn[i]
+            v, t1 = t1, v
+            if np.count_nonzero(fired):
+                self.v, self._lift = v, lift
+                self._emit(np.flatnonzero(fired), k + 1)
+                lift = self._lift
+            for i, tv, ts in recorded:
+                tv[j + 1] = v[i]
+                ts[j + 1] = i_syn[i]
 
+        self.v, self._t1, self._k = v, t1, k0 + n_steps
+        self._ext_ptr, self._syn_live, self._lift = ext_ptr, live, lift
         return SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
 
 

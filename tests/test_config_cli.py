@@ -57,7 +57,8 @@ valid_configs = st.builds(
     stimulus=st.builds(StimulusSection, sample_rate=st.integers(8000, 400000),
                        duration=_floats(1e-4, 1.0),
                        wav=st.none() | st.text(max_size=12),
-                       clap=st.builds(ClapSpec, onset_time=_floats(0.0, 1e-3),
+                       # the onset stays below the shortest duration
+                       clap=st.builds(ClapSpec, onset_time=_floats(0.0, 9e-5),
                                       rng_seed=st.integers(0, 2**32))),
     sweep=st.builds(SweepSection, itds_us=st.lists(_floats(-200.0, 200.0),
                                                    min_size=1, max_size=5),
@@ -326,15 +327,51 @@ class TestCli:
         ({"readout": {"iteration_time": 0}}, "iteration_time must be > 0"),
         ({"sweep": {"itds_us": []}}, "the ITD list must not be empty"),
         ({"dt": 1e-5}, "dt=1e-05 too coarse"),
+        ({"stimulus": {"duration": 1e-7}}, "must exceed the clap onset_time"),
+        ({"stimulus": {"duration": 1e-4}}, "must exceed the clap onset_time"),
     ], ids=["unknown-section", "one-stage", "zero-chain-weight",
             "old-neuron-key", "zero-iteration-time", "empty-itds",
-            "coarse-dt"])
+            "coarse-dt", "duration-one-step", "duration-before-onset"])
     def test_bad_config_exit_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         rc = cli.main(["config", "dump", "--config", str(path)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_short_duration_runs_on_a_config_wav(self, tmp_path):
+        # the recording replaces the clap, so its onset does not bound
+        # the duration
+        wav = tmp_path / "stim.wav"
+        write_wav_16bit(wav, synth_clap(ClapSpec(onset_time=1e-5), 192000,
+                                        1e-3).samples, 192000)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"stimulus": {"duration": 1e-4,
+                                                 "wav": str(wav)}}))
+        assert cli.main(["simulate", "--config", str(path), "--itd", "0",
+                         "--out", str(tmp_path / "sim")]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_wav_with_no_sample_at_1_over_dt_exit_2(self, command, tmp_path,
+                                                    capsys, monkeypatch):
+        # one sample at 30 MHz lasts 1/3 step of 1e-7 s: it resamples to
+        # none, so the command fails before any trial
+        trials = []
+        monkeypatch.setattr(harness, "_frontend",
+                            lambda *a: trials.append(a))
+        wav = tmp_path / "short.wav"
+        write_wav_16bit(wav, np.full((1, 1), 0.5), 30_000_000)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"stimulus": {"wav": str(wav)}}))
+        rc = cli.main([command, "--config", str(path), "--itds=0",
+                       "--trials", "1", "--out", str(tmp_path / "o")]
+                      if command == "sweep" else
+                      [command, "--wav", str(wav), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "resample to none" in err
+        assert trials == []
 
     @pytest.mark.parametrize("case", ["out-is-file", "out-under-file",
                                       "wav-is-dir"])

@@ -1,11 +1,13 @@
 """Differential tests against a scalar reference: random small networks
 must give the stepper's spike ids and times, and membranes within 1e-12 V,
-including a run split over two calls; the input screen must give the
+and a run split into random chunks, cut where clamps lift, must give the
+one-call run's spikes and traces bit for bit; the input screen must give the
 stepper's input spikes; and the event engine's probe tables must be those
 the reference steps out."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +103,7 @@ _params = st.builds(LifParams, tau_m=_floats(1e-6, 3e-5), tau_syn=_floats(1e-6, 
 def networks(draw):
     """A NetworkSpec of 1-6 neurons with random synapses, resistive and
     trigger injections on short traces, and external spikes; plus a run
-    length in steps and a split point."""
+    length in steps."""
     neurons = tuple(draw(st.lists(_params, min_size=1, max_size=6)))
     n = len(neurons)
     ids = st.integers(0, n - 1)
@@ -117,37 +119,63 @@ def networks(draw):
                                        _floats(-2e-7, 6e-7)), max_size=4))
     spec = NetworkSpec(neurons=neurons, synapses=synapses, injections=injections,
                        external_spikes=external)
-    return spec, n_steps, draw(st.integers(1, n_steps - 1))
+    return spec, n_steps
+
+
+def _clamps(spec: NetworkSpec, times, ids) -> list:
+    """(spike step, lift step, neuron) of each reference spike: the neuron
+    is clamped from the spike step up to, not including, the lift step."""
+    steps = [round(t / DT) for t in times]
+    return [(s, s + math.ceil(spec.neurons[i].t_ref / DT - 1e-9), i)
+            for s, i in zip(steps, ids)]
 
 
 # the explain phase, which reruns a failure with parts of the example
 # varied, ran for minutes at gigabytes of memory on this property
 @settings(max_examples=40, deadline=None, phases=set(Phase) - {Phase.explain})
-@given(networks())
-def test_stepper_matches_reference(case):
-    spec, n_steps, split = case
+@given(networks(), st.data())
+def test_stepper_matches_reference(case, data):
+    spec, n_steps = case
     n = spec.n_neurons
     times, ids, v_ref = reference_run(spec, DT, n_steps)
+    clamps = _clamps(spec, times, ids)
+    if clamps:  # external spikes that land on a clamped neuron
+        landing = st.sampled_from(clamps).flatmap(lambda c: st.builds(
+            ExternalSpike, st.integers(c[0], c[1] - 1).map(lambda s: s * DT),
+            st.just(c[2]), _floats(-2e-7, 6e-7)))
+        extra = data.draw(st.lists(landing, max_size=3), label="on clamped")
+        spec = replace(spec, external_spikes=spec.external_spikes + tuple(extra))
+        times, ids, v_ref = reference_run(spec, DT, n_steps)
+        clamps = _clamps(spec, times, ids)
+    # chunk boundaries: anywhere, and where a clamp lifts or inside a clamp
+    cut = st.integers(1, n_steps - 1)
+    if clamps:
+        cut = st.one_of(cut, st.sampled_from(clamps).flatmap(
+            lambda c: st.one_of(st.just(c[1]), st.integers(c[0] + 1, c[1]))))
+    cuts = data.draw(st.lists(cut, min_size=1, max_size=6), label="cuts")
+    bounds = [0, *sorted({c for c in cuts if 0 < c < n_steps}), n_steps]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short traces are padded by design
-        sim = Simulation(spec, DT)
-        rec, tr = sim.run(n_steps * DT, record_traces=range(n))
-        split_sim = Simulation(spec, DT)
-        _, tr_a = split_sim.run(split * DT, record_traces=range(n))
-        split_rec, tr_b = split_sim.run((n_steps - split) * DT,
-                                        record_traces=range(n))
+        rec, tr = Simulation(spec, DT).run(n_steps * DT, record_traces=range(n))
+        chunked = Simulation(spec, DT)
+        parts = [chunked.run((b - a) * DT, record_traces=range(n))
+                 for a, b in zip(bounds, bounds[1:])]
 
     assert rec.ids.tolist() == ids
     assert rec.times.tolist() == times
     v = np.stack([tr.v[i] for i in range(n)], axis=1)
     assert np.max(np.abs(v - v_ref)) <= 1e-12
-    # two calls continue exactly where one call of the summed length goes
-    assert split_rec.ids.tolist() == ids
-    assert split_rec.times.tolist() == times
-    assert np.array_equal(tr_b.times, tr.times[split:])
-    for i in range(n):
-        assert np.array_equal(np.concatenate([tr_a.v[i], tr_b.v[i][1:]]), tr.v[i])
+    # the calls continue exactly where one call of the summed length goes
+    chunked_rec = parts[-1][0]
+    assert chunked_rec.ids.tolist() == ids
+    assert chunked_rec.times.tolist() == times
+    for a, (_, part) in zip(bounds, parts):
+        assert np.array_equal(part.times, tr.times[a:a + part.times.size])
+        for i in range(n):
+            assert np.array_equal(part.v[i], tr.v[i][a:a + part.times.size])
+            assert np.array_equal(part.i_syn[i],
+                                  tr.i_syn[i][a:a + part.times.size])
 
 
 _NET = build(JeffressConfig())  # only its input ids reach the drive
