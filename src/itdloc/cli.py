@@ -18,6 +18,7 @@ from . import harness, jeffress, readout
 from .config import (
     ConfigError,
     RunConfig,
+    check_itds,
     dump_config,
     load_config,
     save_config,
@@ -80,7 +81,9 @@ def cmd_simulate(args) -> int:
     net = trial_cfg.net
     # noiseless and fully deterministic unless a seed asks for a noisy shot
     noise = cfg.sweep.noise_amplitude if args.seed is not None else 0.0
-    itd = (args.itd or 0.0) * 1e-6
+    itd_us = args.itd or 0.0
+    check_itds([itd_us], trial_cfg.mono_stimulus().duration)
+    itd = itd_us * 1e-6
     traced = [int(x) for x in args.traces.split(",")] if args.traces else []
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
@@ -111,6 +114,7 @@ def cmd_sweep(args) -> int:
     itds_us = cfg.sweep.itds_us
     if args.itds is not None:  # "--itds=" is an error, not the default list
         itds_us = tuple(float(x) for x in args.itds.split(","))
+    check_itds(itds_us, trial_cfg.mono_stimulus().duration)
     sweep_cfg = harness.SweepConfig(
         trial=trial_cfg,
         itds=tuple(x * 1e-6 for x in itds_us),
@@ -136,6 +140,7 @@ def cmd_oracle(args) -> int:
         if args.itd is None:
             raise ValueError(
                 "mono input: pass --itd US to self-shift it for the oracle")
+        check_itds([args.itd], clip.duration)
         clip = apply_itd(clip, args.itd * 1e-6)
     max_lag = min(0.49 * clip.duration, 500e-6)
     itd = harness.xcorr_oracle(clip, max_lag)

@@ -69,9 +69,26 @@ class RunConfig:
     def __post_init__(self):
         check_dt((self.network.input_params, self.network.neuron_params), self.dt)
         stim = self.stimulus
-        if stim.wav is None and stim.duration <= stim.clap.onset_time:
+        if stim.wav is not None:  # the recording's length is known at run time
+            return
+        if stim.duration <= stim.clap.onset_time:
             raise ValueError("stimulus.duration must exceed the clap "
                              "onset_time unless stimulus.wav replaces the clap")
+        # the synthesized clap's length, as synth_clap rounds it
+        n = int(round(stim.duration * stim.sample_rate))
+        if n < 1:
+            raise ValueError(
+                f"stimulus.duration={stim.duration:g}s gives no sample at "
+                f"stimulus.sample_rate={stim.sample_rate} Hz")
+        check_itds(self.sweep.itds_us, n / stim.sample_rate)
+
+
+def check_itds(itds_us, clip_duration: float) -> None:
+    """Every ITD must be shorter than the clip it delays (apply_itd)."""
+    worst = max(abs(x) for x in itds_us)
+    if worst * 1e-6 >= clip_duration:
+        raise ConfigError(f"|itd|={worst:g}us must be smaller than the clip "
+                         f"duration {clip_duration * 1e6:g}us")
 
 
 def _build(cls, data, path):

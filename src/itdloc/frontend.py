@@ -9,7 +9,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 class WavError(ValueError):
@@ -244,6 +243,8 @@ def condition(samples: np.ndarray, sample_rate: float, params: FrontEndParams) -
     max(x - v_diode, v_floor) and clamp to v_clip. Output is always
     inside [v_floor, v_clip].
     """
+    from scipy.signal import lfilter
+
     x = np.asarray(samples, dtype=float) * params.preamp_gain
     if not np.all(np.isfinite(x)):
         raise ValueError("condition input must be finite")

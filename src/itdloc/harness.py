@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import correlate, correlation_lags
 
 from .config import InjectionSection, RunConfig, StimulusSection, SweepSection
 from .frontend import (
@@ -356,6 +355,8 @@ def xcorr_oracle(stereo: AudioClip, max_lag: float) -> float:
     cross-correlation peak between the two channels, refined by parabolic
     interpolation. Positive values mean the right channel lags, matching
     apply_itd's sign."""
+    from scipy.signal import correlate, correlation_lags
+
     if stereo.n_channels != 2:
         raise ValueError("xcorr_oracle needs a stereo clip")
     if max_lag >= stereo.duration:

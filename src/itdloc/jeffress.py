@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lif import (
     _STEP_SLACK,
@@ -440,6 +439,8 @@ def woodworth_angle(itd: float, geom: GeometryParams,
     """Invert the Woodworth map by Brent's method on the strictly
     increasing forward formula. The root is bracketed to 1e-10 rad, so the
     returned angle reproduces the ITD well inside `residual_tol` seconds."""
+    from scipy.optimize import brentq
+
     bound = woodworth_itd(math.pi / 2, geom)
     if abs(itd) > bound + residual_tol:
         raise ValueError(

@@ -16,7 +16,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 WEIGHT_LEVELS = 63  # signed 6-bit weight range
 _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
@@ -500,6 +499,8 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
     stepper's up to rounding: None if a membrane, or a trigger sample,
     comes within margin volts of threshold.
     """
+    from scipy.signal import lfilter
+
     samples = np.atleast_2d(samples)
     pos, j, first, m, alpha, beta, d, gain, v_rest = _audio_intervals(
         params, injection, dt, n_steps, sample_rate, samples.shape[1])

@@ -55,7 +55,9 @@ valid_configs = st.builds(
     readout=st.builds(ReadoutSection, iteration_time=_floats(1e-6, 1e-2),
                       dead_time=_floats(0.0, 1.0)),
     stimulus=st.builds(StimulusSection, sample_rate=st.integers(8000, 400000),
-                       duration=_floats(1e-4, 1.0),
+                       # the shortest clip, at least 300 - 62.5 us after
+                       # rounding to samples, is longer than every ITD
+                       duration=_floats(3e-4, 1.0),
                        wav=st.none() | st.text(max_size=12),
                        # the onset stays below the shortest duration
                        clap=st.builds(ClapSpec, onset_time=_floats(0.0, 9e-5),
@@ -312,6 +314,15 @@ class TestCli:
         est = float(capsys.readouterr().out.split("itd_us=")[1])
         assert est == pytest.approx(100.0, abs=2.6)
 
+    def test_oracle_itd_past_a_mono_clip_exit_2(self, tmp_path, capsys):
+        wav = tmp_path / "m.wav"  # 2.08 ms
+        write_wav_16bit(wav, np.sin(np.linspace(0, 50, 400)), 192000)
+        rc = cli.main(["oracle", "--wav", str(wav), "--itd", "5000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be smaller than the clip duration" in err
+
     def test_oracle_mono_without_itd_exit_3(self, tmp_path, capsys):
         wav = tmp_path / "m.wav"
         write_wav_16bit(wav, np.sin(np.linspace(0, 50, 4000)), 192000)
@@ -329,9 +340,14 @@ class TestCli:
         ({"dt": 1e-5}, "dt=1e-05 too coarse"),
         ({"stimulus": {"duration": 1e-7}}, "must exceed the clap onset_time"),
         ({"stimulus": {"duration": 1e-4}}, "must exceed the clap onset_time"),
+        ({"stimulus": {"sample_rate": 8000, "duration": 5e-5,
+                       "clap": {"onset_time": 1e-5}}}, "gives no sample"),
+        ({"stimulus": {"duration": 3e-4}, "sweep": {"itds_us": [0, 400]}},
+         "|itd|=400us must be smaller than the clip duration"),
     ], ids=["unknown-section", "one-stage", "zero-chain-weight",
             "old-neuron-key", "zero-iteration-time", "empty-itds",
-            "coarse-dt", "duration-one-step", "duration-before-onset"])
+            "coarse-dt", "duration-one-step", "duration-before-onset",
+            "duration-under-one-sample", "itd-past-clip"])
     def test_bad_config_exit_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -350,6 +366,51 @@ class TestCli:
                                                  "wav": str(wav)}}))
         assert cli.main(["simulate", "--config", str(path), "--itd", "0",
                          "--out", str(tmp_path / "sim")]) == 0
+
+    @pytest.mark.parametrize("case", ["simulate-itd", "sweep-itds",
+                                      "sweep-config", "simulate-wav",
+                                      "sweep-config-wav"])
+    def test_itd_past_the_clip_exit_2(self, case, tmp_path, capsys,
+                                      monkeypatch):
+        # an ITD the clip cannot hold is an input error, found before any
+        # trial: from the flags, from the config, or against a recording
+        trials = []
+        monkeypatch.setattr(harness, "_frontend",
+                            lambda *a: trials.append(a))
+        wav = tmp_path / "short.wav"  # 98.96 us
+        write_wav_16bit(wav, synth_clap(ClapSpec(onset_time=1e-5), 192000,
+                                        1e-4).samples, 192000)
+        path = tmp_path / "run.json"
+        out = ["--out", str(tmp_path / "o")]
+        argv = {
+            "simulate-itd": ["simulate", "--itd", "2000", *out],
+            "sweep-itds": ["sweep", "--trials", "1", "--itds=0,2000", *out],
+            "sweep-config": ["sweep", "--config", str(path), "--trials", "1",
+                             *out],
+            "simulate-wav": ["simulate", "--wav", str(wav), "--itd", "-100",
+                             *out],
+            "sweep-config-wav": ["sweep", "--config", str(path), "--trials",
+                                 "1", *out],
+        }[case]
+        doc = ({"stimulus": {"wav": str(wav)}} if case == "sweep-config-wav"
+               else {"stimulus": {"duration": 3e-4},
+                     "sweep": {"itds_us": [0, 400]}})
+        path.write_text(json.dumps(doc))
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be smaller than the clip duration" in err
+        assert trials == []
+
+    def test_itd_inside_the_clip_runs(self, tmp_path):
+        # 1e-4 s at 192 kHz rounds to 19 samples, 98.96 us: they hold an
+        # ITD of 98 us
+        wav = tmp_path / "short.wav"
+        write_wav_16bit(wav, synth_clap(ClapSpec(onset_time=1e-5), 192000,
+                                        1e-4).samples, 192000)
+        assert cli.main(["simulate", "--wav", str(wav), "--itd", "98",
+                         "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_wav_with_no_sample_at_1_over_dt_exit_2(self, command, tmp_path,

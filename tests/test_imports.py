@@ -1,0 +1,73 @@
+"""What a fresh interpreter loads: itdloc itself needs only numpy, and
+scipy loads in the functions that filter, correlate or find a root."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import itdloc
+from itdloc import harness
+
+SRC = str(Path(itdloc.__file__).resolve().parents[1])
+NOISY = (40e-6, 7, 0.07)  # itd, seed, noise amplitude
+
+
+def _fresh(code: str, *args: str) -> str:
+    """Standard output of `code` run in a new interpreter that imports this
+    checkout's itdloc."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return proc.stdout
+
+
+def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
+    code = """if True:
+        import contextlib, io, json, sys
+
+        def scipy():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        seen = {}
+        import itdloc
+        from itdloc import cli
+        seen["import"] = scipy()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = [cli.main(["config", "dump"])]
+            seen["config dump"] = scipy()
+            rc.append(cli.main(["calibrate", "--out", sys.argv[1]]))
+        seen["calibrate"] = scipy()
+        print(json.dumps({"rc": rc, "seen": seen}))
+    """
+    out = json.loads(_fresh(code, str(tmp_path / "cal")))
+    assert out["rc"] == [0, 0]
+    assert out["seen"] == {"import": [], "config dump": [], "calibrate": []}
+    assert (tmp_path / "cal" / "tuned_config.json").is_file()
+
+
+def test_noisy_trial_loads_scipy_signal_and_matches(default_trial):
+    code = """if True:
+        import dataclasses, json, sys
+        from itdloc import harness, jeffress
+
+        itd, seed, noise = json.loads(sys.argv[1])
+        before = "scipy.signal" in sys.modules
+        cfg = harness.TrialConfig(net=jeffress.build(jeffress.JeffressConfig()))
+        res = harness.run_trial(itd, seed, cfg, noise_amplitude=noise)
+        print(json.dumps({"before": before,
+                          "after": "scipy.signal" in sys.modules,
+                          "result": dataclasses.astuple(res)}))
+    """
+    out = json.loads(_fresh(code, json.dumps(NOISY)))
+    itd, seed, noise = NOISY
+    here = harness.run_trial(itd, seed, default_trial, noise_amplitude=noise)
+    assert (out["before"], out["after"]) == (False, True)
+    assert not here.miss
+    # json writes each float by repr, so equal tuples are equal bits
+    assert out["result"] == list(dataclasses.astuple(here))
