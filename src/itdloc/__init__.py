@@ -69,7 +69,6 @@ from .readout import (
     PwmConfig,
     ReadoutConfig,
     poll_loop,
-    pwm_edges,
     pwm_pulse_width,
     serial_decode,
     serial_encode,

@@ -22,7 +22,7 @@ from .frontend import (
     synth_clap,
 )
 from .jeffress import JeffressNetwork, probe_tables
-from .lif import AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
+from .lif import _MARGIN, AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
@@ -231,9 +231,6 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     return TrialDetail(result=_result(events, crossing), record=record,
                        traces=traces, events=tuple(events), stereo=stereo,
                        conditioned=AudioClip(stereo.sample_rate, cond))
-
-
-_MARGIN = 1e-9  # volts; an input membrane this near threshold is stepped
 
 
 def _run_exact(cfg: TrialConfig, cond, fs: int, crossing) -> TrialResult | None:

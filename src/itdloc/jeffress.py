@@ -10,14 +10,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lif import (
+    _MARGIN,
     _STEP_SLACK,
     ExternalSpike,
     LifParams,
     NetworkSpec,
     Simulation,
     SynapseSpec,
+    _propagator,
     check_dt,
     quantize_weight,
 )
@@ -68,19 +71,23 @@ def _psp_steps(params: LifParams, dt: float) -> tuple:
     return peak, max(1, peak // 4)
 
 
-def kick_fire_step(params: LifParams, weight: float, dt: float) -> int | None:
-    """The step D on which a neuron at rest fires after one synaptic kick
-    of `weight` amperes on step 0, stepped by Simulation: a neuron kicked
-    on step s fires on step s + D. None if it has not fired once its PSP
-    is past its peak."""
+def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
+                   trace: bool = False):
+    """The step D on which a neuron at rest fires after a synaptic kick of
+    `weight` amperes on each step in `at` (ascending), stepped by
+    Simulation: a neuron kicked once on step s fires on step s + D. None if
+    it has not fired once the PSP of its last kick is past its peak. With
+    trace, a pair of that step and the membrane at each step boundary."""
     peak, chunk = _psp_steps(params, dt)
-    sim = Simulation(NetworkSpec((params,), external_spikes=(
-        ExternalSpike(0.0, 0, weight),)), dt)
-    for _ in range(-(-(peak + 2) // chunk)):
-        record, _ = sim.run(chunk * dt)
+    chunks = -(-(at[-1] + peak + 2) // chunk)
+    sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
+        ExternalSpike(s * dt, 0, weight) for s in at)), dt)
+    for steps in [chunks * chunk] if trace else [chunk] * chunks:
+        record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
         if len(record):
-            return int(round(record.times[0] / dt))
-    return None
+            break
+    step = int(round(record.times[0] / dt)) if len(record) else None
+    return (step, traces.v[0]) if trace else step
 
 
 def single_spike_fire_weight(params: LifParams) -> float:
@@ -281,37 +288,62 @@ def _fires_once(net: JeffressNetwork) -> bool:
                       max(abs(net.chain_weight), 2 * abs(net.coincidence_weight)))
 
 
+def _lone_psp(params: LifParams, weight: float, dt: float, n: int) -> np.ndarray:
+    """v - v_leak on step boundaries 0..n after one kick of `weight` on step
+    0: the stepper's y[s] = decay y[s - 1] + gain weight ds^(s - 1), summed
+    as gain weight hi^(s - 1) (1 + r + ... + r^(s - 1)) with r = lo / hi
+    for the decays lo <= hi, which stays stable when tau_m == tau_syn."""
+    decay, b, _ = (float(x[0]) for x in _propagator(
+        np.array([params.tau_m]), np.array([params.v_leak]), np.zeros(1), dt))
+    lo, hi = sorted((decay, math.exp(-dt / params.tau_syn)))
+    m = np.arange(n, dtype=float)
+    return np.concatenate(([0.0], b / params.c_m * weight * hi ** m
+                           * np.cumsum((lo / hi) ** m)))
+
+
 def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
-    """Read (stage, reach, fire) off probes from rest: a chain neuron
-    kicked on step s fires on step s + stage (never if None; see
-    kick_fire_step); a detector kicked on steps a and b fires on
-    step max(a, b) + fire[|b - a|] if |b - a| <= reach and that is >= 0,
-    else never. The detector tables come from one lone detector and
-    detector copies kicked on step 0 and at offsets 0..K. Any PSP has
-    peaked `top` steps (the lone PSP's peak) after its last kick, and past
-    top the first PSP only falls, so the first silent offset past top ends
-    the reach. None unless _fires_once(net), or when a detector fires on
-    one kick."""
+    """(stage, reach, fire): a chain neuron kicked on step s fires on step
+    s + stage (never if None; see kick_fire_step); a detector kicked on
+    steps a and b fires on step max(a, b) + fire[|b - a|] if |b - a| <=
+    reach and that is >= 0, else never. Below threshold the membrane is
+    linear: a detector kicked on steps 0 and off sits at v_leak + y[off + m]
+    + y[m] m steps after its second kick, y the lone PSP, which peaks on
+    step top; fire[off] is the first m <= top + 1 at which that reaches
+    threshold, for off <= 3 * peak. Past top the first PSP only falls, so
+    the first silent offset past top ends the reach. A copy, the lone PSP's
+    peak or its step that comes within _MARGIN of going the other way is
+    decided by stepping (kick_fire_step). None unless _fires_once(net),
+    when a detector fires on one kick, or when no offset is silent."""
     if not _fires_once(net):
         return None
     params, w_coin = net.config.neuron_params, net.coincidence_weight
-    peak, chunk = _psp_steps(params, dt)
-    k, done, lone, silent = 3 * peak, 0, [], ()
-    kicks = [ExternalSpike(0.0, 0, w_coin)] + [
-        ExternalSpike(t, 1 + off, w_coin) for off in range(k + 1)
-        for t in (0.0, off * dt)]
-    sim = Simulation(NetworkSpec((params,) * (k + 2), external_spikes=kicks), dt)
-    while not len(silent):
-        record, traces = sim.run(chunk * dt, record_traces=[0])
-        lone.append(traces.v[0][1:])
-        done += chunk
-        top = int(np.argmax(np.concatenate(lone))) + 1
-        ids, steps = record.ids, np.rint(record.times / dt).astype(np.int64)
-        fire = np.full(k + 1, -1, dtype=np.int64)
-        fire[ids[ids >= 1] - 1] = steps[ids >= 1] - (ids[ids >= 1] - 1)
-        silent = np.flatnonzero(fire[top:done - top] < 0)  # settled pairs
-        if 0 in ids or (not silent.size and done > k + top):
+    thresh = params.v_thresh - params.v_leak
+    peak = _psp_steps(params, dt)[0]
+    k, y = 3 * peak, _lone_psp(params, w_coin, dt, 5 * peak)
+    top = int(np.argmax(y))
+    if (abs(y[top] - thresh) < _MARGIN
+            or np.count_nonzero(y > y[top] - _MARGIN) > 1):
+        lone, v = kick_fire_step(params, w_coin, dt, trace=True)
+        if lone is not None:
             return None
+        top = int(np.argmax(v))
+    elif y[top] >= thresh:
+        return None
+    # row off, column m: the copy kicked on steps 0 and off, m steps on
+    pair = sliding_window_view(y, top + 2)[:k + 1] + y[:top + 2]
+    hit = pair >= thresh
+    fire = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
+    # the values the stepper compares: up to the first hit, or all
+    last = np.where(fire < 0, top + 1, fire)[:, None]
+    near = (np.abs(pair - thresh) < _MARGIN) & (np.arange(top + 2) <= last)
+    for off in np.flatnonzero(near.any(axis=1)).tolist():
+        if (fire[top:off] < 0).any():  # past the reach
+            break
+        step = kick_fire_step(params, w_coin, dt, at=(0, off))
+        fire[off] = -1 if step is None else step - off
+    silent = np.flatnonzero(fire[top:] < 0)
+    if not silent.size:
+        return None
     reach = top + int(silent[0]) - 1
     return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
 

@@ -19,6 +19,7 @@ import numpy as np
 
 WEIGHT_LEVELS = 63  # signed 6-bit weight range
 _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
+_MARGIN = 1e-9  # volts; a membrane this near threshold is decided by stepping
 _CSV_STEPS = 1024  # steps of a trace CSV formatted and written at a time
 
 

@@ -117,24 +117,16 @@ def pwm_pulse_width(direction: float, n_detectors: int, cfg: PwmConfig) -> float
     return cfg.pulse_min + frac * (cfg.pulse_max - cfg.pulse_min)
 
 
-def pwm_edges(direction: float, n_detectors: int, cfg: PwmConfig,
-              n_periods: int = 1):
-    """Yield (time_s, level) edges of the PWM signal: a rising edge at each
-    period start and a falling edge one pulse width later."""
-    width = pwm_pulse_width(direction, n_detectors, cfg)
-    for k in range(n_periods):
-        t0 = k * cfg.period
-        yield (t0, 1)
-        yield (t0 + width, 0)
-
-
 def write_pwm_csv(path, direction: float, n_detectors: int, cfg: PwmConfig,
                   n_periods: int = 5) -> None:
-    """Export the edge schedule as (t_s, level) CSV."""
+    """Export the PWM edge schedule as (t_s, level) CSV: a rising edge at
+    each period start and a falling edge one pulse width later."""
+    width = pwm_pulse_width(direction, n_detectors, cfg)
     with open(path, "w") as fh:
         fh.write("t_s,level\n")
-        for t, level in pwm_edges(direction, n_detectors, cfg, n_periods):
-            fh.write(f"{t:.9f},{level}\n")
+        for k in range(n_periods):
+            t0 = k * cfg.period
+            fh.write(f"{t0:.9f},1\n{t0 + width:.9f},0\n")
 
 
 def serial_encode(event: DirectionEvent) -> str:

@@ -1,6 +1,8 @@
 """Strict config round-tripping and the command-line surface: subcommands,
 outputs and exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -499,3 +501,29 @@ class TestCli:
         assert rc == 3
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                min_size=1, max_size=6))
+def test_simulate_on_a_mutated_wav_header(tmp_path_factory, mutations):
+    # any bytes in the 44-byte header of a valid WAV: simulate runs, or
+    # exits with its documented code and one error line, never a traceback
+    tmp = tmp_path_factory.mktemp("wav")
+    wav, path = tmp / "m.wav", tmp / "run.json"
+    write_wav_16bit(wav, synth_clap(ClapSpec(onset_time=1e-5), 192000,
+                                    3e-4).samples, 192000)
+    data = bytearray(wav.read_bytes())
+    for at, byte in mutations:
+        data[at] = byte
+    wav.write_bytes(bytes(data))
+    path.write_text(json.dumps({"network": {"n_stages": 8},
+                                "stimulus": {"duration": 3e-4}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["simulate", "--config", str(path), "--wav", str(wav),
+                       "--out", str(tmp / "o")])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3)
+    assert [line for line in lines if line.startswith("error:")] == (
+        [] if rc == 0 else lines[-1:])

@@ -462,7 +462,8 @@ class TestEventEngine:
         quiet = TrialConfig(
             net=default_net,
             stimulus=StimulusSection(clap=ClapSpec(amplitude=0.3, rng_seed=5)))
-        assert quiet._tables[0] == 38  # probes step once per TrialConfig
+        # of the tables only D steps, once per TrialConfig
+        assert quiet._tables[0] == 38
         steps = []
 
         class Counting(harness.Simulation):

@@ -273,33 +273,39 @@ def test_input_screen_refuses_a_membrane_at_threshold():
         assert screened[0]
 
 
-def reference_tables(net) -> tuple:
+def reference_tables(net, dt: float = DT) -> tuple | None:
     """The chain delay D, the widest coincident offset W and the detector
     delays g by offset, stepped out by reference_run: one chain neuron
     kicked from rest, one detector kicked once, then a detector kicked at
-    0 and at each offset until the first offset past the lone PSP's peak
-    that stays silent."""
+    0 and at each offset up to 3 * peak until the first offset past the
+    lone PSP's peak that stays silent. None if the lone detector fires or
+    no such offset is silent."""
     params = net.config.neuron_params
-    peak = math.ceil(max(params.tau_m, params.tau_syn) / DT)
+    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
 
     def kicked(kicks, n_steps):
         spec = NetworkSpec((params,), external_spikes=[
-            ExternalSpike(step * DT, 0, w) for step, w in kicks])
-        times, _, history = reference_run(spec, DT, n_steps)
-        return [round(t / DT) for t in times], history[:, 0]
+            ExternalSpike(step * dt, 0, w) for step, w in kicks])
+        times, _, history = reference_run(spec, dt, n_steps)
+        return [round(t / dt) for t in times], history[:, 0]
 
     chain, _ = kicked([(0, net.chain_weight)], 4 * peak)
     lone, v = kicked([(0, net.coincidence_weight)], 4 * peak)
-    assert chain and not lone
+    if lone:
+        return None
     top = int(np.argmax(v))
     gaps = []
-    for off in range(10 * peak):
+    for off in range(3 * peak + 1):
         fired, _ = kicked([(0, net.coincidence_weight),
                            (off, net.coincidence_weight)], off + top + 3)
         if not fired and off >= top:
-            return chain[0], off - 1, gaps
+            return chain[0] if chain else None, off - 1, gaps
         gaps.append(fired[0] - off if fired else -1)
-    raise AssertionError("no silent offset")
+    return None
+
+
+def _tables(tables) -> tuple | None:
+    return tables and (*tables[:2], tables[2].tolist())
 
 
 @pytest.mark.parametrize("w_lsb", [None, 2e-8], ids=["default", "quantized"])
@@ -309,3 +315,83 @@ def test_probe_tables_match_reference(w_lsb):
     assert (stage, reach, fire.tolist()) == reference_tables(net)
     if w_lsb is None:
         assert (stage, reach) == (38, 308)
+
+
+@st.composite
+def probed_networks(draw):
+    """A network whose units fire once, on random neuron params with
+    tau_m == tau_syn or not, a coincidence weight of 0.5-0.95 of the
+    single-spike weight, quantized or not; plus a step. The taus are short
+    so that the reference steps few offsets."""
+    tau_m = draw(_floats(1e-6, 4e-6))
+    tau_syn = tau_m if draw(st.booleans()) else draw(_floats(1e-6, 4e-6))
+    params = LifParams(tau_m=tau_m, tau_syn=tau_syn,
+                       v_leak=draw(_floats(0.0, 0.9)),
+                       v_thresh=draw(_floats(1.0, 1.2)),
+                       v_reset=draw(_floats(0.0, 0.9)),
+                       t_ref=draw(_floats(1e-5, 5e-4)),
+                       c_m=draw(_floats(1e-12, 5e-12)))
+    w_fire = jeffress.single_spike_fire_weight(params)
+    w_lsb = draw(st.one_of(st.none(), st.integers(5, 20).map(lambda n: w_fire / n)))
+    try:
+        net = build(JeffressConfig(
+            chain_weight=draw(_floats(1.1, 3.0)) * w_fire,
+            coincidence_weight=draw(_floats(0.5, 0.95)) * w_fire,
+            neuron_params=params, w_lsb=w_lsb))
+    except ValueError:  # quantized past the single-spike weight
+        assume(False)
+    assume(jeffress._fires_once(net))
+    return net, draw(st.sampled_from((DT, 7e-8, 3e-8)))
+
+
+@settings(max_examples=40, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(probed_networks())
+def test_probe_tables_match_reference_on_random_networks(case):
+    net, dt = case
+    assert _tables(jeffress.probe_tables(net, dt)) == reference_tables(net, dt)
+
+
+@pytest.fixture()
+def stepped(monkeypatch):
+    """(kick steps, trace) of each kick_fire_step call from here on."""
+    calls, kick_fire_step = [], jeffress.kick_fire_step
+
+    def counting(params, weight, dt, at=(0,), trace=False):
+        calls.append((tuple(at), trace))
+        return kick_fire_step(params, weight, dt, at, trace)
+    monkeypatch.setattr(jeffress, "kick_fire_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["peak-tie", "one-kick-fires"])
+def test_probe_tables_match_reference_at_the_edges(case, stepped):
+    # at tau = dt / ln(12 / 11) the lone PSP is as high 11 steps after its
+    # kick as 12, up to rounding, so the stepper gives its peak step, and
+    # at half the single-spike weight that step ends the reach, since the
+    # offsets from 7 on are silent; at dt = tau / 10, 0.98 of the
+    # single-spike weight (continuous time) fires a detector on one kick,
+    # so there are no tables
+    tau = DT / math.log(12 / 11) if case == "peak-tie" else 1e-6
+    params = LifParams(tau_m=tau, tau_syn=tau)
+    w_fire = jeffress.single_spike_fire_weight(params)
+    net = build(JeffressConfig(
+        chain_weight=2 * w_fire, neuron_params=params,
+        coincidence_weight=(0.5 if case == "peak-tie" else 0.98) * w_fire))
+    assert _tables(jeffress.probe_tables(net, DT)) == reference_tables(net)
+    assert (((0,), True) in stepped) == (case == "peak-tie")
+
+
+@pytest.mark.parametrize("w_lsb", [None, 2e-8], ids=["default", "quantized"])
+def test_probe_tables_step_every_copy_inside_the_margin(w_lsb, stepped,
+                                                        monkeypatch):
+    # with a 10 V margin every value is near threshold: the lone detector,
+    # with its trace for the peak step, and each copy up to the first
+    # silent offset past the peak are stepped, and give the same tables
+    net = build(JeffressConfig(w_lsb=w_lsb))
+    tables = _tables(jeffress.probe_tables(net, DT))
+    stepped.clear()
+    monkeypatch.setattr(jeffress, "_MARGIN", 10.0)
+    assert _tables(jeffress.probe_tables(net, DT)) == tables
+    reach = tables[1]
+    assert stepped == [((0,), True), *[((0, off), False) for off in
+                                       range(reach + 2)], ((0,), False)]

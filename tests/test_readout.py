@@ -13,7 +13,6 @@ from itdloc.readout import (
     ReadoutConfig,
     ReadoutSection,
     poll_loop,
-    pwm_edges,
     pwm_pulse_width,
     serial_decode,
     serial_encode,
@@ -244,12 +243,12 @@ class TestPwm:
         with pytest.raises(ValueError):
             pwm_pulse_width(49.5, 50, PwmConfig())
 
-    def test_edge_schedule(self):
-        edges = list(pwm_edges(24.5, 50, PwmConfig(), n_periods=2))
-        assert edges[0] == (0.0, 1)
-        assert edges[1] == (pytest.approx(1.5e-3), 0)
-        assert edges[2] == (pytest.approx(20e-3), 1)
-        assert edges[3] == (pytest.approx(21.5e-3), 0)
+    def test_edge_schedule(self, tmp_path):
+        # a rising edge at each period start, a falling one a width later
+        path = tmp_path / "pwm.csv"
+        write_pwm_csv(path, 24.5, 50, PwmConfig(), n_periods=2)
+        assert path.read_text().splitlines()[1:] == [
+            "0.000000000,1", "0.001500000,0", "0.020000000,1", "0.021500000,0"]
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "pwm.csv"
