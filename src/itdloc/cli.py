@@ -36,11 +36,19 @@ def _load(args) -> RunConfig:
     return RunConfig()
 
 
+def _network(config: jeffress.JeffressConfig) -> jeffress.JeffressNetwork:
+    """The network a config describes; weights that cannot work are an input error."""
+    try:
+        return jeffress.build(config)
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from exc
+
+
 def _trial(cfg: RunConfig, wav: str | None) -> harness.TrialConfig:
     """The trial `cfg` describes, on a network built from it, with the
     recording at `wav` in place of the synthetic clap if one is named. A
     recording that resamples to no sample at 1 / dt is an input error."""
-    net = jeffress.build(cfg.network)
+    net = _network(cfg.network)
     recording = load_wav(wav) if wav else None
     if recording is not None:
         rate = round(1.0 / cfg.dt)
@@ -58,7 +66,7 @@ def cmd_calibrate(args) -> int:
     weight = jeffress.tune_chain_weight(target, cfg.network.neuron_params,
                                         cfg.dt)
     tuned = replace(cfg, network=replace(cfg.network, chain_weight=weight))
-    net = jeffress.build(tuned.network)
+    net = _network(tuned.network)
     cal = jeffress.calibrate_stage_delay(net, cfg.dt)
     res = jeffress.angular_resolution(cal.stage_delay_mean, cfg.geometry)
     print(f"chain_weight={weight:.6e} A")
@@ -161,15 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=True):
         sp.add_argument("--config", metavar="PATH", help="JSON run config")
-        sp.add_argument("--seed", type=int, metavar="N", help="base RNG seed")
+        if seed:
+            sp.add_argument("--seed", type=int, metavar="N", help="base RNG seed")
         sp.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default: out)")
 
     sp = sub.add_parser("calibrate", help="tune the chain weight and report "
                                           "the per-stage delay")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--target-us", type=float, default=3.8,
                     help="target stage delay in microseconds (default 3.8)")
     sp.set_defaults(func=cmd_calibrate)

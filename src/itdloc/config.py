@@ -8,8 +8,9 @@ run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class StimulusSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    itds_us: tuple = tuple(float(x) for x in np.linspace(-160, 160, 41))
+    itds_us: tuple[float, ...] = tuple(float(x) for x in np.linspace(-160, 160, 41))
     trials: int = 100
     noise_amplitude: float = 0.07
     base_seed: int = 2026
@@ -52,6 +53,8 @@ class SweepSection:
             raise ValueError("trials must be >= 1")
         if self.noise_amplitude < 0:
             raise ValueError("noise_amplitude must be >= 0")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,25 +94,39 @@ def check_itds(itds_us, clip_duration: float) -> None:
                          f"duration {clip_duration * 1e6:g}us")
 
 
+def _value(hint, value, here: str):
+    """A JSON value as a field of type `hint` takes it: a section from an
+    object, a tuple from an array, an int from an integer, a float from a
+    finite number (neither from a bool), None only for an `X | None`."""
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint, args = args[0], get_args(args[0])  # `X | None` lists X first
+    if is_dataclass(hint):
+        return _build(hint, value, here)
+    kind = get_origin(hint) or hint
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not {int: number and isinstance(value, int), tuple: isinstance(value, list),
+            float: number and math.isfinite(value), bool: isinstance(value, bool),
+            str: isinstance(value, str)}[kind]:
+        raise ConfigError(f"{here}: expected {kind.__name__}, got {value!r}")
+    if kind is tuple:
+        return tuple(_value(args[0], x, f"{here}[{i}]") for i, x in enumerate(value))
+    return value
+
+
 def _build(cls, data, path):
     """Recursively instantiate dataclass `cls` from a mapping, rejecting
-    unknown keys."""
+    unknown keys and values of the wrong type."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'top level'}: expected an object")
     hints = get_type_hints(cls)
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path or 'top level'}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        hint = hints[name]
-        # the dataclass of a section, also inside an `X | None` annotation
-        sub = next((t for t in (hint, *get_args(hint)) if is_dataclass(t)), None)
-        here = f"{path}.{name}" if path else name
-        if sub is not None and value is not None:
-            kwargs[name] = _build(sub, value, here)
-        else:
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
+    kwargs = {name: _value(hints[name], value, f"{path}.{name}" if path else name)
+              for name, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

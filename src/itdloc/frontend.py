@@ -93,6 +93,8 @@ class ClapSpec:
             raise ValueError("clap times must be >= 0")
         if self.amplitude <= 0:
             raise ValueError("clap amplitude must be > 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 def load_wav(path) -> AudioClip:

@@ -22,7 +22,7 @@ from .frontend import (
     synth_clap,
 )
 from .jeffress import JeffressNetwork, probe_tables
-from .lif import _MARGIN, AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
+from .lif import AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
 
@@ -186,17 +186,14 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
 
 def _injections(cfg: TrialConfig, cond, fs: int) -> list:
     """The two conditioned channels resampled to the simulator rate, as
-    drives of the input neurons; past the clip's end the drive holds its
-    final value."""
+    drives of the input neurons; past its end a drive holds its final
+    value."""
     sim_rate = int(round(1.0 / cfg.dt))
     need = int(round(cfg.duration * sim_rate)) + 1
     # interpolation is pointwise, so resampling only the input samples that
-    # cover the run gives the same drive as resampling the whole clip
+    # cover the run gives the run the same drive as resampling the whole clip
     window = min(cond.shape[1], int(np.ceil(need * fs / sim_rate)) + 2)
     drive = resample(AudioClip(fs, cond[:, :window]), sim_rate / fs).samples
-    drive = drive[:, :need]
-    if drive.shape[1] < need:  # rounding slack; extend with the final value
-        drive = np.pad(drive, ((0, 0), (0, need - drive.shape[1])), mode="edge")
     return [AnalogInjection(target, trace, sim_rate,
                             r_src=cfg.injection.r_src, mode=cfg.injection.mode)
             for target, trace in zip((cfg.net.input_left, cfg.net.input_right),
@@ -243,7 +240,7 @@ def _run_exact(cfg: TrialConfig, cond, fs: int, crossing) -> TrialResult | None:
         return None
     (stage, reach, fire), net, dt = cfg._tables, cfg.net, cfg.dt
     inputs = injected_spike_steps(net.config.input_params, cfg.injection, dt,
-                                  round(cfg.duration / dt), cond, fs, _MARGIN)
+                                  round(cfg.duration / dt), cond, fs)
     if inputs is None:
         return None
     steps = ids = np.zeros(0, dtype=np.int64)

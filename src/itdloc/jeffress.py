@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -369,11 +369,8 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
         firings = [[step * dt] if step <= round(duration / dt) else []
                    for step in steps]
     else:
-        spec = NetworkSpec(
-            neurons=net.spec.neurons,
-            synapses=net.spec.synapses,
-            external_spikes=(ExternalSpike(_T_INJECT, order[0], net.chain_weight),),
-        )
+        spec = replace(net.spec, external_spikes=(
+            ExternalSpike(_T_INJECT, order[0], net.chain_weight),))
         record, _ = Simulation(spec, dt).run(duration)
         firings = [record.spikes_of(nid) for nid in order]
 

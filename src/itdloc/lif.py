@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -72,9 +71,10 @@ class InjectionSection:
 class AnalogInjection:
     """Continuous voltage drive attached to one neuron's membrane.
 
-    Each sample is held until the next one. In resistive mode the trace
-    couples through r_src ohms; in trigger mode the neuron fires whenever
-    the trace is at or above its threshold and the neuron is not refractory.
+    Each sample is held until the next one, the last past the trace's end.
+    In resistive mode the trace couples through r_src ohms; in trigger mode
+    the neuron fires whenever the trace is at or above its threshold and
+    the neuron is not refractory.
     """
 
     target: int
@@ -93,10 +93,6 @@ class AnalogInjection:
         if self.sample_rate <= 0:
             raise ValueError("injection sample_rate must be > 0")
         object.__setattr__(self, "trace", trace)
-
-    @property
-    def duration(self) -> float:
-        return self.trace.size / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,8 @@ class NetworkSpec:
     external_spikes: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        object.__setattr__(self, "synapses", tuple(self.synapses))
-        object.__setattr__(self, "injections", tuple(self.injections))
-        object.__setattr__(self, "external_spikes", tuple(self.external_spikes))
+        for name in ("neurons", "synapses", "injections", "external_spikes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def n_neurons(self) -> int:
@@ -267,7 +261,9 @@ class Simulation:
             if not 0 <= inj.target < n:
                 raise ValueError(f"injection target {inj.target} out of range")
             if inj.mode == "resistive":
-                g_inj[inj.target] += 1.0 / (inj.r_src * c_m[inj.target])
+                if g_inj[inj.target]:
+                    raise ValueError(f"neuron {inj.target} has two resistive injections")
+                g_inj[inj.target] = 1.0 / (inj.r_src * c_m[inj.target])
         self._decay_syn = np.exp(-dt / tau_s)
         self._decay_v, b, self._v_leak_eff = _propagator(tau_m, self._v_leak,
                                                          g_inj, dt)
@@ -278,10 +274,6 @@ class Simulation:
                            if inj.mode == "resistive"]
         self._res_targets = np.array([inj.target for inj in self._resistive],
                                      dtype=np.int64)
-        # distinct targets take their drives in one fancy add; np.add.at
-        # adds repeated ones one after another, in injection order
-        self._res_distinct = (
-            0 < np.unique(self._res_targets).size == self._res_targets.size)
         self._res_gain = np.array(
             [b[inj.target] / (inj.r_src * c_m[inj.target])
              for inj in self._resistive], dtype=float)
@@ -346,24 +338,13 @@ class Simulation:
     def run(self, duration: float, record_traces=()) -> tuple:
         """Step for `duration` seconds; returns (SpikeRecord, TraceSet or None).
 
-        Consecutive calls continue from the current step. Injection traces
-        shorter than the run are padded with their final value and a
-        warning is issued.
+        Consecutive calls continue from the current step.
         """
         if duration <= 0:
             raise ValueError("duration must be > 0")
         n_steps = int(round(duration / self.dt))
         k0 = self._k
         times = np.arange(k0, k0 + n_steps + 1) * self.dt  # step boundaries
-        end_t = times[-1]
-        for inj in self.spec.injections:
-            if inj.duration < end_t - 1e-12:
-                warnings.warn(
-                    f"injection trace for neuron {inj.target} ends at "
-                    f"{inj.duration:.6g}s, before the run end {end_t:.6g}s; "
-                    "padding with its final value",
-                    stacklevel=2,
-                )
 
         traced = sorted(set(record_traces))
         traces = None
@@ -385,7 +366,6 @@ class Simulation:
             drives = _held(self._resistive, times) * self._res_gain
         if trig_targets.size:
             above = _held(self._triggers, times) >= self._v_thresh[trig_targets]
-        fancy = self._res_distinct
         recorded = [(i, traces.v[i], traces.i_syn[i]) for i in traced]
 
         v, t1, buf, i_syn, pending = (self.v, self._t1, self._buf, self.i_syn,
@@ -418,10 +398,8 @@ class Simulation:
             if live:
                 np.multiply(i_syn, gain_syn, out=buf)
                 t1 += buf
-            if fancy:
+            if res_targets.size:
                 t1[res_targets] += drives[j]
-            elif res_targets.size:
-                np.add.at(t1, res_targets, drives[j])
 
             if k >= lift:  # a clamp lifts: rebuild the mask
                 np.greater(free_from, k, out=refr)
@@ -458,11 +436,11 @@ def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
     resistive membrane's end from its start, y' = m * y + alpha * c[j] +
     beta * c[j + 1] with y = v - v_rest; the one-step decay, gain, v_rest."""
     rate = round(1.0 / dt)  # the drive's sample rate at the simulator
-    held = _held_index(np.arange(n_steps + 1) * dt, rate, n_steps + 1)
     # the drive is the clip resampled to `rate` by linear interpolation
     # (frontend.resample), its final value held past the resampled end
-    pos = np.minimum(held, round(n_samples * rate / sample_rate) - 1) * (
-        sample_rate / rate)
+    held = _held_index(np.arange(n_steps + 1) * dt, rate,
+                       round(n_samples * rate / sample_rate))
+    pos = held * (sample_rate / rate)
     j = np.minimum(np.floor(pos).astype(np.int64), n_samples - 1)
     w = np.where(j < n_samples - 1, pos - j, 0.0)  # weight of sample j + 1
     first = np.flatnonzero(np.diff(j, prepend=-1))
@@ -484,8 +462,7 @@ def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
 
 
 def injected_spike_steps(params: LifParams, injection: InjectionSection,
-                         dt: float, n_steps: int, samples, sample_rate: int,
-                         margin: float):
+                         dt: float, n_steps: int, samples, sample_rate: int):
     """The first two spike steps of an input neuron in a run of n_steps from
     rest, for each row of audio-rate samples, without building the drive.
 
@@ -494,11 +471,11 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
     value held past the end. Within audio interval j the held drive is
     linear in samples j and j + 1, so a resistive membrane runs from
     interval end to interval end. It is resolved step by step only where it
-    can reach thresh - margin: where an interval starts there or its
+    can reach thresh - _MARGIN: where an interval starts there or its
     drive's highest rest point lies there. A trigger input is resolved only
     where an interval's endpoint samples reach it. The result equals the
     stepper's up to rounding: None if a membrane, or a trigger sample,
-    comes within margin volts of threshold.
+    comes within _MARGIN volts of threshold.
     """
     from scipy.signal import lfilter
 
@@ -506,7 +483,7 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
     pos, j, first, m, alpha, beta, d, gain, v_rest = _audio_intervals(
         params, injection, dt, n_steps, sample_rate, samples.shape[1])
     resistive = injection.mode == "resistive"
-    thresh, lim = params.v_thresh, params.v_thresh - margin
+    thresh, lim = params.v_thresh, params.v_thresh - _MARGIN
     ref = _refractory_steps(params, dt)
     base, starts = np.arange(samples.shape[1], dtype=float), first + [n_steps]
     index = np.arange(len(first))
@@ -537,7 +514,7 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
             if resistive:
                 v = lfilter([1.0], [1.0, -d], v * gain, zi=[d * y])[0] + v_rest
             above = np.flatnonzero(v >= lim)
-            if above.size and v[above[0]] < thresh + margin:
+            if above.size and v[above[0]] < thresh + _MARGIN:
                 return None
             if above.size:
                 spikes.append(k + int(above[0]) + 1)

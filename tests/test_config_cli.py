@@ -2,6 +2,7 @@
 outputs and exit codes."""
 
 import contextlib
+import copy
 import io
 import json
 
@@ -346,16 +347,55 @@ class TestCli:
                        "clap": {"onset_time": 1e-5}}}, "gives no sample"),
         ({"stimulus": {"duration": 3e-4}, "sweep": {"itds_us": [0, 400]}},
          "|itd|=400us must be smaller than the clip duration"),
+        ({"network": {"n_stages": 2.5}},
+         "network.n_stages: expected int, got 2.5"),
+        ({"sweep": {"trials": 1.5, "itds_us": [0]}},
+         "sweep.trials: expected int, got 1.5"),
+        ({"stimulus": {"sample_rate": 192000.5}},
+         "stimulus.sample_rate: expected int, got 192000.5"),
+        ({"sweep": {"base_seed": 1.5, "itds_us": [0], "trials": 1}},
+         "sweep.base_seed: expected int, got 1.5"),
+        ({"sweep": {"base_seed": -1}}, "base_seed must be >= 0"),
+        ({"stimulus": {"clap": {"rng_seed": -1}}}, "rng_seed must be >= 0"),
+        ({"dt": True}, "dt: expected float, got True"),
+        ({"sweep": {"itds_us": [0, "40"]}},
+         "sweep.itds_us[1]: expected float, got '40'"),
+        ({"network": {"chain_weight": 1e-9}}, "the chain cannot propagate"),
+        ({"network": {"coincidence_weight": 1e-6}},
+         "a lone chain would trigger detectors"),
+        ({"network": {"w_lsb": 1e-3}}, "the chain cannot propagate"),
     ], ids=["unknown-section", "one-stage", "zero-chain-weight",
             "old-neuron-key", "zero-iteration-time", "empty-itds",
             "coarse-dt", "duration-one-step", "duration-before-onset",
-            "duration-under-one-sample", "itd-past-clip"])
+            "duration-under-one-sample", "itd-past-clip", "float-stages",
+            "float-trials", "float-sample-rate", "float-base-seed",
+            "negative-base-seed", "negative-clap-seed", "bool-dt",
+            "string-itd", "weak-chain", "strong-coincidence", "coarse-w-lsb"])
     def test_bad_config_exit_2(self, doc, message, tmp_path, capsys):
-        path = tmp_path / "bad.json"
+        # the command that runs trials rejects the config before the first
+        # one: run_sweep makes the --out directory first
+        path, out = tmp_path / "bad.json", tmp_path / "sw"
         path.write_text(json.dumps(doc))
-        rc = cli.main(["config", "dump", "--config", str(path)])
+        rc = cli.main(["sweep", "--config", str(path), "--trials", "1",
+                       "--itds", "0", "--out", str(out)])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_calibrate_tunes_a_chain_weight_too_weak_to_run(self, tmp_path):
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps({"network": {"chain_weight": 1e-9}}))
+        assert cli.main(["calibrate", "--config", str(path),
+                         "--out", str(tmp_path / "cal")]) == 0
+
+    def test_calibrate_takes_no_seed(self, capsys):
+        # calibration draws no random number, so a seed would be ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_short_duration_runs_on_a_config_wav(self, tmp_path):
         # the recording replaces the clap, so its onset does not bound
@@ -503,6 +543,14 @@ class TestCli:
         assert not out.exists()
 
 
+def _cli(argv) -> tuple:
+    """cli.main's exit code and its standard error lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, err.getvalue().splitlines()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
                 min_size=1, max_size=6))
@@ -519,11 +567,91 @@ def test_simulate_on_a_mutated_wav_header(tmp_path_factory, mutations):
     wav.write_bytes(bytes(data))
     path.write_text(json.dumps({"network": {"n_stages": 8},
                                 "stimulus": {"duration": 3e-4}}))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(["simulate", "--config", str(path), "--wav", str(wav),
-                       "--out", str(tmp / "o")])
-    lines = err.getvalue().splitlines()
+    rc, lines = _cli(["simulate", "--config", str(path), "--wav", str(wav),
+                      "--out", str(tmp / "o")])
     assert rc in (0, 2, 3)
     assert [line for line in lines if line.startswith("error:")] == (
         [] if rc == 0 else lines[-1:])
+
+
+def _leaves(doc: dict, path=()):
+    """The path of every value in a config document that is not a section."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+_DUMP = json.loads(dump_config(RunConfig()))  # what `config dump` prints
+_LEAVES = sorted(_leaves(_DUMP))
+# one value just past a documented range. No value of the right type drawn
+# for n_stages, sweep.trials, stimulus.sample_rate or stimulus.duration
+# exceeds its default, and none for dt falls below it, so no run asks for
+# a billion stages, trials, samples or steps
+_PAST_RANGE = {
+    ("dt",): 1.51e-6,  # min(tau_m, tau_syn) / 10 = 1.5e-6
+    ("network", "n_stages"): 1,
+    ("network", "chain_weight"): 2.1e-7,  # the single-spike firing weight
+    ("network", "coincidence_weight"): 2.2e-7,  # is 2.175e-7
+    ("network", "w_lsb"): 1e-6,
+    ("network", "neuron_params", "v_reset"): 1.0,
+    ("network", "neuron_params", "v_leak"): 1.0,
+    ("frontend", "v_floor"): 0.81,
+    ("frontend", "v_clip"): 0.2,
+    ("injection", "mode"): "capacitive",
+    ("stimulus", "duration"): 2e-4,  # the clap onset
+    ("stimulus", "sample_rate"): 454,  # under one sample in 1.1 ms
+    ("sweep", "itds_us"): [1100.0],  # the clip duration
+}
+
+
+def _perturbed(path: tuple) -> list:
+    """The dumped value at `path` as another JSON type at the same
+    magnitude, 0, -1 and, where documented, just past its range."""
+    value = _DUMP
+    for key in path:
+        value = value[key]
+    out = [str(value), 1 if isinstance(value, bool) else True, None,
+           [value], 0, -1]
+    if isinstance(value, float):
+        out.append(int(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(value + 0.5)
+    if path in _PAST_RANGE:
+        out.append(_PAST_RANGE[path])
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_LEAVES).flatmap(
+    lambda path: st.tuples(st.just(path), st.sampled_from(_perturbed(path)))))
+def test_cli_on_a_perturbed_config(tmp_path_factory, case):
+    # one dumped value changed in type or range: sweep and simulate run or
+    # exit with a documented code and one error line, never a traceback,
+    # and a config that loads, builds its network and names no WAV (a
+    # string drawn for stimulus.wav names no file) runs the sweep
+    path, value = case
+    doc = copy.deepcopy(_DUMP)
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("cfg")
+    cfg = tmp / "run.json"
+    cfg.write_text(json.dumps(doc))
+    try:
+        run = config_from_dict(doc)
+        jeffress.build(run.network)
+        loads = run.stimulus.wav is None
+    except ValueError:  # ConfigError is one
+        loads = False
+    codes = []
+    for argv in (["sweep", "--trials", "1", "--itds", "0"], ["simulate"]):
+        rc, lines = _cli([*argv, "--config", str(cfg), "--out", str(tmp / argv[0])])
+        assert rc in (0, 2, 3)
+        assert not any("Traceback" in line for line in lines)
+        assert [line for line in lines if line.startswith("error:")] == (
+            [] if rc == 0 else lines[-1:])
+        codes.append(rc)
+    assert codes[0] == (0 if loads else 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itdloc import harness
+from itdloc import harness, lif
 from itdloc.config import (
     InjectionSection,
     ReadoutSection,
@@ -31,6 +31,7 @@ from itdloc.harness import (
     xcorr_oracle,
 )
 from itdloc.jeffress import JeffressConfig, LifParams, build, tune_chain_weight
+from itdloc.lif import AnalogInjection
 
 
 def oracle_reference(stereo: AudioClip, max_lag: float) -> float:
@@ -404,7 +405,7 @@ class TestEventEngine:
                                       monkeypatch):
         if case == "drive-inside-margin":
             # every drive lies within a 10 V margin of threshold
-            monkeypatch.setattr(harness, "_MARGIN", 10.0)
+            monkeypatch.setattr(lif, "_MARGIN", 10.0)
             trial = TrialConfig(net=default_net)
         elif case == "input-fires-twice":
             # a 2 us refractory period lets the inputs fire again long
@@ -494,8 +495,9 @@ class TestEventEngine:
 
 
 class TestResampleWindow:
-    """Only the input samples that cover the run are resampled; the drive
-    equals the head of the whole clip's resample, padded as before."""
+    """Only the input samples that cover the run are resampled; on each step
+    the stepper holds the sample it holds on the whole clip's resample,
+    whose last sample is held past its end."""
 
     @pytest.mark.parametrize("rate, seconds", [
         (48000, 0.05), (44100, 0.05), (8000, 0.05), (48000, 0.8e-3)],
@@ -504,15 +506,13 @@ class TestResampleWindow:
         clip = synth_clap(ClapSpec(onset_time=1e-4, rng_seed=2), rate, seconds)
         cfg = dataclasses.replace(default_trial, recording=clip)
         _, cond, _ = harness._frontend(40e-6, 3, cfg, 0.05)
-        drive = np.stack([inj.trace
-                          for inj in harness._injections(cfg, cond, rate)])
         sim_rate = round(1 / cfg.dt)
-        need = round(cfg.duration * sim_rate) + 1
-        full = full_resample(AudioClip(rate, cond), sim_rate / rate).samples
-        if full.shape[1] < need:
-            full = np.pad(full, ((0, 0), (0, need - full.shape[1])),
-                          mode="edge")
-        assert np.array_equal(drive, full[:, :need])
+        times = np.arange(round(cfg.duration * sim_rate) + 1) * cfg.dt
+        full = full_resample(AudioClip(rate, cond), sim_rate / rate)
+        whole = [AnalogInjection(0, trace, sim_rate) for trace in full.samples]
+        assert np.array_equal(
+            lif._held(harness._injections(cfg, cond, rate), times),
+            lif._held(whole, times))
 
 
 class TestStats:

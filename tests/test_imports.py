@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: itdloc itself needs only numpy, and
-scipy loads in the functions that filter, correlate or find a root."""
+"""What a fresh interpreter loads: itdloc itself needs only numpy, scipy
+loads in the functions that filter, correlate or find a root, and a
+calibration leaves numpy.ma unloaded."""
 
 import dataclasses
 import json
@@ -49,6 +50,18 @@ def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
     assert out["rc"] == [0, 0]
     assert out["seen"] == {"import": [], "config dump": [], "calibrate": []}
     assert (tmp_path / "cal" / "tuned_config.json").is_file()
+
+
+def test_calibration_leaves_numpy_ma_unloaded():
+    # np.unique loads numpy.ma on its first call, about 12 ms
+    code = """if True:
+        import sys
+        from itdloc.jeffress import JeffressConfig, build, calibrate_stage_delay
+
+        calibrate_stage_delay(build(JeffressConfig()), 1e-7)
+        print("numpy.ma" in sys.modules)
+    """
+    assert _fresh(code).strip() == "False"
 
 
 def test_noisy_trial_loads_scipy_signal_and_matches(default_trial):

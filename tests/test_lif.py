@@ -1,6 +1,8 @@
 """Simulator core tests: integrator exactness against closed forms, spike
 and refractory semantics, determinism and weight quantization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,12 +198,13 @@ class TestInjection:
             counts[mode] = len(rec)
         assert counts["trigger"] == counts["resistive"] == 10
 
-    def test_short_trace_pads_with_warning(self):
+    def test_short_trace_holds_its_last_sample(self):
         inj = AnalogInjection(0, np.array([1.19, 1.19]), 1e6, r_src=110e3)
         spec = single_neuron(injections=(inj,))
-        with pytest.warns(UserWarning, match="padding"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # holding is the model, not a fault
             rec, _ = run(spec, 2e-3, DT)
-        assert len(rec) >= 2  # the padded DC keeps driving spikes
+        assert len(rec) >= 2  # the held DC keeps driving spikes
 
     def test_injection_validation(self):
         with pytest.raises(ValueError, match="finite"):
@@ -222,6 +225,16 @@ class TestValidation:
             LifParams(v_reset=1.5)
         with pytest.raises(ValueError):
             LifParams(tau_m=0.0)
+
+    def test_one_resistive_injection_per_neuron(self):
+        drive = np.full(3, 1.19)
+        spec = NetworkSpec(neurons=(LifParams(), LifParams()), injections=(
+            AnalogInjection(1, drive, 1e6),
+            AnalogInjection(1, drive, 1e6, mode="trigger"),
+            AnalogInjection(1, drive, 1e6)))
+        with pytest.raises(ValueError, match="neuron 1 has two resistive injections"):
+            Simulation(spec, DT)
+        Simulation(spec.with_injections(spec.injections[:2]), DT)  # one each
 
     def test_synapse_range_checked(self):
         spec = NetworkSpec(neurons=(LifParams(),),
