@@ -79,7 +79,6 @@ class TrialResult:
     direction: float | None
     latency: float | None
     event_time: float | None = None
-    crossing_time: float | None = None
 
     @property
     def miss(self) -> bool:
@@ -162,13 +161,12 @@ class TrialDetail:
     record: object
     traces: object
     events: tuple
-    stereo: AudioClip
-    conditioned: AudioClip
 
 
 def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
     """Stimulus, inter-channel delay, noise and conditioning. Returns
-    (stereo, conditioned samples, threshold crossing time or None)."""
+    (conditioned samples, their sample rate, threshold crossing time or
+    None)."""
     stereo = apply_itd(cfg.mono_stimulus(), itd)
     raw = stereo.samples
     if noise_amplitude > 0:
@@ -181,7 +179,7 @@ def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
     v_thresh = cfg.net.config.input_params.v_thresh
     above = np.flatnonzero((cond >= v_thresh).any(axis=0))
     crossing = float(above[0]) / fs if above.size else None
-    return stereo, cond, crossing
+    return cond, fs, crossing
 
 
 def _injections(cfg: TrialConfig, cond, fs: int) -> list:
@@ -202,10 +200,10 @@ def _injections(cfg: TrialConfig, cond, fs: int) -> list:
 
 def _result(events, crossing) -> TrialResult:
     if not events:
-        return TrialResult(None, None, None, crossing)
+        return TrialResult(None, None)
     first = events[0]
     latency = first.t - crossing if crossing is not None else None
-    return TrialResult(first.direction, latency, first.t, crossing)
+    return TrialResult(first.direction, latency, first.t)
 
 
 def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
@@ -219,15 +217,13 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     Latency is measured from the first time either conditioned channel
     crosses the input neurons' threshold to the readout event.
     """
-    stereo, cond, crossing = _frontend(itd, seed, cfg, noise_amplitude)
-    spec = cfg.net.spec.with_injections(
-        _injections(cfg, cond, stereo.sample_rate))
+    cond, fs, crossing = _frontend(itd, seed, cfg, noise_amplitude)
+    spec = cfg.net.spec.with_injections(_injections(cfg, cond, fs))
     record, traces = Simulation(spec, cfg.dt).run(cfg.duration,
                                                   record_traces=record_traces)
     events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
     return TrialDetail(result=_result(events, crossing), record=record,
-                       traces=traces, events=tuple(events), stereo=stereo,
-                       conditioned=AudioClip(stereo.sample_rate, cond))
+                       traces=traces, events=tuple(events))
 
 
 def _run_exact(cfg: TrialConfig, cond, fs: int, crossing) -> TrialResult | None:
@@ -266,8 +262,8 @@ def run_trial(itd: float, seed, cfg: TrialConfig, *,
               noise_amplitude: float = 0.0) -> TrialResult:
     """Direction and latency of one trial, as run_trial_detailed gives them,
     from exact spike arithmetic, or stepped by it where that may differ."""
-    stereo, cond, crossing = _frontend(itd, seed, cfg, noise_amplitude)
-    return (_run_exact(cfg, cond, stereo.sample_rate, crossing)
+    cond, fs, crossing = _frontend(itd, seed, cfg, noise_amplitude)
+    return (_run_exact(cfg, cond, fs, crossing)
             or run_trial_detailed(itd, seed, cfg,
                                   noise_amplitude=noise_amplitude).result)
 

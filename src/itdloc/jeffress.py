@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +34,8 @@ _WINDOW_PER_STAGE = 30e-6  # calibration run time per stage
 _TOLERANCE = 1e-7  # delay error at which tune_chain_weight stops
 _PROBE_STAGES = 9  # length of the chains tune_chain_weight probes
 _MAX_ITER = 80  # bisection steps before tune_chain_weight gives up
+_RESIDUAL_TOL = 1e-9  # seconds of ITD woodworth_angle may miss by
+_MAX_PEAK_STEPS = 2000  # probe_tables' peak bound: a 96 MB pair table at it
 
 
 class CalibrationError(RuntimeError):
@@ -132,7 +134,8 @@ class JeffressConfig:
 
 @dataclass(frozen=True)
 class GeometryParams:
-    """Receiver geometry: microphone spacing, head radius, speed of sound."""
+    """Receiver geometry: microphone spacing, head radius (half the spacing
+    unless set), speed of sound."""
 
     mic_distance: float = 0.051
     head_radius: float | None = None
@@ -141,10 +144,11 @@ class GeometryParams:
     def __post_init__(self):
         if self.mic_distance <= 0 or self.speed_of_sound <= 0:
             raise ValueError("mic_distance and speed_of_sound must be > 0")
-        if self.head_radius is None:
-            object.__setattr__(self, "head_radius", self.mic_distance / 2)
-        elif self.head_radius <= 0:
+        if self.head_radius is not None and self.head_radius <= 0:
             raise ValueError("head_radius must be > 0")
+
+    def resolved_head_radius(self) -> float:
+        return self.head_radius or self.mic_distance / 2
 
 
 @dataclass(frozen=True)
@@ -282,8 +286,8 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
 
 def _fires_once(net: JeffressNetwork) -> bool:
     """Whether no chain neuron (one chain kick) and no detector (two
-    coincidence kicks) can fire twice, so that spike arithmetic from
-    kick_fire_step and probe_tables equals stepping the network."""
+    coincidence kicks) can fire twice, so that probe_tables' spike
+    arithmetic equals stepping the network."""
     return fires_once(net.config.neuron_params,
                       max(abs(net.chain_weight), 2 * abs(net.coincidence_weight)))
 
@@ -313,12 +317,13 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     the first silent offset past top ends the reach. A copy, the lone PSP's
     peak or its step that comes within _MARGIN of going the other way is
     decided by stepping (kick_fire_step). None unless _fires_once(net),
-    when a detector fires on one kick, or when no offset is silent."""
-    if not _fires_once(net):
-        return None
+    when peak > _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), when a
+    detector fires on one kick, or when no offset is silent."""
     params, w_coin = net.config.neuron_params, net.coincidence_weight
-    thresh = params.v_thresh - params.v_leak
     peak = _psp_steps(params, dt)[0]
+    if not _fires_once(net) or peak > _MAX_PEAK_STEPS:
+        return None
+    thresh = params.v_thresh - params.v_leak
     k, y = 3 * peak, _lone_psp(params, w_coin, dt, 5 * peak)
     top = int(np.argmax(y))
     if (abs(y[top] - thresh) < _MARGIN
@@ -331,11 +336,12 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
         return None
     # row off, column m: the copy kicked on steps 0 and off, m steps on
     pair = sliding_window_view(y, top + 2)[:k + 1] + y[:top + 2]
-    hit = pair >= thresh
+    pair -= thresh  # in place, one table; x - thresh >= 0 iff x >= thresh
+    hit = pair >= 0
     fire = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
     # the values the stepper compares: up to the first hit, or all
     last = np.where(fire < 0, top + 1, fire)[:, None]
-    near = (np.abs(pair - thresh) < _MARGIN) & (np.arange(top + 2) <= last)
+    near = (np.abs(pair, out=pair) < _MARGIN) & (np.arange(top + 2) <= last)
     for off in np.flatnonzero(near.any(axis=1)).tolist():
         if (fire[top:off] < 0).any():  # past the reach
             break
@@ -348,63 +354,58 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
 
 
-def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
-    """Inject one synthetic spike at the left chain head and measure the
-    successive chain spike times; the stage delay is their first difference.
-    Where _fires_once(net), stage k fires (k + 1) * kick_fire_step steps
-    after the injection step; otherwise the network is stepped whole.
-
-    Fails if any stage stays silent or fires more than once inside the
-    observation window.
-    """
-    cfg, order = net.config, net.chain_order("left")
-    duration = _T_INJECT + net.n_stages * _WINDOW_PER_STAGE
-    check_dt((cfg.input_params, cfg.neuron_params), dt)
-    if _fires_once(net):
-        d = kick_fire_step(cfg.neuron_params, net.chain_weight, dt)
-        start = math.floor(_T_INJECT / dt + _STEP_SLACK)
-        steps = [math.inf if d is None else start + k * d
-                 for k in range(1, len(order) + 1)]
-        # each spike time as Simulation records it
-        firings = [[step * dt] if step <= round(duration / dt) else []
-                   for step in steps]
+def _chain_walk(params: LifParams, weight: float, dt: float, order) -> list:
+    """Spike times of a chain of identical neurons linked by `weight`, ids
+    `order` head first, the head kicked at _T_INJECT. Nothing feeds back
+    into a chain, so a head that fires once in the window, D steps after
+    its kick on step e, has stage k fire on step e + (k + 1) D. D is from
+    kick_fire_step where fires_once; else the head is stepped over the
+    window, where the error counts its spikes, with its successor: numpy
+    steps two neurons faster than one. CalibrationError names the first
+    stage that is silent in the window or fires there more than once."""
+    start = math.floor(_T_INJECT / dt + _STEP_SLACK)
+    duration = _T_INJECT + len(order) * _WINDOW_PER_STAGE
+    if fires_once(params, weight):
+        d = kick_fire_step(params, weight, dt)
+        head = [] if d is None else [start + d]
     else:
-        spec = replace(net.spec, external_spikes=(
-            ExternalSpike(_T_INJECT, order[0], net.chain_weight),))
+        spec = NetworkSpec((params,) * 2, (SynapseSpec(0, 1, weight),),
+                           external_spikes=(ExternalSpike(_T_INJECT, 0, weight),))
         record, _ = Simulation(spec, dt).run(duration)
-        firings = [record.spikes_of(nid) for nid in order]
+        head = [round(t / dt) for t in record.times[record.ids == 0].tolist()]
+    if len(head) > 1:
+        raise CalibrationError(
+            f"chain stage 0 (neuron {order[0]}) fired {len(head)} times")
+    d = head[0] - start if head else math.inf
+    # stage k - 1 fires on step start + k d, silent past the window's end
+    fired = min(len(order), int((round(duration / dt) - start) // d))
+    if fired < len(order):
+        raise CalibrationError(
+            f"chain stage {fired} (neuron {order[fired]}) never fired")
+    # each spike time as Simulation records it
+    return [(start + k * d) * dt for k in range(1, len(order) + 1)]
 
-    spike_times = []
-    for stage, (nid, times) in enumerate(zip(order, firings)):
-        if len(times) == 0:
-            raise CalibrationError(f"chain stage {stage} (neuron {nid}) never fired")
-        if len(times) > 1:
-            raise CalibrationError(
-                f"chain stage {stage} (neuron {nid}) fired {len(times)} times"
-            )
-        spike_times.append(times[0])
-    deltas = np.diff(spike_times)
-    return CalibrationResult(
-        stage_delays=tuple(float(d) for d in deltas),
-        stage_delay_mean=float(np.mean(deltas)),
-        stage_delay_std=float(np.std(deltas)),
-    )
+
+def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
+    """Kick the left chain head once and take the stage delay as the first
+    difference of the chain's spike times (see _chain_walk), which fails
+    if a stage stays silent or fires more than once in the window."""
+    cfg = net.config
+    check_dt((cfg.input_params, cfg.neuron_params), dt)
+    deltas = np.diff(_chain_walk(cfg.neuron_params, net.chain_weight, dt,
+                                 net.chain_order("left")))
+    return CalibrationResult(tuple(float(d) for d in deltas),
+                             float(np.mean(deltas)), float(np.std(deltas)))
 
 
 def _probe_delay(weight: float, params: LifParams, dt: float) -> float:
-    """Per-stage delay of a bare chain driven by one injected spike, or inf
-    if the chain does not propagate."""
-    cfg = JeffressConfig(
-        n_stages=_PROBE_STAGES,
-        chain_weight=weight,
-        coincidence_weight=0.5 * single_spike_fire_weight(params),
-        neuron_params=params,
-    )
+    """Per-stage delay of a bare _PROBE_STAGES-stage chain driven by one
+    injected spike, or inf if the chain does not propagate."""
     try:
-        net = build(cfg)
-        return calibrate_stage_delay(net, dt).stage_delay_mean
-    except (ValueError, CalibrationError):
+        times = _chain_walk(params, weight, dt, range(_PROBE_STAGES))
+    except CalibrationError:
         return math.inf
+    return float(np.mean(np.diff(times)))
 
 
 def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> float:
@@ -413,6 +414,7 @@ def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> floa
     target lies outside the achievable delay range."""
     if target_delay <= 0:
         raise ValueError("target_delay must be > 0")
+    check_dt((params,), dt)
     w_fire = single_spike_fire_weight(params)
     lo, hi = 1.02 * w_fire, 400.0 * w_fire
     d_lo = _probe_delay(lo, params, dt)
@@ -420,8 +422,7 @@ def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> floa
     if not d_hi <= target_delay <= d_lo:
         raise ValueError(
             f"target delay {target_delay:.3g}s outside achievable range "
-            f"[{d_hi:.3g}, {d_lo:.3g}]s"
-        )
+            f"[{d_hi:.3g}, {d_lo:.3g}]s")
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         d = _probe_delay(mid, params, dt)
@@ -433,8 +434,7 @@ def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> floa
             hi = mid
     raise RuntimeError(
         f"chain weight search did not converge to {target_delay:.3g}s "
-        f"within {_MAX_ITER} iterations"
-    )
+        f"within {_MAX_ITER} iterations")
 
 
 def detector_to_itd(j, delta: float, n_stages: int) -> float:
@@ -460,26 +460,25 @@ def woodworth_itd(theta: float, geom: GeometryParams) -> float:
     r_head / c * (theta + sin(theta))."""
     if not -math.pi / 2 - 1e-12 <= theta <= math.pi / 2 + 1e-12:
         raise ValueError("theta outside [-pi/2, pi/2]")
-    return geom.head_radius / geom.speed_of_sound * (theta + math.sin(theta))
+    return (geom.resolved_head_radius() / geom.speed_of_sound
+            * (theta + math.sin(theta)))
 
 
-def woodworth_angle(itd: float, geom: GeometryParams,
-                    residual_tol: float = 1e-9) -> float:
+def woodworth_angle(itd: float, geom: GeometryParams) -> float:
     """Invert the Woodworth map by Brent's method on the strictly
     increasing forward formula. The root is bracketed to 1e-10 rad, so the
-    returned angle reproduces the ITD well inside `residual_tol` seconds."""
+    returned angle reproduces the ITD well inside _RESIDUAL_TOL seconds."""
     from scipy.optimize import brentq
 
     bound = woodworth_itd(math.pi / 2, geom)
-    if abs(itd) > bound + residual_tol:
+    if abs(itd) > bound + _RESIDUAL_TOL:
         raise ValueError(
-            f"|itd|={abs(itd):.3g}s exceeds the half-space maximum {bound:.3g}s"
-        )
-    # up to residual_tol past the bound is accepted; the ends must bracket
+            f"|itd|={abs(itd):.3g}s exceeds the half-space maximum {bound:.3g}s")
+    # up to _RESIDUAL_TOL past the bound is accepted; the ends must bracket
     target = min(max(itd, -bound), bound)
     theta = brentq(lambda th: woodworth_itd(th, geom) - target,
                    -math.pi / 2, math.pi / 2, xtol=1e-10)
-    if abs(woodworth_itd(theta, geom) - itd) >= residual_tol:
+    if abs(woodworth_itd(theta, geom) - itd) >= _RESIDUAL_TOL:
         raise RuntimeError("woodworth inversion failed to converge")
     return theta
 
@@ -503,7 +502,7 @@ def angular_resolution(delta: float, geom: GeometryParams) -> dict:
     """Small-angle spatial resolution near the midline implied by the stage
     delay: one entry for a single stage delay, one for the 2-delta detector
     pitch. Reported, never asserted."""
-    factor = geom.speed_of_sound / (2.0 * geom.head_radius)
+    factor = geom.speed_of_sound / (2.0 * geom.resolved_head_radius())
     return {
         "per_stage_rad": delta * factor,
         "per_detector_rad": 2.0 * delta * factor,

@@ -152,9 +152,6 @@ class SpikeRecord:
         """Iterate (time, neuron id) in time order."""
         return zip(self.times.tolist(), self.ids.tolist())
 
-    def spikes_of(self, neuron_id: int) -> np.ndarray:
-        return self.times[self.ids == neuron_id]
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("time_s,neuron_id\n")

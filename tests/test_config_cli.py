@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itdloc import cli, harness, jeffress
@@ -169,6 +169,23 @@ class TestCli:
         assert given["network"].pop("chain_weight") != weight
         assert f"chain_weight={weight:.6e} A" in out
         assert tuned == given
+
+    def test_calibrate_resolution_follows_mic_distance(self, tmp_path, capsys):
+        # a dumped config leaves the head radius unset, so the microphone
+        # spacing sets it: 4x the spacing gives a quarter of the resolution
+        assert cli.main(["config", "dump"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["geometry"]["head_radius"] is None
+        resolutions = []
+        for mic_distance in (0.051, 0.204):
+            doc["geometry"]["mic_distance"] = mic_distance
+            path = tmp_path / f"{mic_distance}.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main(["calibrate", "--config", str(path)]) == 0
+            line = [x for x in capsys.readouterr().out.splitlines()
+                    if x.startswith("resolution_per_stage=")]
+            resolutions.append(float(line[0].split("=")[1].split()[0]))
+        assert resolutions[1] == pytest.approx(resolutions[0] / 4, abs=0.01)
 
     def test_calibrate_absurd_target_exit_3(self, small_config, capsys):
         rc = cli.main(["calibrate", "--config", str(small_config),
@@ -626,6 +643,9 @@ def _perturbed(path: tuple) -> list:
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(_LEAVES).flatmap(
     lambda path: st.tuples(st.just(path), st.sampled_from(_perturbed(path)))))
+# a 1 s membrane time constant: a PSP rising for ten million steps gets no
+# event-engine tables, so the sweep steps its trial
+@example(case=(("network", "neuron_params", "tau_m"), 1.0))
 def test_cli_on_a_perturbed_config(tmp_path_factory, case):
     # one dumped value changed in type or range: sweep and simulate run or
     # exit with a documented code and one error line, never a traceback,

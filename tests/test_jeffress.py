@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from itdloc import jeffress, readout
@@ -154,7 +154,7 @@ def stepped_calibration(net, dt):
                     + net.n_stages * jeffress._WINDOW_PER_STAGE, dt)
     times = []
     for stage, nid in enumerate(order):
-        fired = record.spikes_of(nid)
+        fired = record.times[record.ids == nid]
         if fired.size != 1:
             return (f"chain stage {stage} (neuron {nid}) never fired"
                     if fired.size == 0 else
@@ -165,9 +165,10 @@ def stepped_calibration(net, dt):
                                       float(np.mean(deltas)), float(np.std(deltas)))
 
 
-def calibrated(net, dt):
-    """calibrate_stage_delay's result or CalibrationError message, and the
-    size of every network it simulated."""
+@contextmanager
+def simulated_sizes():
+    """The size of every network jeffress simulates inside the block; a
+    JeffressNetwork.spec read there fails."""
     sizes = []
 
     class Sized(Simulation):
@@ -175,43 +176,68 @@ def calibrated(net, dt):
             sizes.append(spec.n_neurons)
             super().__init__(spec, dt)
 
-    with mock.patch.object(jeffress, "Simulation", Sized):
+    def no_spec(net):
+        raise AssertionError("the network's spec was built")
+
+    with mock.patch.object(jeffress, "Simulation", Sized), \
+            mock.patch.object(jeffress.JeffressNetwork, "spec", property(no_spec)):
+        yield sizes
+
+
+def calibrated(net, dt):
+    """calibrate_stage_delay's result or CalibrationError message, and the
+    size of every network it simulated."""
+    with simulated_sizes() as sizes:
         try:
             return calibrate_stage_delay(net, dt), sizes
         except CalibrationError as exc:
             return str(exc), sizes
 
 
-class TestChainWalk:
-    """calibrate_stage_delay walks the chain with one-neuron probes where no
-    unit can fire twice and steps the network otherwise; either way it
-    equals the stepped calibration."""
+# neuron constants whose clamp may lift with most of a kick left (t_ref of
+# a few us), so that a chain neuron can fire twice, as well as ones whose
+# clamp outlasts any kick (the default 500 us); a slow PSP and a weight
+# near the firing weight put a stage past the 30 us per stage window
+_PARAMS = st.builds(LifParams, tau_m=st.floats(5e-6, 120e-6),
+                    tau_syn=st.floats(5e-6, 120e-6),
+                    t_ref=st.sampled_from([1e-6, 2e-6, 5e-6, 20e-6, 5e-4]))
 
-    @settings(max_examples=30, deadline=None)
-    @given(factor=st.floats(1.05, 8.0), n_stages=st.integers(2, 12),
-           dt=st.sampled_from([1e-7, 5e-8, 2e-8]),
+
+class TestChainWalk:
+    """calibrate_stage_delay walks the chain from its head: a one-neuron
+    probe where the head cannot fire twice, the head and its successor
+    stepped over the window otherwise. Either way it equals the stepped
+    calibration, and it simulates no network wider than two neurons."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=_PARAMS,
+           factor=st.floats(1.0005, 1.02) | st.floats(1.05, 8.0),
+           n_stages=st.integers(2, 12), dt=st.sampled_from([1e-7, 5e-8, 2e-8]),
            w_lsb=st.sampled_from([None, 2e-8]), left_first=st.booleans())
-    def test_walk_equals_stepped_calibration(self, factor, n_stages, dt,
-                                             w_lsb, left_first):
-        w = factor * single_spike_fire_weight(LifParams())
-        net = build(JeffressConfig(n_stages=n_stages, chain_weight=w,
-                                   w_lsb=w_lsb, left_first_index=left_first))
+    def test_walk_equals_stepped_calibration(self, params, factor, n_stages,
+                                             dt, w_lsb, left_first):
+        w = factor * single_spike_fire_weight(params)
+        try:
+            net = build(JeffressConfig(n_stages=n_stages, chain_weight=w,
+                                       neuron_params=params, w_lsb=w_lsb,
+                                       left_first_index=left_first))
+        except ValueError:  # the quantized chain weight cannot propagate
+            assume(False)
         fast, sizes = calibrated(net, dt)
-        assert "spec" not in vars(net)  # no synapse list was built
         reference = stepped_calibration(net, dt)
-        assert set(sizes) == {1}  # walked, never stepped whole
+        assert max(sizes) <= 2
         assert fast == reference  # every field, each stage delay exactly
 
     def test_stage_that_can_fire_again_is_stepped(self):
         # a 2 us clamp lifts with most of the kick left: the head fires
-        # again, which only the stepped network shows
+        # again, which only stepping shows
         p = LifParams(t_ref=2e-6)
         net = build(JeffressConfig(n_stages=4, neuron_params=p,
                                    chain_weight=3 * single_spike_fire_weight(p)))
         message, sizes = calibrated(net, DT)
         assert message == "chain stage 0 (neuron 2) fired 3 times"
         assert message == stepped_calibration(net, DT)
-        assert net.spec.n_neurons in sizes
+        assert sizes == [2]  # the head and its successor, over the window
 
     def test_stage_past_the_window_never_fired(self):
         # a stage delay of over 60 us: stage 1 fires after the 125 us window
@@ -230,6 +256,38 @@ class TestChainWalk:
         with pytest.raises(ValueError, match="too coarse"):
             calibrate_stage_delay(net, DT)
 
+    @settings(max_examples=20, deadline=None)
+    @given(params=_PARAMS, factor=st.floats(1.02, 400.0),
+           dt=st.sampled_from([1e-7, 5e-8]))
+    def test_probe_equals_stepped_probe_network(self, params, factor, dt):
+        # the tuner's probe: the mean stage delay of a bare 9-stage chain
+        # network stepped whole, or inf where it does not propagate
+        w = factor * single_spike_fire_weight(params)
+        net = build(JeffressConfig(
+            n_stages=jeffress._PROBE_STAGES, chain_weight=w, neuron_params=params,
+            coincidence_weight=0.5 * single_spike_fire_weight(params)))
+        reference = stepped_calibration(net, dt)
+        expected = (math.inf if isinstance(reference, str)
+                    else reference.stage_delay_mean)
+        with simulated_sizes() as sizes:
+            assert jeffress._probe_delay(w, params, dt) == expected
+        assert max(sizes) <= 2
+
+    def test_tune_and_calibrate_simulate_at_most_two_neurons(self):
+        # a 5 us clamp lets a chain neuron kicked hard fire twice: the
+        # calibration steps two neurons, and the tuner's strongest probe
+        # chain does not propagate
+        p = LifParams(t_ref=5e-6)
+        with simulated_sizes() as sizes:
+            w = tune_chain_weight(3.8e-6, LifParams(), DT)
+            cal = calibrate_stage_delay(build(JeffressConfig(chain_weight=w)), DT)
+            assert cal.stage_delay_mean == pytest.approx(3.8e-6, abs=0.1e-6)
+            with pytest.raises(ValueError, match="achievable range"):
+                tune_chain_weight(3.8e-6, p, DT)
+            cal = calibrate_stage_delay(build(JeffressConfig(neuron_params=p)), DT)
+            assert cal.stage_delay_mean == pytest.approx(3.8e-6, abs=0.1e-6)
+        assert max(sizes) == 2
+
 
 class TestTuner:
     def test_hits_target_within_tolerance(self, default_net):
@@ -241,6 +299,11 @@ class TestTuner:
     def test_unachievable_target_reports_range(self):
         with pytest.raises(ValueError, match="achievable range"):
             tune_chain_weight(1e-9, LifParams(), DT)
+
+    def test_coarse_dt_reported(self):
+        # dt = 10 us is above min(tau_m, tau_syn) / 10 = 1.5 us
+        with pytest.raises(ValueError, match="too coarse"):
+            tune_chain_weight(3.8e-6, LifParams(), 1e-5)
 
     def test_larger_target_gives_smaller_weight(self):
         w_fast = tune_chain_weight(3e-6, LifParams(), DT)
@@ -332,7 +395,7 @@ class TestGeometryMath:
     def test_human_one_degree(self):
         # a 0.0875 m head radius maps 8.9 us to one degree of azimuth
         g = GeometryParams(mic_distance=0.175)
-        assert g.head_radius == pytest.approx(0.0875)
+        assert g.resolved_head_radius() == pytest.approx(0.0875)
         theta = woodworth_angle(8.9e-6, g)
         assert math.degrees(theta) == pytest.approx(1.0, abs=0.01)
 
@@ -360,7 +423,14 @@ class TestGeometryMath:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             GeometryParams(mic_distance=0.0)
-        assert GeometryParams(mic_distance=0.08).head_radius == pytest.approx(0.04)
+        with pytest.raises(ValueError):
+            GeometryParams(head_radius=0.0)
+        # unset, the head radius follows the spacing; set, it wins
+        g = GeometryParams(mic_distance=0.08)
+        assert g.head_radius is None
+        assert g.resolved_head_radius() == pytest.approx(0.04)
+        g = GeometryParams(mic_distance=0.08, head_radius=0.1)
+        assert g.resolved_head_radius() == 0.1
 
 
 def _head_spike_direction(net, offset, t0=20e-6, duration=0.8e-3):

@@ -145,7 +145,7 @@ class TestSpikes:
         spec = NetworkSpec(neurons=(p, p), synapses=(SynapseSpec(0, 1, w),),
                            external_spikes=(ExternalSpike(10e-6, 0, w),))
         rec, traces = run(spec, 200e-6, DT, record_traces=[1])
-        t_pre = rec.spikes_of(0)[0]
+        t_pre = rec.times[rec.ids == 0][0]
         k_pre = int(round(t_pre / DT))
         assert traces.i_syn[1][k_pre] == 0.0
         assert traces.i_syn[1][k_pre + 1] > 0.0
@@ -180,10 +180,10 @@ class TestSpikes:
                                  external_spikes=ext), 1e-3, DT)
         assert len(rec) > 0
         for i in range(n):
-            isis = np.diff(rec.spikes_of(i))
+            isis = np.diff(rec.times[rec.ids == i])
             assert np.all(isis >= p.t_ref)
         # every spike belongs to exactly one in-range neuron
-        assert sum(rec.spikes_of(i).size for i in range(n)) == len(rec)
+        assert sum(rec.times[rec.ids == i].size for i in range(n)) == len(rec)
 
 
 class TestInjection:

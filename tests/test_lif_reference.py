@@ -222,7 +222,7 @@ def _stepped_input_spikes(params, injection, dt, rate, samples, n_steps) -> list
     spec = NetworkSpec((params, params),
                        injections=harness._injections(cfg, samples, rate))
     rec, _ = Simulation(spec, dt).run(n_steps * dt)
-    return [[round(t / dt) for t in rec.spikes_of(i)][:2] for i in (0, 1)]
+    return [[round(t / dt) for t in rec.times[rec.ids == i]][:2] for i in (0, 1)]
 
 
 @settings(max_examples=120, deadline=None, phases=set(Phase) - {Phase.explain})
@@ -244,13 +244,13 @@ def test_input_screen_at_the_range_edge(default_net, stage_delay, sign, mode):
     itd = sign * (default_net.n_stages - 1) * stage_delay
     n_steps = round(cfg.duration / DT)
     for seed, noise in ((None, 0.0), (3, 0.07)):
-        stereo, cond, _ = harness._frontend(itd, seed, cfg, noise)
+        cond, fs, _ = harness._frontend(itd, seed, cfg, noise)
         screened = lif.injected_spike_steps(
             default_net.config.input_params, cfg.injection, DT, n_steps, cond,
-            stereo.sample_rate)
+            fs)
         record = harness.run_trial_detailed(itd, seed, cfg,
                                             noise_amplitude=noise).record
-        assert screened == [[round(t / DT) for t in record.spikes_of(i)][:2]
+        assert screened == [[round(t / DT) for t in record.times[record.ids == i]][:2]
                             for i in (default_net.input_left,
                                       default_net.input_right)]
         assert all(screened)
