@@ -25,6 +25,8 @@ from .jeffress import JeffressNetwork, probe_tables
 from .lif import AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
 from .readout import ReadoutConfig, ReadoutSection, poll_loop
 
+CHUNK = 64  # cells per batch: bounds the stacked arrays to 2 * CHUNK rows
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -163,23 +165,24 @@ class TrialDetail:
     events: tuple
 
 
-def _frontend(itd: float, seed, cfg: TrialConfig, noise_amplitude: float):
-    """Stimulus, inter-channel delay, noise and conditioning. Returns
-    (conditioned samples, their sample rate, threshold crossing time or
-    None)."""
-    stereo = apply_itd(cfg.mono_stimulus(), itd)
-    raw = stereo.samples
-    if noise_amplitude > 0:
-        rng = np.random.default_rng(seed)
-        raw = raw + rng.normal(0.0, noise_amplitude, size=raw.shape)
-
-    fs = stereo.sample_rate
-    cond = condition(raw, fs, cfg.frontend)
-
-    v_thresh = cfg.net.config.input_params.v_thresh
-    above = np.flatnonzero((cond >= v_thresh).any(axis=0))
-    crossing = float(above[0]) / fs if above.size else None
-    return cond, fs, crossing
+def _frontend(cfg: TrialConfig, cells, noise_amplitude: float) -> tuple:
+    """Each cell's (itd, seed) stimulus, delay and noise, then the stacked
+    channels conditioned in one call (a stacked lfilter gives each row its
+    own call's values): (the rows, their rate, per cell the threshold
+    crossing time or None)."""
+    raws = []
+    for itd, seed in cells:
+        raw = apply_itd(cfg.mono_stimulus(), itd).samples
+        if noise_amplitude > 0:
+            rng = np.random.default_rng(seed)
+            raw = raw + rng.normal(0.0, noise_amplitude, size=raw.shape)
+        raws.append(raw)
+    fs = cfg.mono_stimulus().sample_rate
+    cond = condition(np.concatenate(raws), fs, cfg.frontend)
+    above = (cond >= cfg.net.config.input_params.v_thresh).reshape(
+        len(raws), 2, -1).any(axis=1)
+    return cond, fs, [float(i) / fs if hit else None for i, hit in zip(
+        above.argmax(axis=1).tolist(), above.any(axis=1).tolist())]
 
 
 def _injections(cfg: TrialConfig, cond, fs: int) -> list:
@@ -217,7 +220,7 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     Latency is measured from the first time either conditioned channel
     crosses the input neurons' threshold to the readout event.
     """
-    cond, fs, crossing = _frontend(itd, seed, cfg, noise_amplitude)
+    cond, fs, (crossing,) = _frontend(cfg, [(itd, seed)], noise_amplitude)
     spec = cfg.net.spec.with_injections(_injections(cfg, cond, fs))
     record, traces = Simulation(spec, cfg.dt).run(cfg.duration,
                                                   record_traces=record_traces)
@@ -226,19 +229,12 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
                        traces=traces, events=tuple(events))
 
 
-def _run_exact(cfg: TrialConfig, cond, fs: int, crossing) -> TrialResult | None:
-    """One trial's result with no neuron stepped: inputs from the audio-rate
-    screen of the conditioned samples, chains and detectors from the probe
+def _exact(cfg: TrialConfig, inputs, crossing, readout) -> TrialResult | None:
+    """One trial's result with no neuron stepped: from its inputs' first two
+    spike steps (the audio-rate screen), chains and detectors from the probe
     tables, then the readout replay. None where stepping may differ: an
-    input near threshold or firing again by the first event's poll, or no
-    tables."""
-    if cfg._tables is None:
-        return None
+    input firing again by the first event's poll."""
     (stage, reach, fire), net, dt = cfg._tables, cfg.net, cfg.dt
-    inputs = injected_spike_steps(net.config.input_params, cfg.injection, dt,
-                                  round(cfg.duration / dt), cond, fs)
-    if inputs is None:
-        return None
     steps = ids = np.zeros(0, dtype=np.int64)
     if stage is not None and all(inputs):
         # the kick steps at each detector position, from each side's chain
@@ -251,39 +247,62 @@ def _run_exact(cfg: TrialConfig, cond, fs: int, crossing) -> TrialResult | None:
         order = np.lexsort((j, steps))  # by step, then by id, as stepped
         steps, ids = steps[order], np.asarray(net.detectors)[j[order]]
     record = SpikeRecord(net.spec.n_neurons, steps * dt, ids)
-    events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
+    events = poll_loop(record, readout, t_end=cfg.duration)
     horizon = events[0].t if events else cfg.duration
     if all(len(spikes) < 2 or spikes[1] * dt > horizon for spikes in inputs):
         return _result(events, crossing)
     return None
 
 
+def _trials(cfg: TrialConfig, cells, noise_amplitude: float, labels=None) -> list:
+    """The results of trials `cells`, (itd, seed) pairs, as
+    run_trial_detailed gives them: the front end and the input screen run
+    once on the stack, then each cell goes through _exact, or through
+    run_trial_detailed where that may differ (see _exact; an input within
+    the screen's margin; no tables). With labels, a failure raises
+    RuntimeError naming its cell, or a stacked stage's first and last."""
+    lo, hi = 0, len(cells) - 1  # the cells a failure names
+    try:
+        cond, fs, crossings = _frontend(cfg, cells, noise_amplitude)
+        readout, inputs = cfg.readout_config(), [None] * len(cond)
+        if cfg._tables is not None:
+            inputs = injected_spike_steps(
+                cfg.net.config.input_params, cfg.injection, cfg.dt,
+                round(cfg.duration / cfg.dt), cond, fs)
+        results = []
+        for lo, (itd, seed) in enumerate(cells):
+            hi, pair = lo, inputs[2 * lo:2 * lo + 2]
+            results.append(
+                None not in pair and _exact(cfg, pair, crossings[lo], readout)
+                or run_trial_detailed(itd, seed, cfg,
+                                      noise_amplitude=noise_amplitude).result)
+        return results
+    except Exception as exc:
+        if labels is None:
+            raise
+        where = labels[lo] + ("" if lo == hi else f" to {labels[hi]}")
+        raise RuntimeError(f"trial failed at {where}: {exc}") from exc
+
+
 def run_trial(itd: float, seed, cfg: TrialConfig, *,
               noise_amplitude: float = 0.0) -> TrialResult:
     """Direction and latency of one trial, as run_trial_detailed gives them,
-    from exact spike arithmetic, or stepped by it where that may differ."""
-    cond, fs, crossing = _frontend(itd, seed, cfg, noise_amplitude)
-    return (_run_exact(cfg, cond, fs, crossing)
-            or run_trial_detailed(itd, seed, cfg,
-                                  noise_amplitude=noise_amplitude).result)
+    from exact spike arithmetic where it is exact: a batch of one."""
+    return _trials(cfg, [(itd, seed)], noise_amplitude)[0]
 
 
-def _sweep_row(cfg: SweepConfig, cell) -> SweepRow:
-    """The row of grid cell (itd index, trial index); a failure names it."""
-    i, k = cell
-    itd = cfg.itds[i]
-    try:
-        res = run_trial(itd, trial_seed(cfg.base_seed, i, k), cfg.trial,
-                        noise_amplitude=cfg.noise_amplitude)
-    except Exception as exc:
-        raise RuntimeError(
-            f"trial failed at itd={itd * 1e6:.3f}us, trial={k}, "
-            f"seed=({cfg.base_seed}, {i}, {k}): {exc}") from exc
-    return SweepRow(itd, k, res.direction, res.latency)
+def _sweep_rows(cfg: SweepConfig, cells) -> list:
+    """The rows of grid cells (itd index, trial index), as one batch."""
+    trials = [(cfg.itds[i], trial_seed(cfg.base_seed, i, k)) for i, k in cells]
+    labels = [f"itd={cfg.itds[i] * 1e6:.3f}us, trial={k}, "
+              f"seed=({cfg.base_seed}, {i}, {k})" for i, k in cells]
+    results = _trials(cfg.trial, trials, cfg.noise_amplitude, labels)
+    return [SweepRow(cfg.itds[i], k, res.direction, res.latency)
+            for (i, k), res in zip(cells, results)]
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
-    """Run the full ITD x trial grid, cell by cell (in chunks of cells on
+    """Run the full ITD x trial grid in batches of CHUNK cells (mapped over
     `jobs` worker processes when jobs > 1); rows are keyed by (itd, trial)
     and identical regardless of worker count. When out_dir is given, it is
     created first, and sweep.csv and stats.csv written there."""
@@ -293,14 +312,14 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     cells = [(i, k) for i in range(len(cfg.itds)) for k in range(cfg.trials)]
-    row = functools.partial(_sweep_row, cfg)
+    chunks = [cells[lo:lo + CHUNK] for lo in range(0, len(cells), CHUNK)]
+    rows_of = functools.partial(_sweep_rows, cfg)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            # a few chunks per worker
-            rows = tuple(pool.map(row, cells,
-                                  chunksize=-(-len(cells) // (4 * jobs))))
+            parts = list(pool.map(rows_of, chunks))
     else:
-        rows = tuple(map(row, cells))
+        parts = map(rows_of, chunks)
+    rows = tuple(row for part in parts for row in part)
     stats_rows, fit = stats(rows)
     result = SweepResult(rows=rows, stats=stats_rows, fit=fit)
     if out_dir is not None:

@@ -78,18 +78,37 @@ def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
     """The step D on which a neuron at rest fires after a synaptic kick of
     `weight` amperes on each step in `at` (ascending), stepped by
     Simulation: a neuron kicked once on step s fires on step s + D. None if
-    it has not fired once the PSP of its last kick is past its peak. With
-    trace, a pair of that step and the membrane at each step boundary."""
+    it has not fired once the PSP of its last kick is past its peak. The
+    first run ends one step past the closed-form PSP's first step within
+    _MARGIN of threshold (_near_step), then chunks follow. With trace, a
+    pair of that step and the membrane at each step boundary."""
     peak, chunk = _psp_steps(params, dt)
     chunks = -(-(at[-1] + peak + 2) // chunk)
+    near = None if trace else _near_step(params, weight, dt, at)
     sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
         ExternalSpike(s * dt, 0, weight) for s in at)), dt)
-    for steps in [chunks * chunk] if trace else [chunk] * chunks:
+    first = [] if near is None else [near + 1]
+    for steps in [chunks * chunk] if trace else first + [chunk] * chunks:
         record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
         if len(record):
             break
     step = int(round(record.times[0] / dt)) if len(record) else None
     return (step, traces.v[0]) if trace else step
+
+
+def _near_step(params: LifParams, weight: float, dt: float, at) -> int | None:
+    """The first step boundary on which the closed-form PSP of kicks of
+    `weight` on steps `at` comes within _MARGIN of threshold; None if it
+    peaks below that. The PSP is taken over twice as many steps at a time,
+    so no array is sized by the time constants."""
+    n = 64
+    while True:
+        y = _lone_psp(params, weight, dt, at[-1] + n)
+        v = sum(np.pad(y[:y.size - s], (s, 0)) for s in at)
+        near = np.flatnonzero(v >= params.v_thresh - params.v_leak - _MARGIN)
+        if near.size or np.argmax(y) < n:  # past its peak a PSP only falls
+            return int(near[0]) if near.size else None
+        n *= 2
 
 
 def single_spike_fire_weight(params: LifParams) -> float:

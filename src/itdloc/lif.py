@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ WEIGHT_LEVELS = 63  # signed 6-bit weight range
 _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
 _MARGIN = 1e-9  # volts; a membrane this near threshold is decided by stepping
 _CSV_STEPS = 1024  # steps of a trace CSV formatted and written at a time
+_WAVE_STEPS = 128  # steps per row the input screen resolves at once
 
 
 @dataclass(frozen=True)
@@ -428,10 +428,11 @@ class Simulation:
 def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
                      n_steps: int, sample_rate: int, n_samples: int) -> tuple:
     """What injected_spike_steps needs of a run besides the samples: each
-    step's drive position on the audio sample axis; the audio intervals j
-    that hold steps and their first steps; per interval the terms of a
-    resistive membrane's end from its start, y' = m * y + alpha * c[j] +
-    beta * c[j + 1] with y = v - v_rest; the one-step decay, gain, v_rest."""
+    step's drive position on the audio sample axis, as the sample j at or
+    below it and the distance past j; the audio intervals that hold steps,
+    their samples j and first steps; per interval the terms of a resistive
+    membrane's end from its start, y' = m * y + alpha * c[j] + beta *
+    c[j + 1] with y = v - v_rest; the one-step decay, gain, v_rest."""
     rate = round(1.0 / dt)  # the drive's sample rate at the simulator
     # the drive is the clip resampled to `rate` by linear interpolation
     # (frontend.resample), its final value held past the resampled end
@@ -439,7 +440,8 @@ def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
                        round(n_samples * rate / sample_rate))
     pos = held * (sample_rate / rate)
     j = np.minimum(np.floor(pos).astype(np.int64), n_samples - 1)
-    w = np.where(j < n_samples - 1, pos - j, 0.0)  # weight of sample j + 1
+    past = pos - j  # np.interp's x - xp[j]
+    w = np.where(j < n_samples - 1, past, 0.0)  # weight of sample j + 1
     first = np.flatnonzero(np.diff(j, prepend=-1))
     g_inj = (1.0 / (injection.r_src * params.c_m)
              if injection.mode == "resistive" else 0.0)
@@ -454,12 +456,11 @@ def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
     alpha = np.bincount(interval, weight * (1.0 - w))
     beta = np.bincount(interval, weight * w)
     m = decay ** (ends - first)
-    return (pos, j[first], first.tolist(), m.tolist(), alpha, beta,
-            decay, gain, v_rest)
+    return (j, past, j[first], first, m, alpha, beta, decay, gain, v_rest)
 
 
 def injected_spike_steps(params: LifParams, injection: InjectionSection,
-                         dt: float, n_steps: int, samples, sample_rate: int):
+                         dt: float, n_steps: int, samples, sample_rate: int) -> list:
     """The first two spike steps of an input neuron in a run of n_steps from
     rest, for each row of audio-rate samples, without building the drive.
 
@@ -470,56 +471,81 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
     interval end to interval end. It is resolved step by step only where it
     can reach thresh - _MARGIN: where an interval starts there or its
     drive's highest rest point lies there. A trigger input is resolved only
-    where an interval's endpoint samples reach it. The result equals the
-    stepper's up to rounding: None if a membrane, or a trigger sample,
-    comes within _MARGIN volts of threshold.
+    where an interval's endpoint samples reach it. The rows go in waves: a
+    row at a cool interval's start is carried to the next hot one, then
+    each row resolves up to _WAVE_STEPS steps of its interval, or of the
+    hot run it starts, in one 2-D interpolation and one lfilter. A row
+    equals the stepper's up to rounding: None where its membrane, or a
+    trigger sample, comes within _MARGIN volts of threshold.
     """
     from scipy.signal import lfilter
 
-    samples = np.atleast_2d(samples)
-    pos, j, first, m, alpha, beta, d, gain, v_rest = _audio_intervals(
-        params, injection, dt, n_steps, sample_rate, samples.shape[1])
-    resistive = injection.mode == "resistive"
-    thresh, lim = params.v_thresh, params.v_thresh - _MARGIN
-    ref = _refractory_steps(params, dt)
-    base, starts = np.arange(samples.shape[1], dtype=float), first + [n_steps]
-    index = np.arange(len(first))
-    out = []
-    for c in samples:
-        lo, hi = c[j], np.append(c[1:], c[-1])[j]
-        top = np.maximum(lo, hi)
-        if resistive:  # the membrane never passes max(its start, this)
-            top = v_rest + gain * top / (1 - d)
-            u = (alpha * lo + beta * hi).tolist()
-        hot = top >= lim
-        # per interval, the first one from it on that is hot, and that is not
-        next_hot, next_cool = (
-            np.minimum.accumulate(np.where(h, index, len(first))[::-1])[::-1].tolist()
-            for h in (hot, ~hot))
-        spikes, k, y = [], 0, params.v_leak - v_rest  # y: v - v_rest at step k
-        while k < n_steps and len(spikes) < 2:
-            g = bisect_right(first, k) - 1
-            if k == first[g] and not hot[g] and (not resistive or y + v_rest < lim):
-                if resistive:  # whole intervals up to the next hot one
-                    for i in range(g, next_hot[g]):
-                        y = m[i] * y + u[i]
-                k = starts[next_hot[g]]
-                continue
-            # step to the end of this interval, or of the hot run it starts
-            end = starts[next_cool[g] if hot[g] else g + 1]
-            v = np.interp(pos[k:end], base, c)
+    c = np.atleast_2d(samples)
+    at, past, j, first, m, alpha, beta, d, gain, v_rest = _audio_intervals(
+        params, injection, dt, n_steps, sample_rate, c.shape[1])
+    c = np.concatenate((c, c[:, -1:]), axis=1)  # the last sample held on
+    # np.interp's slopes at unit spacing, shaped like c (the last unread)
+    slope = np.diff(c, axis=1, append=0.0)
+    lo, hi = c[:, j], c[:, j + 1]
+    top, y0 = np.maximum(lo, hi), params.v_leak - v_rest
+    resistive, lim = injection.mode == "resistive", params.v_thresh - _MARGIN
+    if resistive:  # the membrane never passes max(its start, this)
+        top = v_rest + gain * top / (1 - d)
+        # free[:, i]: y at interval i's start from rest if it never fired,
+        # an inclusive scan of y' = m y + u; factors under 1e-150 change no
+        # sum (and would go subnormal)
+        a, free = np.where(m < 1e-150, 0.0, m), (alpha * lo + beta * hi).T
+        s = 1
+        while s < a.size and a[s:].any():
+            free[s:] += a[s:, None] * free[:-s]
+            a[s:] *= a[:-s]
+            a[a < 1e-150], s = 0.0, 2 * s
+        free = np.hstack((np.full((len(c), 1), y0), (a[:, None] * y0 + free).T))
+    hot = top >= lim
+    rows, n_int = hot.shape
+    # per interval, the first one from it on that is hot, and that is not
+    next_hot, next_cool = (
+        np.minimum.accumulate(np.where(h, np.arange(n_int), n_int)[:, ::-1],
+                              axis=1)[:, ::-1] for h in (hot, ~hot))
+    starts, ref = np.append(first, n_steps), _refractory_steps(params, dt)
+    spikes = np.zeros((rows, 2), dtype=np.int64)
+    count, refused = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
+    # the rows still screened, each at step k with y = v - v_rest
+    live, k, y = np.arange(rows), np.zeros(rows, dtype=np.int64), np.full(rows, y0)
+    while live.size:
+        g = np.searchsorted(first, k, side="right") - 1
+        cool = (k == first[g]) & ~hot[live, g] & ((y + v_rest < lim) | (not resistive))
+        if cool.any():  # whole intervals up to the next hot one
+            r, g0 = live[cool], g[cool]
+            k[cool], g[cool] = starts[next_hot[r, g0]], next_hot[r, g0]
             if resistive:
-                v = lfilter([1.0], [1.0, -d], v * gain, zi=[d * y])[0] + v_rest
-            above = np.flatnonzero(v >= lim)
-            if above.size and v[above[0]] < thresh + _MARGIN:
-                return None
-            if above.size:
-                spikes.append(k + int(above[0]) + 1)
-                k, y = spikes[-1] + ref, params.v_reset - v_rest
-            else:
-                k, y = end, v[-1] - v_rest
-        out.append(spikes)
-    return out
+                y[cool] = free[r, g[cool]] + (y[cool] - free[r, g0]) * d ** (
+                    k[cool] - starts[g0])
+            on = k < n_steps
+            live, k, y, g = live[on], k[on], y[on], g[on]
+            if not live.size:
+                break
+        # step to the end of this interval, or of the hot run it starts
+        end = np.where(hot[live, g], starts[next_cool[live, g]], starts[g + 1])
+        n = np.minimum(end - k, _WAVE_STEPS)
+        step = np.minimum(np.add.outer(k, np.arange(n.max())), n_steps - 1)
+        flat = at[step] + live[:, None] * c.shape[1]  # rows flattened
+        v = slope.take(flat) * past[step] + c.take(flat)
+        if resistive:
+            v = lfilter([1.0], [1.0, -d], v * gain, axis=1,
+                        zi=d * y[:, None])[0] + v_rest
+        above = (v >= lim) & (np.arange(n.max()) < n[:, None])
+        i, each = above.argmax(axis=1), np.arange(live.size)
+        near = above[each, i] & (v[each, i] < params.v_thresh + _MARGIN)
+        fire = above[each, i] & ~near
+        refused[live[near]] = True
+        spikes[live[fire], count[live[fire]]] = (k + i + 1)[fire]
+        count[live[fire]] += 1
+        y = np.where(fire, params.v_reset - v_rest, v[each, n - 1] - v_rest)
+        k = np.where(fire, k + i + 1 + ref, k + n)
+        on = (k < n_steps) & ~near & (count[live] < 2)
+        live, k, y = live[on], k[on], y[on]
+    return [None if no else s[:n].tolist() for s, n, no in zip(spikes, count, refused)]
 
 
 def run(spec: NetworkSpec, duration: float, dt: float, record_traces=()) -> tuple:

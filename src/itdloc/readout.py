@@ -5,10 +5,9 @@ and the two output encodings (servo PWM schedule, serial text frames).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .lif import SpikeRecord
 
@@ -85,26 +84,31 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutConfig, t_end: float):
     read.
     """
     index_of = {nid: j for j, nid in enumerate(cfg.detector_ids)}
-    counters = np.zeros(len(index_of), dtype=np.int64)
-    times, ids = record.times, record.ids
+    times, ids = record.times.tolist(), record.ids.tolist()
+    step, limit = cfg.iteration_time, t_end + _SLACK
     ptr, events = 0, []
     k = 1  # boundary k * iteration_time, never a running float sum
-
-    while (boundary := k * cfg.iteration_time) <= t_end + _SLACK:
-        while ptr < times.size and times[ptr] <= boundary + _SLACK:
-            j = index_of.get(int(ids[ptr]))
+    while ptr < len(times) and times[ptr] <= limit + _SLACK:
+        # counters are clear at each poll's start, so skip the polls before
+        # the one that reads the next spike (- 2 covers division noise)
+        k = max(k, math.ceil((times[ptr] - _SLACK) / step) - 2)
+        while times[ptr] > k * step + _SLACK:
+            k += 1
+        if (boundary := k * step) > limit:
+            break
+        active = set()
+        while ptr < len(times) and times[ptr] <= boundary + _SLACK:
+            j = index_of.get(ids[ptr])
             if j is not None:
-                counters[j] += 1
+                active.add(j)
             ptr += 1
         k += 1
-        active = np.flatnonzero(counters)
-        if active.size:
+        if active:
             events.append(DirectionEvent(t=boundary,
-                                         direction=float(np.mean(active))))
+                                         direction=sum(active) / len(active)))
             reset_time = boundary + cfg.dead_time
-            while ptr < times.size and times[ptr] <= reset_time + _SLACK:
+            while ptr < len(times) and times[ptr] <= reset_time + _SLACK:
                 ptr += 1  # discarded: lands before the post-sleep reset
-            counters[:] = 0
             k += cfg.dead_polls
     return events
 

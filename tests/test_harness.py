@@ -3,6 +3,7 @@ oracle."""
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,6 +354,56 @@ class TestEventEngine:
                                   noise_amplitude=noise).result
         assert fast == full
 
+    @settings(max_examples=8, deadline=None)
+    @given(itds_us=st.lists(st.floats(-180.0, 180.0), min_size=1, max_size=2),
+           trials=st.integers(1, 3), chunk=st.integers(1, 4),
+           noise=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["resistive", "trigger"]),
+           t_ref=st.sampled_from([5e-4, 1e-4]))
+    @example(itds_us=[-100.0, 0.0], trials=2, chunk=3, noise=0.07, seed=1,
+             mode="resistive", t_ref=1e-4)
+    def test_chunk_rows_equal_batches_of_one(self, itds_us, trials, chunk,
+                                             noise, seed, mode, t_ref):
+        # each row of a sweep run in chunks is its cell's run_trial, a
+        # batch of one, on both sides of a chunk boundary; with a 100 us
+        # input refractory period some inputs fire again before the first
+        # event, and those cells are stepped
+        trial = TrialConfig(
+            net=build(JeffressConfig(input_neuron_params=LifParams(t_ref=t_ref))),
+            injection=InjectionSection(mode=mode))
+        cfg = SweepConfig(trial=trial, itds=tuple(x * 1e-6 for x in itds_us),
+                          trials=trials, noise_amplitude=noise, base_seed=seed)
+        with mock.patch.object(harness, "CHUNK", chunk):
+            rows = run_sweep(cfg).rows
+        cells = [(i, k) for i in range(len(cfg.itds)) for k in range(trials)]
+        assert len(rows) == len(cells)
+        for row, (i, k) in zip(rows, cells):
+            res = run_trial(cfg.itds[i], trial_seed(seed, i, k), trial,
+                            noise_amplitude=noise)
+            assert (row.itd, row.trial, row.direction, row.latency) == (
+                cfg.itds[i], k, res.direction, res.latency)
+
+    def test_failing_stacked_stage_names_its_chunk(self, default_trial,
+                                                   monkeypatch):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("overflow")
+        monkeypatch.setattr(harness, "condition", broken)
+        monkeypatch.setattr(harness, "CHUNK", 3)  # cells (0, 0) .. (1, 0)
+        cfg = SweepConfig(trial=default_trial, itds=(-20e-6, 20e-6), trials=2,
+                          base_seed=4)
+        with pytest.raises(RuntimeError, match=(
+                r"trial failed at itd=-20\.000us, trial=0, seed=\(4, 0, 0\) "
+                r"to itd=20\.000us, trial=0, seed=\(4, 1, 0\): overflow")):
+            run_sweep(cfg)
+
+    def test_pool_maps_chunks(self, default_trial, monkeypatch):
+        # three chunks of three cells, the boundaries inside an ITD
+        cfg = SweepConfig(trial=default_trial, itds=(-40e-6, 0.0, 40e-6),
+                          trials=4, noise_amplitude=0.07, base_seed=8)
+        rows = run_sweep(cfg).rows
+        monkeypatch.setattr(harness, "CHUNK", 3)
+        assert run_sweep(cfg, jobs=2).rows == rows
+
     def test_engine_spikes_equal_stepped_spikes(self, default_trial, fallbacks,
                                                 monkeypatch):
         # the detector spikes the engine hands to poll_loop are the stepped
@@ -504,7 +555,7 @@ class TestResampleWindow:
     def test_window_equals_full_resample(self, default_trial, rate, seconds):
         clip = synth_clap(ClapSpec(onset_time=1e-4, rng_seed=2), rate, seconds)
         cfg = dataclasses.replace(default_trial, recording=clip)
-        cond, _, _ = harness._frontend(40e-6, 3, cfg, 0.05)
+        cond, _, _ = harness._frontend(cfg, [(40e-6, 3)], 0.05)
         sim_rate = round(1 / cfg.dt)
         times = np.arange(round(cfg.duration * sim_rate) + 1) * cfg.dt
         full = full_resample(AudioClip(rate, cond), sim_rate / rate)

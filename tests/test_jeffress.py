@@ -289,6 +289,45 @@ class TestChainWalk:
         assert max(sizes) == 2
 
 
+class TestKickFireStep:
+    def test_slow_membrane_steps_only_to_the_crossing(self):
+        # with tau_m = 1 s the PSP peaks after about 1,670 steps, and a
+        # quarter of max(tau_m, tau_syn) / dt is 2.5 million steps: the
+        # first run ends one step past the closed-form crossing, so a kick
+        # that fires steps D + 1 steps, and D is the stepper's
+        params = LifParams(tau_m=1.0)
+        w = 1.5 * single_spike_fire_weight(params)
+        with mock.patch.object(
+                jeffress.Simulation, "run", autospec=True,
+                side_effect=Simulation.run) as runs:
+            d = jeffress.kick_fire_step(params, w, DT)
+        steps = [round(call.args[1] / DT) for call in runs.call_args_list]
+        assert steps == [d + 1]
+        record, _ = run(NetworkSpec((params,), external_spikes=(
+            ExternalSpike(0.0, 0, w),)), (d + 10) * DT, DT)
+        assert round(record.times[0] / DT) == d
+
+    @pytest.mark.parametrize("factor", [0.3, 0.7, 1.2, 3.0])
+    @pytest.mark.parametrize("at", [(0,), (0, 17)])
+    def test_one_run_to_the_crossing(self, at, factor):
+        # kicks that fire are stepped in one run, to one step past the
+        # closed-form crossing, and give the step of one run past the last
+        # kick's peak; kicks that never fire are stepped past that peak
+        params = LifParams()
+        w = factor * single_spike_fire_weight(params)
+        with mock.patch.object(jeffress.Simulation, "run", autospec=True,
+                               side_effect=Simulation.run) as runs:
+            d = jeffress.kick_fire_step(params, w, DT, at=at)
+        steps = [round(call.args[1] / DT) for call in runs.call_args_list]
+        record, _ = run(NetworkSpec((params,), external_spikes=tuple(
+            ExternalSpike(s * DT, 0, w) for s in at)), (at[-1] + 200) * DT, DT)
+        assert d == (round(record.times[0] / DT) if len(record) else None)
+        if d is None:
+            assert sum(steps) >= at[-1] + 150
+        else:
+            assert len(steps) == 1 and steps[0] >= d
+
+
 class TestTuner:
     def test_hits_target_within_tolerance(self, default_net):
         w = tune_chain_weight(3.8e-6, LifParams(), DT)

@@ -231,8 +231,24 @@ def test_input_screen_matches_stepper(case):
     params, injection, dt, rate, samples, n_steps = case
     screened = lif.injected_spike_steps(params, injection, dt, n_steps,
                                         samples, rate)
-    if screened is not None:  # None: a membrane came within 1 nV
-        assert screened == _stepped_input_spikes(*case)
+    if screened != [None, None]:  # None: a row's membrane came within 1 nV
+        for row, stepped in zip(screened, _stepped_input_spikes(*case)):
+            assert row is None or row == stepped
+
+
+@settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(screened_inputs(), st.integers(0, 2))
+def test_input_screen_refuses_only_the_row_near_threshold(case, at):
+    # a row held at the level whose resting point is the threshold creeps
+    # to within 1 nV of it over 3000 steps, so its result is None; every
+    # other row gives what its own single-row call gives
+    params, injection, dt, rate, samples, _ = case
+    rows = np.insert(samples, at, _at_threshold(params, injection), axis=0)
+    screened = lif.injected_spike_steps(params, injection, dt, 3000, rows, rate)
+    assert screened[at] is None
+    assert screened[:at] + screened[at + 1:] == [
+        lif.injected_spike_steps(params, injection, dt, 3000, row, rate)[0]
+        for row in samples]
 
 
 @pytest.mark.parametrize("mode", ["resistive", "trigger"])
@@ -244,7 +260,7 @@ def test_input_screen_at_the_range_edge(default_net, stage_delay, sign, mode):
     itd = sign * (default_net.n_stages - 1) * stage_delay
     n_steps = round(cfg.duration / DT)
     for seed, noise in ((None, 0.0), (3, 0.07)):
-        cond, fs, _ = harness._frontend(itd, seed, cfg, noise)
+        cond, fs, _ = harness._frontend(cfg, [(itd, seed)], noise)
         screened = lif.injected_spike_steps(
             default_net.config.input_params, cfg.injection, DT, n_steps, cond,
             fs)
@@ -262,7 +278,7 @@ def test_input_screen_refuses_a_membrane_at_threshold():
         injection = InjectionSection(mode=mode)
         samples = np.full((2, 10), _at_threshold(p, injection))
         assert lif.injected_spike_steps(p, injection, DT, 3000, samples,
-                                        192000) is None
+                                        192000) == [None, None]
         # 1 mV higher it fires, and the screen gives the stepper's spikes
         samples += 1e-3
         screened = lif.injected_spike_steps(p, injection, DT, 3000, samples,

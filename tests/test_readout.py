@@ -3,7 +3,7 @@ serial text framing."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itdloc.lif import SpikeRecord
@@ -219,6 +219,12 @@ def poll_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(poll_cases())
+# a spike thousands of empty polls past the last read, before and after a
+# detection's sleep, and a run of t_end = 1 s
+@example(case=([(3, 4), (2950, 4)], [4], 1, 0, 3000))
+@example(case=([(5, 2), (9, 7), (2990, 7)], [7, 2], 1, 40, 3000))
+@example(case=([(90, 4), (250_000, 5), (999_990, 4)], [4, 5], 100, 300,
+               1_000_000))
 def test_poll_loop_equals_brute_force_replay(case):
     spikes, detector_ids, iteration, dead, t_end = case
     tick = 1e-6
