@@ -225,6 +225,8 @@ def main(argv=None) -> int:
         argv[i:i + 2] = [f"--itds={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, WavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

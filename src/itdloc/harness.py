@@ -331,7 +331,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
 def stats(rows) -> tuple:
     """Per-ITD mean/std/outlier/miss statistics plus a least-squares line
     through the per-ITD means. ITDs where every trial missed carry absent
-    statistics and are excluded from the fit."""
+    statistics and are excluded from the fit; ITDs whose spread squares to
+    zero, like a lone ITD, determine no line."""
     by_itd: dict = {}
     for r in rows:
         by_itd.setdefault(r.itd, []).append(r)
@@ -351,7 +352,7 @@ def stats(rows) -> tuple:
         xs.append(itd)
         ys.append(mean)
     fit = None
-    if len(xs) >= 2:
+    if len(xs) >= 2 and np.var(xs) > 0:
         slope, intercept = np.polyfit(xs, ys, 1)
         resid = np.array(ys) - (slope * np.array(xs) + intercept)
         fit = LinearFit(slope=float(slope), intercept=float(intercept),

@@ -31,7 +31,6 @@ DEFAULT_CHAIN_WEIGHT = 4.095e-07
 
 _T_INJECT = 5e-6  # when the calibration spike enters the chain head
 _WINDOW_PER_STAGE = 30e-6  # calibration run time per stage
-_TOLERANCE = 1e-7  # delay error at which tune_chain_weight stops
 _PROBE_STAGES = 9  # length of the chains tune_chain_weight probes
 _MAX_ITER = 80  # bisection steps before tune_chain_weight gives up
 _RESIDUAL_TOL = 1e-9  # seconds of ITD woodworth_angle may miss by
@@ -66,49 +65,43 @@ def fires_once(params: LifParams, weight: float) -> bool:
         params.v_reset, params.v_leak)
 
 
-def _psp_steps(params: LifParams, dt: float) -> tuple:
-    """A bound on the steps a PSP takes to peak after its kick (it peaks
-    within max(tau_m, tau_syn)), and the chunk a probe is stepped in."""
-    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
-    return peak, max(1, peak // 4)
-
-
 def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
                    trace: bool = False):
     """The step D on which a neuron at rest fires after a synaptic kick of
-    `weight` amperes on each step in `at` (ascending), stepped by
-    Simulation: a neuron kicked once on step s fires on step s + D. None if
-    it has not fired once the PSP of its last kick is past its peak. The
-    first run ends one step past the closed-form PSP's first step within
-    _MARGIN of threshold (_near_step), then chunks follow. With trace, a
-    pair of that step and the membrane at each step boundary."""
-    peak, chunk = _psp_steps(params, dt)
-    chunks = -(-(at[-1] + peak + 2) // chunk)
-    near = None if trace else _near_step(params, weight, dt, at)
+    `weight` amperes on each step in `at` (ascending): a neuron kicked once
+    on step s fires on step s + D; None if never. One Simulation run of
+    _run_steps steps, or none; with trace, a pair of D and the membrane at
+    each step boundary."""
+    steps = _run_steps(params, weight, dt, at, trace)
+    if steps is None:
+        return None
     sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
         ExternalSpike(s * dt, 0, weight) for s in at)), dt)
-    first = [] if near is None else [near + 1]
-    for steps in [chunks * chunk] if trace else first + [chunk] * chunks:
-        record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
-        if len(record):
-            break
+    record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
     step = int(round(record.times[0] / dt)) if len(record) else None
     return (step, traces.v[0]) if trace else step
 
 
-def _near_step(params: LifParams, weight: float, dt: float, at) -> int | None:
-    """The first step boundary on which the closed-form PSP of kicks of
-    `weight` on steps `at` comes within _MARGIN of threshold; None if it
-    peaks below that. The PSP is taken over twice as many steps at a time,
-    so no array is sized by the time constants."""
-    n = 64
+def _run_steps(params: LifParams, weight: float, dt: float, at,
+               trace: bool) -> int | None:
+    """Steps in kick_fire_step's run, from the closed-form PSP v of the
+    kicks: one past the first boundary where v passes threshold by _MARGIN;
+    else, or with trace, two past the last kick's peak, past which v only
+    falls; None if v peaks more than _MARGIN below threshold, unless trace.
+    v doubles in length until then, so no array is sized by the taus."""
+    thresh, n = params.v_thresh - params.v_leak, 64
     while True:
         y = _lone_psp(params, weight, dt, at[-1] + n)
         v = sum(np.pad(y[:y.size - s], (s, 0)) for s in at)
-        near = np.flatnonzero(v >= params.v_thresh - params.v_leak - _MARGIN)
-        if near.size or np.argmax(y) < n:  # past its peak a PSP only falls
-            return int(near[0]) if near.size else None
+        cross = np.flatnonzero(v >= thresh + _MARGIN)
+        if cross.size and not trace:
+            return int(cross[0]) + 1
+        if np.argmax(y) < n:  # the last kick's peak is inside
+            break
         n *= 2
+    if v.max() < thresh - _MARGIN and not trace:
+        return None
+    return at[-1] + int(np.argmax(y)) + 2
 
 
 def single_spike_fire_weight(params: LifParams) -> float:
@@ -339,7 +332,7 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     when peak > _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), when a
     detector fires on one kick, or when no offset is silent."""
     params, w_coin = net.config.neuron_params, net.coincidence_weight
-    peak = _psp_steps(params, dt)[0]
+    peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # a bound on it
     if not _fires_once(net) or peak > _MAX_PEAK_STEPS:
         return None
     thresh = params.v_thresh - params.v_leak
@@ -373,15 +366,15 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
 
 
-def _chain_walk(params: LifParams, weight: float, dt: float, order) -> list:
-    """Spike times of a chain of identical neurons linked by `weight`, ids
-    `order` head first, the head kicked at _T_INJECT. Nothing feeds back
-    into a chain, so a head that fires once in the window, D steps after
-    its kick on step e, has stage k fire on step e + (k + 1) D. D is from
-    kick_fire_step where fires_once; else the head is stepped over the
-    window, where the error counts its spikes, with its successor: numpy
-    steps two neurons faster than one. CalibrationError names the first
-    stage that is silent in the window or fires there more than once."""
+def _chain_walk(params: LifParams, weight: float, dt: float, order) -> tuple:
+    """(e, D): a chain of identical neurons linked by `weight`, ids `order`
+    head first, has its head kicked on step e (at _T_INJECT); nothing feeds
+    back into a chain, so a head that fires once in the window, D steps
+    later, has stage k fire on step e + (k + 1) D. D is from kick_fire_step
+    where fires_once; else the head is stepped over the window, where the
+    error counts its spikes, with its successor: numpy steps two neurons
+    faster than one. CalibrationError names the first stage that is silent
+    in the window or fires there more than once."""
     start = math.floor(_T_INJECT / dt + _STEP_SLACK)
     duration = _T_INJECT + len(order) * _WINDOW_PER_STAGE
     if fires_once(params, weight):
@@ -401,8 +394,7 @@ def _chain_walk(params: LifParams, weight: float, dt: float, order) -> list:
     if fired < len(order):
         raise CalibrationError(
             f"chain stage {fired} (neuron {order[fired]}) never fired")
-    # each spike time as Simulation records it
-    return [(start + k * d) * dt for k in range(1, len(order) + 1)]
+    return start, d
 
 
 def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
@@ -411,43 +403,41 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
     if a stage stays silent or fires more than once in the window."""
     cfg = net.config
     check_dt((cfg.input_params, cfg.neuron_params), dt)
-    deltas = np.diff(_chain_walk(cfg.neuron_params, net.chain_weight, dt,
-                                 net.chain_order("left")))
-    return CalibrationResult(tuple(float(d) for d in deltas),
+    start, d = _chain_walk(cfg.neuron_params, net.chain_weight, dt,
+                           net.chain_order("left"))
+    # each spike time as Simulation records it
+    deltas = np.diff([(start + k * d) * dt for k in range(1, cfg.n_stages + 1)])
+    return CalibrationResult(tuple(float(x) for x in deltas),
                              float(np.mean(deltas)), float(np.std(deltas)))
 
 
-def _probe_delay(weight: float, params: LifParams, dt: float) -> float:
-    """Per-stage delay of a bare _PROBE_STAGES-stage chain driven by one
-    injected spike, or inf if the chain does not propagate."""
-    try:
-        times = _chain_walk(params, weight, dt, range(_PROBE_STAGES))
-    except CalibrationError:
-        return math.inf
-    return float(np.mean(np.diff(times)))
-
-
 def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> float:
-    """Bisect the chain weight until the per-stage delay of a short probe
-    chain is within _TOLERANCE of the target. Deterministic; raises if the
-    target lies outside the achievable delay range."""
+    """Bisect the chain weight until a bare _PROBE_STAGES-stage chain's D
+    (see _chain_walk; inf where it does not propagate) is the target's
+    nearest whole step. Deterministic; raises outside the achievable range."""
     if target_delay <= 0:
         raise ValueError("target_delay must be > 0")
     check_dt((params,), dt)
-    w_fire = single_spike_fire_weight(params)
+
+    def probe(weight: float) -> float:
+        try:
+            return _chain_walk(params, weight, dt, range(_PROBE_STAGES))[1]
+        except CalibrationError:
+            return math.inf
+
+    target, w_fire = round(target_delay / dt), single_spike_fire_weight(params)
     lo, hi = 1.02 * w_fire, 400.0 * w_fire
-    d_lo = _probe_delay(lo, params, dt)
-    d_hi = _probe_delay(hi, params, dt)
-    if not d_hi <= target_delay <= d_lo:
+    d_lo, d_hi = probe(lo), probe(hi)
+    if not d_hi <= target <= d_lo:
         raise ValueError(
             f"target delay {target_delay:.3g}s outside achievable range "
-            f"[{d_hi:.3g}, {d_lo:.3g}]s")
+            f"[{d_hi * dt:.3g}, {d_lo * dt:.3g}]s")
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        d = _probe_delay(mid, params, dt)
-        if abs(d - target_delay) < _TOLERANCE:
+        d = probe(mid)
+        if d == target:
             return mid
-        if d > target_delay:
+        if d > target:
             lo = mid  # too slow, drive harder
         else:
             hi = mid

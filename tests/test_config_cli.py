@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -413,6 +414,20 @@ class TestCli:
             cli.main(["calibrate", "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["sweep", "--seed", "-1"],
+                                         ["simulate", "--seed", "-3"]],
+                             ids=["sweep", "simulate"])
+    def test_negative_seed_exit_2(self, command, tmp_path, capsys):
+        # as a negative sweep.base_seed in the config, before any trial
+        out = tmp_path / "o"
+        with mock.patch.object(harness, "run_trial_detailed") as detailed, \
+                mock.patch.object(harness, "run_sweep") as sweep:
+            rc = cli.main([*command, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --seed must be >= 0, got {command[-1]}\n")
+        assert not (out.exists() or detailed.called or sweep.called)
 
     def test_short_duration_runs_on_a_config_wav(self, tmp_path):
         # the recording replaces the clap, so its onset does not bound

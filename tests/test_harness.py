@@ -362,6 +362,8 @@ class TestEventEngine:
            t_ref=st.sampled_from([5e-4, 1e-4]))
     @example(itds_us=[-100.0, 0.0], trials=2, chunk=3, noise=0.07, seed=1,
              mode="resistive", t_ref=1e-4)
+    @example(itds_us=[0.0, 2.734340712671809e-257], trials=1, chunk=1,
+             noise=0.0, seed=0, mode="resistive", t_ref=5e-4)
     def test_chunk_rows_equal_batches_of_one(self, itds_us, trials, chunk,
                                              noise, seed, mode, t_ref):
         # each row of a sweep run in chunks is its cell's run_trial, a
@@ -577,6 +579,14 @@ class TestStats:
         res_m = run_trial(-100e-6, None, default_trial)
         center = default_net.n_stages - 1
         assert res_p.direction + res_m.direction == pytest.approx(center, abs=1.0)
+
+    def test_itds_whose_spread_squares_to_zero_give_no_fit(self):
+        # two distinct ITDs 1e-300 s apart: their variance underflows to
+        # zero, and a least-squares line through them is undetermined
+        rows = [SweepRow(0.0, 0, 12.0, 1e-4), SweepRow(1e-300, 0, 13.0, 1e-4)]
+        out, fit = stats(rows)
+        assert [s.mean for s in out] == [12.0, 13.0]
+        assert fit is None
 
     def test_all_miss_itd_absent_not_zero(self):
         rows = [SweepRow(0.0, 0, None, None), SweepRow(1e-5, 0, 3.0, 1e-4),

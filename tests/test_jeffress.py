@@ -260,18 +260,25 @@ class TestChainWalk:
     @given(params=_PARAMS, factor=st.floats(1.02, 400.0),
            dt=st.sampled_from([1e-7, 5e-8]))
     def test_probe_equals_stepped_probe_network(self, params, factor, dt):
-        # the tuner's probe: the mean stage delay of a bare 9-stage chain
-        # network stepped whole, or inf where it does not propagate
+        # the tuner's probe: the whole steps D each stage of a bare 9-stage
+        # chain network stepped whole takes, or no D where it does not
+        # propagate
         w = factor * single_spike_fire_weight(params)
         net = build(JeffressConfig(
             n_stages=jeffress._PROBE_STAGES, chain_weight=w, neuron_params=params,
             coincidence_weight=0.5 * single_spike_fire_weight(params)))
         reference = stepped_calibration(net, dt)
-        expected = (math.inf if isinstance(reference, str)
-                    else reference.stage_delay_mean)
         with simulated_sizes() as sizes:
-            assert jeffress._probe_delay(w, params, dt) == expected
+            try:
+                d = jeffress._chain_walk(
+                    params, w, dt, range(jeffress._PROBE_STAGES))[1]
+            except CalibrationError:
+                d = None
         assert max(sizes) <= 2
+        if isinstance(reference, str):
+            assert d is None
+        else:
+            assert {round(x / dt) for x in reference.stage_delays} == {d}
 
     def test_tune_and_calibrate_simulate_at_most_two_neurons(self):
         # a 5 us clamp lets a chain neuron kicked hard fire twice: the
@@ -312,7 +319,8 @@ class TestKickFireStep:
     def test_one_run_to_the_crossing(self, at, factor):
         # kicks that fire are stepped in one run, to one step past the
         # closed-form crossing, and give the step of one run past the last
-        # kick's peak; kicks that never fire are stepped past that peak
+        # kick's peak; kicks whose closed-form PSP peaks below threshold
+        # are not stepped at all
         params = LifParams()
         w = factor * single_spike_fire_weight(params)
         with mock.patch.object(jeffress.Simulation, "run", autospec=True,
@@ -323,9 +331,43 @@ class TestKickFireStep:
             ExternalSpike(s * DT, 0, w) for s in at)), (at[-1] + 200) * DT, DT)
         assert d == (round(record.times[0] / DT) if len(record) else None)
         if d is None:
-            assert sum(steps) >= at[-1] + 150
+            assert steps == []
         else:
             assert len(steps) == 1 and steps[0] >= d
+
+    def test_slow_membrane_that_never_fires_is_not_stepped(self):
+        # with tau_m = 1 s, half the firing weight peaks far below
+        # threshold after about 1,670 steps: the closed form says so
+        params = LifParams(tau_m=1.0)
+        w = 0.5 * single_spike_fire_weight(params)
+        with simulated_sizes() as sizes:
+            assert jeffress.kick_fire_step(params, w, DT) is None
+        assert sizes == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.floats(2e-6, 40e-6),
+           factor=st.floats(0.3, 3.0), off=st.none() | st.integers(1, 60),
+           dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
+    def test_equals_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
+        # one run, or none where the closed-form PSP peaks more than
+        # _MARGIN below threshold, gives the first spike of a run well past
+        # the last kick's peak
+        assume(tau_m != tau_syn)
+        params = LifParams(tau_m=tau_m, tau_syn=tau_syn)
+        w = factor * single_spike_fire_weight(params)
+        at = (0,) if off is None else (0, off)
+        with simulated_sizes() as sizes:
+            d = jeffress.kick_fire_step(params, w, dt, at=at)
+        n = at[-1] + math.ceil(max(tau_m, tau_syn) / dt) + 10
+        record, traces = run(NetworkSpec((params,), external_spikes=tuple(
+            ExternalSpike(s * dt, 0, w) for s in at)), n * dt, dt,
+            record_traces=[0])
+        assert d == (round(record.times[0] / dt) if len(record) else None)
+        peak = traces.v[0].max()  # a kick that fires resets the membrane
+        if not len(record) and peak < params.v_thresh - 2 * jeffress._MARGIN:
+            assert sizes == []
+        else:
+            assert sizes == [1]
 
 
 class TestTuner:
@@ -348,6 +390,33 @@ class TestTuner:
         w_fast = tune_chain_weight(3e-6, LifParams(), DT)
         w_slow = tune_chain_weight(6e-6, LifParams(), DT)
         assert w_slow < w_fast
+
+    @pytest.mark.parametrize("target_us", [3.0, 3.7, 3.9])
+    def test_lands_on_the_nearest_whole_step(self, target_us):
+        # a probe one step off is one step off, not within a tolerance of
+        # one step that the last bit of a float mean decides
+        w = tune_chain_weight(target_us * 1e-6, LifParams(), DT)
+        cal = calibrate_stage_delay(build(JeffressConfig(chain_weight=w)), DT)
+        assert round(cal.stage_delay_mean / DT) == round(target_us * 10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(tau_m=st.floats(2e-6, 30e-6), tau_syn=st.floats(2e-6, 30e-6),
+           factor=st.floats(1.02, 400.0), dt=st.sampled_from([1e-7, 5e-8]))
+    def test_tuned_weight_fires_on_the_target_step(self, tau_m, tau_syn,
+                                                   factor, dt):
+        # a target on the step grid that some probe weight reaches: the
+        # tuned weight's kick fires on exactly that step
+        params = LifParams(tau_m=tau_m, tau_syn=tau_syn)
+        w_fire = single_spike_fire_weight(params)
+        assume(jeffress.fires_once(params, 400.0 * w_fire))
+        try:
+            _, d = jeffress._chain_walk(params, factor * w_fire, dt,
+                                        range(jeffress._PROBE_STAGES))
+        except CalibrationError:  # the probe chain outlasts its window
+            assume(False)
+        target = d * dt
+        w = tune_chain_weight(target, params, dt)
+        assert jeffress.kick_fire_step(params, w, dt) == round(target / dt)
 
 
 class TestDetectorMap:
