@@ -61,6 +61,8 @@ def _trial(cfg: RunConfig, wav: str | None) -> harness.TrialConfig:
 
 
 def cmd_calibrate(args) -> int:
+    if not 0 < args.target_us < np.inf:
+        raise ConfigError(f"--target-us must be finite and > 0, got {args.target_us}")
     cfg = _load(args)
     target = args.target_us * 1e-6
     weight = jeffress.tune_chain_weight(target, cfg.network.neuron_params,
@@ -92,12 +94,14 @@ def cmd_simulate(args) -> int:
     itd_us = args.itd or 0.0
     check_itds([itd_us], trial_cfg.mono_stimulus().duration)
     itd = itd_us * 1e-6
-    traced = [int(x) for x in args.traces.split(",")] if args.traces else []
+    n, ids = net.spec.n_neurons, args.traces.split(",") if args.traces else []
+    if not all(x.strip().isdecimal() and int(x) < n for x in ids):
+        raise ConfigError(f"--traces takes neuron ids 0..{n - 1}, got {args.traces}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
 
     detail = harness.run_trial_detailed(itd, args.seed, trial_cfg,
-                                        record_traces=traced,
+                                        record_traces=[int(x) for x in ids],
                                         noise_amplitude=noise)
     detail.record.to_csv(out / "spikes.csv")
     with open(out / "events.txt", "w") as fh:

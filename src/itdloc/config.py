@@ -87,9 +87,9 @@ class RunConfig:
 
 
 def check_itds(itds_us, clip_duration: float) -> None:
-    """Every ITD must be shorter than the clip it delays (apply_itd)."""
-    worst = max(abs(x) for x in itds_us)
-    if worst * 1e-6 >= clip_duration:
+    """Every ITD must be a number shorter than the clip it delays (apply_itd)."""
+    worst = float(np.max(np.abs(itds_us)))  # nan if any is
+    if not worst * 1e-6 < clip_duration:
         raise ConfigError(f"|itd|={worst:g}us must be smaller than the clip "
                          f"duration {clip_duration * 1e6:g}us")
 

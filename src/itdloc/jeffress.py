@@ -69,11 +69,11 @@ def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
                    trace: bool = False):
     """The step D on which a neuron at rest fires after a synaptic kick of
     `weight` amperes on each step in `at` (ascending): a neuron kicked once
-    on step s fires on step s + D; None if never. One Simulation run of
-    _run_steps steps, or none; with trace, a pair of D and the membrane at
-    each step boundary."""
-    steps = _run_steps(params, weight, dt, at, trace)
-    if steps is None:
+    on step s fires on step s + D; None if never. One Simulation run of the
+    steps _psp_fire_step gives, or none; with trace, a pair of D and the
+    membrane at each step boundary."""
+    steps = _psp_fire_step(params, weight, dt, at, trace)[1]
+    if not steps:
         return None
     sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
         ExternalSpike(s * dt, 0, weight) for s in at)), dt)
@@ -82,26 +82,29 @@ def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
     return (step, traces.v[0]) if trace else step
 
 
-def _run_steps(params: LifParams, weight: float, dt: float, at,
-               trace: bool) -> int | None:
-    """Steps in kick_fire_step's run, from the closed-form PSP v of the
-    kicks: one past the first boundary where v passes threshold by _MARGIN;
-    else, or with trace, two past the last kick's peak, past which v only
-    falls; None if v peaks more than _MARGIN below threshold, unless trace.
+def _psp_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
+                   trace: bool = False) -> tuple:
+    """(D, steps) from the closed-form PSP v of kicks of `weight` on the
+    steps in `at`, their shifted lone PSPs summed. D is the first boundary
+    where v reaches threshold; inf if v peaks more than _MARGIN below it;
+    None, for the stepper, if a v up to the crossing (or the peak) is within
+    _MARGIN of it. A run of `steps` decides it: one past the first boundary
+    where v passes threshold by _MARGIN; else, or with trace, two past the
+    last kick's peak, past which v only falls; 0 if D is inf, unless trace.
     v doubles in length until then, so no array is sized by the taus."""
     thresh, n = params.v_thresh - params.v_leak, 64
     while True:
         y = _lone_psp(params, weight, dt, at[-1] + n)
-        v = sum(np.pad(y[:y.size - s], (s, 0)) for s in at)
-        cross = np.flatnonzero(v >= thresh + _MARGIN)
-        if cross.size and not trace:
-            return int(cross[0]) + 1
-        if np.argmax(y) < n:  # the last kick's peak is inside
+        v = sum(np.pad(y[:y.size - s], (s, 0)) for s in at) - thresh
+        cross = np.flatnonzero(v >= _MARGIN)[:1]
+        if cross.size and not trace or np.argmax(y) < n:  # or the peak is in
             break
         n *= 2
-    if v.max() < thresh - _MARGIN and not trace:
-        return None
-    return at[-1] + int(np.argmax(y)) + 2
+    c = int(cross[0]) if cross.size else v.size  # v[:c + 1] the stepper compares
+    d = None if (np.abs(v[:c + 1]) < _MARGIN).any() else c if cross.size else math.inf
+    if cross.size and not trace:
+        return d, c + 1
+    return d, at[-1] + int(np.argmax(y)) + 2 if trace or d != math.inf else 0
 
 
 def single_spike_fire_weight(params: LifParams) -> float:
@@ -296,14 +299,6 @@ def build(cfg: JeffressConfig) -> JeffressNetwork:
     return JeffressNetwork(cfg)
 
 
-def _fires_once(net: JeffressNetwork) -> bool:
-    """Whether no chain neuron (one chain kick) and no detector (two
-    coincidence kicks) can fire twice, so that probe_tables' spike
-    arithmetic equals stepping the network."""
-    return fires_once(net.config.neuron_params,
-                      max(abs(net.chain_weight), 2 * abs(net.coincidence_weight)))
-
-
 def _lone_psp(params: LifParams, weight: float, dt: float, n: int) -> np.ndarray:
     """v - v_leak on step boundaries 0..n after one kick of `weight` on step
     0: the stepper's y[s] = decay y[s - 1] + gain weight ds^(s - 1), summed
@@ -328,12 +323,14 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     threshold, for off <= 3 * peak. Past top the first PSP only falls, so
     the first silent offset past top ends the reach. A copy, the lone PSP's
     peak or its step that comes within _MARGIN of going the other way is
-    decided by stepping (kick_fire_step). None unless _fires_once(net),
-    when peak > _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), when a
-    detector fires on one kick, or when no offset is silent."""
+    decided by stepping (kick_fire_step). None if a chain neuron (one kick)
+    or a detector (two coincidence kicks) can fire twice, when peak >
+    _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), when a detector
+    fires on one kick, or when no offset is silent."""
     params, w_coin = net.config.neuron_params, net.coincidence_weight
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # a bound on it
-    if not _fires_once(net) or peak > _MAX_PEAK_STEPS:
+    once = fires_once(params, max(abs(net.chain_weight), 2 * abs(w_coin)))
+    if not once or peak > _MAX_PEAK_STEPS:
         return None
     thresh = params.v_thresh - params.v_leak
     k, y = 3 * peak, _lone_psp(params, w_coin, dt, 5 * peak)
@@ -366,6 +363,14 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
 
 
+def _stages_fired(d, stages: int, dt: float) -> int:
+    """How many of `stages` chain stages fire in the calibration window if
+    stage k - 1 fires k d steps after the head's kick (none if d is inf)."""
+    start = math.floor(_T_INJECT / dt + _STEP_SLACK)
+    end = round((_T_INJECT + stages * _WINDOW_PER_STAGE) / dt)
+    return min(stages, int((end - start) // d))
+
+
 def _chain_walk(params: LifParams, weight: float, dt: float, order) -> tuple:
     """(e, D): a chain of identical neurons linked by `weight`, ids `order`
     head first, has its head kicked on step e (at _T_INJECT); nothing feeds
@@ -376,21 +381,19 @@ def _chain_walk(params: LifParams, weight: float, dt: float, order) -> tuple:
     faster than one. CalibrationError names the first stage that is silent
     in the window or fires there more than once."""
     start = math.floor(_T_INJECT / dt + _STEP_SLACK)
-    duration = _T_INJECT + len(order) * _WINDOW_PER_STAGE
     if fires_once(params, weight):
         d = kick_fire_step(params, weight, dt)
         head = [] if d is None else [start + d]
     else:
         spec = NetworkSpec((params,) * 2, (SynapseSpec(0, 1, weight),),
                            external_spikes=(ExternalSpike(_T_INJECT, 0, weight),))
-        record, _ = Simulation(spec, dt).run(duration)
+        record, _ = Simulation(spec, dt).run(_T_INJECT + len(order) * _WINDOW_PER_STAGE)
         head = [round(t / dt) for t in record.times[record.ids == 0].tolist()]
     if len(head) > 1:
         raise CalibrationError(
             f"chain stage 0 (neuron {order[0]}) fired {len(head)} times")
     d = head[0] - start if head else math.inf
-    # stage k - 1 fires on step start + k d, silent past the window's end
-    fired = min(len(order), int((round(duration / dt) - start) // d))
+    fired = _stages_fired(d, len(order), dt)
     if fired < len(order):
         raise CalibrationError(
             f"chain stage {fired} (neuron {order[fired]}) never fired")
@@ -413,17 +416,20 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
 
 def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> float:
     """Bisect the chain weight until a bare _PROBE_STAGES-stage chain's D
-    (see _chain_walk; inf where it does not propagate) is the target's
-    nearest whole step. Deterministic; raises outside the achievable range."""
-    if target_delay <= 0:
-        raise ValueError("target_delay must be > 0")
+    (_psp_fire_step's where that answers and fires_once, else _chain_walk's;
+    inf where it does not propagate) is the target's nearest whole step."""
+    if not 0 < target_delay < math.inf:
+        raise ValueError(f"target_delay must be finite and > 0, got {target_delay}")
     check_dt((params,), dt)
 
     def probe(weight: float) -> float:
-        try:
-            return _chain_walk(params, weight, dt, range(_PROBE_STAGES))[1]
-        except CalibrationError:
-            return math.inf
+        d = _psp_fire_step(params, weight, dt)[0]
+        if d is None or not fires_once(params, weight):
+            try:
+                return _chain_walk(params, weight, dt, range(_PROBE_STAGES))[1]
+            except CalibrationError:
+                return math.inf
+        return d if _stages_fired(d, _PROBE_STAGES, dt) == _PROBE_STAGES else math.inf
 
     target, w_fire = round(target_delay / dt), single_spike_fire_weight(params)
     lo, hi = 1.02 * w_fire, 400.0 * w_fire

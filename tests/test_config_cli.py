@@ -194,6 +194,38 @@ class TestCli:
         assert rc == 3
         assert "achievable range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["inf", "nan", "0", "-1"])
+    def test_calibrate_bad_target_exit_2(self, target, tmp_path, capsys):
+        # refused as an input error before any probe
+        out = tmp_path / "cal"
+        with mock.patch.object(jeffress, "tune_chain_weight") as tune:
+            rc = cli.main(["calibrate", f"--target-us={target}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --target-us must be finite and > 0")
+        assert err.count("\n") == 1
+        assert not (tune.called or out.exists())
+
+    @pytest.mark.parametrize("traces", ["999", "152", "-1", "0,x", "0,,1"])
+    def test_simulate_bad_traces_exit_2(self, traces, tmp_path, capsys,
+                                        monkeypatch):
+        # the default network has neurons 0..151; a bad id is found before
+        # --out is made and before any Simulation
+        built = []
+
+        class Counting(harness.Simulation):
+            def __init__(self, spec, dt):
+                built.append(spec)
+                super().__init__(spec, dt)
+        monkeypatch.setattr(harness, "Simulation", Counting)
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--itd", "0", f"--traces={traces}",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: --traces takes neuron ids 0..151, got {traces}\n"
+        assert built == [] and not out.exists()
+
     def test_simulate_writes_outputs(self, small_config, tmp_path, capsys):
         out = tmp_path / "sim"
         rc = cli.main(["simulate", "--config", str(small_config),
@@ -443,7 +475,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["simulate-itd", "sweep-itds",
                                       "sweep-config", "simulate-wav",
-                                      "sweep-config-wav"])
+                                      "sweep-config-wav", "simulate-nan",
+                                      "sweep-nan"])
     def test_itd_past_the_clip_exit_2(self, case, tmp_path, capsys,
                                       monkeypatch):
         # an ITD the clip cannot hold is an input error, found before any
@@ -465,6 +498,9 @@ class TestCli:
                              *out],
             "sweep-config-wav": ["sweep", "--config", str(path), "--trials",
                                  "1", *out],
+            # a NaN ITD is no shorter than any clip
+            "simulate-nan": ["simulate", "--itd", "nan", *out],
+            "sweep-nan": ["sweep", "--trials", "1", "--itds=0,nan", *out],
         }[case]
         doc = ({"stimulus": {"wav": str(wav)}} if case == "sweep-config-wav"
                else {"stimulus": {"duration": 3e-4},

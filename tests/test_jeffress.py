@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from itdloc import jeffress, readout
@@ -370,7 +370,81 @@ class TestKickFireStep:
             assert sizes == [1]
 
 
+class TestClosedFormStep:
+    """_psp_fire_step reads D off the closed-form PSP, and leaves to the
+    stepper every kick whose membrane comes within _MARGIN of threshold
+    before it fires."""
+
+    # each example's weight is bisected so that the stepped membrane's
+    # peak lies within 1e-11 V of threshold: the helper must decline
+    @settings(max_examples=60, deadline=None)
+    @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.none() | st.floats(2e-6, 40e-6),
+           factor=st.floats(0.3, 400.0), off=st.none() | st.integers(1, 60),
+           dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
+    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, off=None, dt=1e-7)
+    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, off=None, dt=5e-8)
+    @example(tau_m=15e-6, tau_syn=None, factor=0.5027465227918586, off=40, dt=1e-7)
+    @example(tau_m=30e-6, tau_syn=8e-6, factor=0.4993806436679734, off=7, dt=2e-8)
+    def test_answers_as_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
+        # tau_syn None is tau_m, the default network's case; 1.02x to 400x
+        # the firing weight is the tuner's bracket
+        params = LifParams(tau_m=tau_m, tau_syn=tau_m if tau_syn is None else tau_syn)
+        w = factor * single_spike_fire_weight(params)
+        at = (0,) if off is None else (0, off)
+        d = jeffress._psp_fire_step(params, w, dt, at)[0]
+        kicks = tuple(ExternalSpike(s * dt, 0, w) for s in at)
+        n = at[-1] + math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
+        record, _ = run(NetworkSpec((params,), external_spikes=kicks), n * dt, dt)
+        first = round(record.times[0] / dt) if len(record) else None
+        # the same membrane with threshold out of reach: the values the
+        # stepper compares, up to its first spike
+        free = dataclasses.replace(params, v_thresh=1e6)
+        _, traces = run(NetworkSpec((free,), external_spikes=kicks), n * dt, dt,
+                        record_traces=[0])
+        seen = traces.v[0][:n + 1 if first is None else first + 1]
+        # a stepped value within 1e-10 V of threshold puts the closed
+        # form's within _MARGIN of it
+        if (np.abs(seen - params.v_thresh) < 1e-10).any():
+            assert d is None
+        if d is not None:
+            assert d == (math.inf if first is None else first)
+        assert jeffress.kick_fire_step(params, w, dt, at=at) == first
+
+
 class TestTuner:
+    def test_only_the_calibration_steps(self):
+        # at the defaults every probe takes D from the closed form; the
+        # calibration that follows steps its one kick
+        with simulated_sizes() as sizes:
+            w = tune_chain_weight(3.8e-6, LifParams(), DT)
+        assert sizes == []
+        with simulated_sizes() as sizes:
+            calibrate_stage_delay(build(JeffressConfig(chain_weight=w)), DT)
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("target_us", [1.0, 2.6, 3.8, 5.3, 8.0])
+    def test_closed_form_probes_tune_as_stepped_ones(self, target_us):
+        # with the closed form declining everywhere each probe walks the
+        # chain and steps its kick; the search lands on the same weight
+        real = jeffress._psp_fire_step
+
+        def declining(*args):
+            return None, real(*args)[1]
+
+        w = tune_chain_weight(target_us * 1e-6, LifParams(), DT)
+        with mock.patch.object(jeffress, "_psp_fire_step", declining), \
+                mock.patch.object(jeffress, "_chain_walk",
+                                  wraps=jeffress._chain_walk) as walks, \
+                simulated_sizes() as sizes:
+            assert tune_chain_weight(target_us * 1e-6, LifParams(), DT) == w
+        assert walks.call_count > 2
+        assert sizes == [1] * walks.call_count
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan, -math.inf])
+    def test_non_finite_target_refused(self, target):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            tune_chain_weight(target, LifParams(), DT)
+
     def test_hits_target_within_tolerance(self, default_net):
         w = tune_chain_weight(3.8e-6, LifParams(), DT)
         net = build(JeffressConfig(chain_weight=w))

@@ -355,7 +355,9 @@ def probed_networks(draw):
             neuron_params=params, w_lsb=w_lsb))
     except ValueError:  # quantized past the single-spike weight
         assume(False)
-    assume(jeffress._fires_once(net))
+    # no chain neuron (one kick) and no detector (two kicks) fires twice
+    assume(jeffress.fires_once(params, max(abs(net.chain_weight),
+                                           2 * abs(net.coincidence_weight))))
     return net, draw(st.sampled_from((DT, 7e-8, 3e-8)))
 
 
