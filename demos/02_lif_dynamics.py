@@ -12,6 +12,7 @@ import numpy as np
 from itdloc import (
     AnalogInjection,
     ExternalSpike,
+    InjectionSection,
     LifParams,
     NetworkSpec,
     Simulation,
@@ -40,7 +41,7 @@ print(f"spike input at 10 us -> output spike at {t_spike * 1e6:.1f} us "
 
 # 3. continuous voltage drive through a 110 kOhm source
 drive = np.full(4000, 1.19)
-inj = AnalogInjection(0, drive, 1_000_000, r_src=110e3)
+inj = AnalogInjection(0, drive, 1_000_000, InjectionSection(r_src=110e3))
 record, _ = run(NetworkSpec(neurons=(params,), injections=(inj,)), 3e-3, DT)
 isis = np.diff(record.times)
 print(f"super-threshold analog drive: {len(record)} spikes, "

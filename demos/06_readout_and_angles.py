@@ -12,7 +12,7 @@ from itdloc import (
     DirectionEvent,
     GeometryParams,
     PwmConfig,
-    ReadoutConfig,
+    ReadoutSection,
     SpikeRecord,
     detector_to_itd,
     planewave_angle,
@@ -27,8 +27,7 @@ from itdloc import (
 # during the dead time (discarded), a second burst 250 ms later
 spikes = [(30e-6, 21), (41e-6, 25), (80e-6, 30), (0.25, 40)]
 record = SpikeRecord(50, [t for t, _ in spikes], [i for _, i in spikes])
-cfg = ReadoutConfig(detector_ids=tuple(range(50)))
-events = poll_loop(record, cfg, t_end=0.3)
+events = poll_loop(record, ReadoutSection(), tuple(range(50)), t_end=0.3)
 print("crafted stream ->", len(events), "events")
 for ev in events:
     print("  " + serial_encode(ev).strip(),

@@ -55,6 +55,7 @@ from .jeffress import (
 from .lif import (
     AnalogInjection,
     ExternalSpike,
+    InjectionSection,
     LifParams,
     NetworkSpec,
     Simulation,
@@ -67,7 +68,7 @@ from .lif import (
 from .readout import (
     DirectionEvent,
     PwmConfig,
-    ReadoutConfig,
+    ReadoutSection,
     poll_loop,
     pwm_pulse_width,
     serial_decode,

@@ -122,18 +122,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    flags = {"trials": args.trials, "base_seed": args.seed}
+    try:  # the flags pass the section's checks, as the config's values do
+        if args.itds is not None:  # "--itds=" is an error, not the default list
+            flags["itds_us"] = tuple(float(x) for x in args.itds.split(","))
+        sweep = replace(cfg.sweep, **{k: v for k, v in flags.items()
+                                      if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     trial_cfg = _trial(cfg, cfg.stimulus.wav)
-    itds_us = cfg.sweep.itds_us
-    if args.itds is not None:  # "--itds=" is an error, not the default list
-        itds_us = tuple(float(x) for x in args.itds.split(","))
-    check_itds(itds_us, trial_cfg.mono_stimulus().duration)
+    check_itds(sweep.itds_us, trial_cfg.mono_stimulus().duration)
     sweep_cfg = harness.SweepConfig(
-        trial=trial_cfg,
-        itds=tuple(x * 1e-6 for x in itds_us),
-        trials=args.trials if args.trials is not None else cfg.sweep.trials,
-        noise_amplitude=cfg.sweep.noise_amplitude,
-        base_seed=args.seed if args.seed is not None else cfg.sweep.base_seed,
-    )
+        trial=trial_cfg, itds=tuple(x * 1e-6 for x in sweep.itds_us),
+        trials=sweep.trials, noise_amplitude=sweep.noise_amplitude,
+        base_seed=sweep.base_seed)
     out = Path(args.out)
     result = harness.run_sweep(sweep_cfg, jobs=args.jobs, out_dir=out)
     misses = sum(1 for r in result.rows if r.miss)
@@ -148,14 +152,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     clip = load_wav(args.wav)
-    if clip.n_channels == 1:
-        if args.itd is None:
-            raise ValueError(
-                "mono input: pass --itd US to self-shift it for the oracle")
+    mono = clip.n_channels == 1
+    if mono != (args.itd is not None):
+        raise ConfigError(f"{args.wav}: " + (
+            "mono input: pass --itd US to self-shift it for the oracle" if mono
+            else "stereo input: --itd self-shifts a mono WAV only"))
+    if args.itd is not None:
         check_itds([args.itd], clip.duration)
         clip = apply_itd(clip, args.itd * 1e-6)
     max_lag = min(0.49 * clip.duration, 500e-6)
-    itd = harness.xcorr_oracle(clip, max_lag)
+    try:
+        itd = harness.xcorr_oracle(clip, max_lag)
+    except ValueError as exc:  # a silent channel
+        raise WavError(f"{args.wav}: {exc}") from exc
     print(f"itd_us={itd * 1e6:.3f}")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from .frontend import (
 )
 from .jeffress import JeffressNetwork, probe_tables
 from .lif import AnalogInjection, Simulation, SpikeRecord, injected_spike_steps
-from .readout import ReadoutConfig, ReadoutSection, poll_loop
+from .readout import ReadoutSection, poll_loop
 
 CHUNK = 64  # cells per batch: bounds the stacked arrays to 2 * CHUNK rows
 
@@ -53,11 +53,6 @@ class TrialConfig:
     @property
     def duration(self) -> float:
         return self.stimulus.duration
-
-    def readout_config(self) -> ReadoutConfig:
-        return ReadoutConfig(detector_ids=self.net.detectors,
-                             iteration_time=self.readout.iteration_time,
-                             dead_time=self.readout.dead_time)
 
     def mono_stimulus(self) -> AudioClip:
         return self._mono
@@ -195,8 +190,7 @@ def _injections(cfg: TrialConfig, cond, fs: int) -> list:
     # cover the run gives the run the same drive as resampling the whole clip
     window = min(cond.shape[1], int(np.ceil(need * fs / sim_rate)) + 2)
     drive = resample(AudioClip(fs, cond[:, :window]), sim_rate / fs).samples
-    return [AnalogInjection(target, trace, sim_rate,
-                            r_src=cfg.injection.r_src, mode=cfg.injection.mode)
+    return [AnalogInjection(target, trace, sim_rate, cfg.injection)
             for target, trace in zip((cfg.net.input_left, cfg.net.input_right),
                                      drive)]
 
@@ -224,12 +218,13 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     spec = cfg.net.spec.with_injections(_injections(cfg, cond, fs))
     record, traces = Simulation(spec, cfg.dt).run(cfg.duration,
                                                   record_traces=record_traces)
-    events = poll_loop(record, cfg.readout_config(), t_end=cfg.duration)
+    events = poll_loop(record, cfg.readout, cfg.net.detectors,
+                       t_end=cfg.duration)
     return TrialDetail(result=_result(events, crossing), record=record,
                        traces=traces, events=tuple(events))
 
 
-def _exact(cfg: TrialConfig, inputs, crossing, readout) -> TrialResult | None:
+def _exact(cfg: TrialConfig, inputs, crossing) -> TrialResult | None:
     """One trial's result with no neuron stepped: from its inputs' first two
     spike steps (the audio-rate screen), chains and detectors from the probe
     tables, then the readout replay. None where stepping may differ: an
@@ -247,7 +242,7 @@ def _exact(cfg: TrialConfig, inputs, crossing, readout) -> TrialResult | None:
         order = np.lexsort((j, steps))  # by step, then by id, as stepped
         steps, ids = steps[order], np.asarray(net.detectors)[j[order]]
     record = SpikeRecord(net.spec.n_neurons, steps * dt, ids)
-    events = poll_loop(record, readout, t_end=cfg.duration)
+    events = poll_loop(record, cfg.readout, net.detectors, t_end=cfg.duration)
     horizon = events[0].t if events else cfg.duration
     if all(len(spikes) < 2 or spikes[1] * dt > horizon for spikes in inputs):
         return _result(events, crossing)
@@ -264,7 +259,7 @@ def _trials(cfg: TrialConfig, cells, noise_amplitude: float, labels=None) -> lis
     lo, hi = 0, len(cells) - 1  # the cells a failure names
     try:
         cond, fs, crossings = _frontend(cfg, cells, noise_amplitude)
-        readout, inputs = cfg.readout_config(), [None] * len(cond)
+        inputs = [None] * len(cond)
         if cfg._tables is not None:
             inputs = injected_spike_steps(
                 cfg.net.config.input_params, cfg.injection, cfg.dt,
@@ -273,7 +268,7 @@ def _trials(cfg: TrialConfig, cells, noise_amplitude: float, labels=None) -> lis
         for lo, (itd, seed) in enumerate(cells):
             hi, pair = lo, inputs[2 * lo:2 * lo + 2]
             results.append(
-                None not in pair and _exact(cfg, pair, crossings[lo], readout)
+                None not in pair and _exact(cfg, pair, crossings[lo])
                 or run_trial_detailed(itd, seed, cfg,
                                       noise_amplitude=noise_amplitude).result)
         return results

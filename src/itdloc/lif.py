@@ -80,8 +80,7 @@ class AnalogInjection:
     target: int
     trace: np.ndarray
     sample_rate: float
-    r_src: float = InjectionSection.r_src
-    mode: str = InjectionSection.mode
+    coupling: InjectionSection = InjectionSection()
 
     def __post_init__(self):
         trace = np.asarray(self.trace, dtype=float).ravel()
@@ -89,7 +88,6 @@ class AnalogInjection:
             raise ValueError("injection trace must be finite")
         if trace.size == 0:
             raise ValueError("injection trace is empty")
-        InjectionSection(self.r_src, self.mode)  # the section's checks
         if self.sample_rate <= 0:
             raise ValueError("injection sample_rate must be > 0")
         object.__setattr__(self, "trace", trace)
@@ -257,10 +255,10 @@ class Simulation:
         for inj in spec.injections:
             if not 0 <= inj.target < n:
                 raise ValueError(f"injection target {inj.target} out of range")
-            if inj.mode == "resistive":
+            if inj.coupling.mode == "resistive":
                 if g_inj[inj.target]:
                     raise ValueError(f"neuron {inj.target} has two resistive injections")
-                g_inj[inj.target] = 1.0 / (inj.r_src * c_m[inj.target])
+                g_inj[inj.target] = 1.0 / (inj.coupling.r_src * c_m[inj.target])
         self._decay_syn = np.exp(-dt / tau_s)
         self._decay_v, b, self._v_leak_eff = _propagator(tau_m, self._v_leak,
                                                          g_inj, dt)
@@ -268,13 +266,14 @@ class Simulation:
 
         # per-injection drive gain: weight of the trace sample in the update
         self._resistive = [inj for inj in spec.injections
-                           if inj.mode == "resistive"]
+                           if inj.coupling.mode == "resistive"]
         self._res_targets = np.array([inj.target for inj in self._resistive],
                                      dtype=np.int64)
         self._res_gain = np.array(
-            [b[inj.target] / (inj.r_src * c_m[inj.target])
+            [b[inj.target] / (inj.coupling.r_src * c_m[inj.target])
              for inj in self._resistive], dtype=float)
-        self._triggers = [inj for inj in spec.injections if inj.mode == "trigger"]
+        self._triggers = [inj for inj in spec.injections
+                          if inj.coupling.mode == "trigger"]
         self._trig_targets = np.array([inj.target for inj in self._triggers],
                                       dtype=np.int64)
 

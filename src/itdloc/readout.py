@@ -35,20 +35,6 @@ class ReadoutSection:
         return int(self.dead_time / self.iteration_time + 1e-9)
 
 
-@dataclass(frozen=True, kw_only=True)
-class ReadoutConfig(ReadoutSection):
-    """Polling-loop timing plus the detector ids to scan, in id order."""
-
-    detector_ids: tuple
-
-    def __post_init__(self):
-        super().__post_init__()
-        ids = tuple(int(i) for i in self.detector_ids)
-        if len(set(ids)) != len(ids) or not ids:
-            raise ValueError("detector_ids must be non-empty and unique")
-        object.__setattr__(self, "detector_ids", ids)
-
-
 @dataclass(frozen=True)
 class DirectionEvent:
     """One detection: polling time and direction as a fractional index into
@@ -71,8 +57,11 @@ class PwmConfig:
             raise ValueError("need 0 < pulse_min < pulse_max < period")
 
 
-def poll_loop(record: SpikeRecord, cfg: ReadoutConfig, t_end: float):
-    """Replay the polling program over a spike record.
+def poll_loop(record: SpikeRecord, cfg: ReadoutSection, detector_ids,
+              t_end: float):
+    """Replay the polling program over a spike record, reading the counters
+    of detector_ids (non-empty and unique; a detector's position in it is
+    its direction).
 
     The loop reads all detector counters at each iteration boundary
     k * iteration_time. If any counter is non-zero, the direction is the
@@ -83,7 +72,9 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutConfig, t_end: float):
     are wiped by that reset, while spikes after it survive into the next
     read.
     """
-    index_of = {nid: j for j, nid in enumerate(cfg.detector_ids)}
+    index_of = {nid: j for j, nid in enumerate(detector_ids)}
+    if len(index_of) != len(detector_ids) or not index_of:
+        raise ValueError("detector_ids must be non-empty and unique")
     times, ids = record.times.tolist(), record.ids.tolist()
     step, limit = cfg.iteration_time, t_end + _SLACK
     ptr, events = 0, []

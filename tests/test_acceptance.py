@@ -14,8 +14,8 @@ from itdloc.harness import SweepConfig, TrialConfig, run_sweep, run_trial, \
     xcorr_oracle
 from itdloc.jeffress import JeffressConfig, LifParams, \
     build, calibrate_stage_delay, itd_from_distances, tune_chain_weight
-from itdloc.lif import AnalogInjection, ExternalSpike, NetworkSpec, \
-    Simulation, run
+from itdloc.lif import AnalogInjection, ExternalSpike, InjectionSection, \
+    NetworkSpec, Simulation, run
 
 DT = 1e-7
 N_STAGES = 50
@@ -130,13 +130,12 @@ def test_criterion_6_oracle_equivalence(tuned, noiseless_sweep):
 
 def test_criterion_7_readout_program_fidelity():
     ids = tuple(range(50))
-    cfg = readout.ReadoutConfig(detector_ids=ids, iteration_time=55e-6,
-                                dead_time=0.2)
+    cfg = readout.ReadoutSection(iteration_time=55e-6, dead_time=0.2)
 
     def play(spikes, t_end=0.6):
         rec = __import__("itdloc.lif", fromlist=["SpikeRecord"]).SpikeRecord(
             50, [t for t, _ in spikes], [i for _, i in spikes])
-        return readout.poll_loop(rec, cfg, t_end)
+        return readout.poll_loop(rec, cfg, ids, t_end)
 
     checks = []
     # empty stream: the loop never leaves its continue branch
@@ -166,7 +165,7 @@ def test_criterion_8_integrator_correctness():
     p = LifParams(v_thresh=10.0)
     rng = np.random.default_rng(7)
     seg = rng.uniform(0.2, 1.2, 40)
-    inj = AnalogInjection(0, seg, 200000.0, r_src=110e3)
+    inj = AnalogInjection(0, seg, 200000.0, InjectionSection(r_src=110e3))
     _, traces = run(NetworkSpec(neurons=(p,), injections=(inj,)), 200e-6, DT,
                     record_traces=[0])
     g = 1.0 / (110e3 * p.c_m)

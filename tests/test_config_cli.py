@@ -28,7 +28,7 @@ from itdloc.config import (
 )
 
 from conftest import write_wav_16bit
-from itdloc.frontend import ClapSpec, FrontEndParams, synth_clap
+from itdloc.frontend import ClapSpec, FrontEndParams, apply_itd, synth_clap
 from itdloc.jeffress import GeometryParams, JeffressConfig
 from itdloc.lif import LifParams
 
@@ -131,6 +131,15 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(path)
+        assert cli.main(["config", "dump", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture()
@@ -376,12 +385,32 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be smaller than the clip duration" in err
 
-    def test_oracle_mono_without_itd_exit_3(self, tmp_path, capsys):
+    def test_oracle_mono_without_itd_exit_2(self, tmp_path, capsys):
         wav = tmp_path / "m.wav"
         write_wav_16bit(wav, np.sin(np.linspace(0, 50, 4000)), 192000)
         rc = cli.main(["oracle", "--wav", str(wav)])
-        assert rc == 3
+        assert rc == 2
         assert "--itd" in capsys.readouterr().err
+
+    def test_oracle_itd_on_a_stereo_wav_exit_2(self, tmp_path, capsys):
+        wav = tmp_path / "s.wav"
+        clap = synth_clap(ClapSpec(rng_seed=12), 192000, 3e-3)
+        write_wav_16bit(wav, apply_itd(clap, 100e-6).samples, 192000)
+        rc = cli.main(["oracle", "--wav", str(wav), "--itd", "300"])
+        err = capsys.readouterr()
+        assert rc == 2 and err.out == ""
+        assert err.err.startswith("error: ") and err.err.count("\n") == 1
+        assert "--itd" in err.err
+
+    def test_oracle_silent_channel_exit_2(self, tmp_path, capsys):
+        wav = tmp_path / "s.wav"
+        clap = synth_clap(ClapSpec(rng_seed=12), 192000, 3e-3).samples[0]
+        write_wav_16bit(wav, np.stack([clap, np.zeros_like(clap)]), 192000)
+        rc = cli.main(["oracle", "--wav", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {wav}: xcorr_oracle: a channel is silent " \
+                      "(zero variance)\n"
 
     @pytest.mark.parametrize("doc, message", [
         ({"unknown_section": 1}, "unknown keys"),
@@ -583,30 +612,39 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert built == []
 
-    def test_sweep_zero_trials_exit_3(self, small_config, tmp_path, capsys):
+    def test_sweep_zero_trials_exit_2(self, small_config, tmp_path, capsys):
         out = tmp_path / "sw"
         rc = cli.main(["sweep", "--config", str(small_config), "--itds", "0",
                        "--trials", "0", "--out", str(out)])
-        assert rc == 3
-        assert "trials must be >= 1" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
-
-    def test_sweep_empty_itds_flag_exit_3(self, small_config, tmp_path,
-                                          capsys):
-        out = tmp_path / "sw"
-        rc = cli.main(["sweep", "--config", str(small_config), "--itds=",
-                       "--trials", "1", "--out", str(out)])
-        assert rc == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: sweep: trials must be >= 1\n"
         assert not out.exists()
 
+    def _bad_itds_flag(self, itds, small_config, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "--config", str(small_config), f"--itds={itds}",
+                       "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sweep_empty_itds_flag_exit_2(self, small_config, tmp_path,
+                                          capsys):
+        self._bad_itds_flag("", small_config, tmp_path, capsys)
+
+    def test_sweep_unparsable_itds_flag_exit_2(self, small_config, tmp_path,
+                                               capsys):
+        self._bad_itds_flag("abc", small_config, tmp_path, capsys)
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_sweep_jobs_below_one_exit_3(self, jobs, small_config, tmp_path,
+    def test_sweep_jobs_below_one_exit_2(self, jobs, small_config, tmp_path,
                                          capsys):
         out = tmp_path / "sw"
         rc = cli.main(["sweep", "--config", str(small_config), "--itds", "0",
                        "--trials", "1", "--jobs", jobs, "--out", str(out)])
-        assert rc == 3
+        assert rc == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 

@@ -173,6 +173,16 @@ class TestRunTrial:
         center = (default_net.n_stages - 1) / 2
         assert res.direction == pytest.approx(center, abs=1.0)
 
+    @pytest.mark.parametrize("mode", ["resistive", "trigger"])
+    def test_injections_hold_the_trial_section(self, default_trial, mode):
+        # the drives carry the section itself, not copies of its fields
+        injection = InjectionSection(r_src=90e3, mode=mode)
+        cfg = dataclasses.replace(default_trial, injection=injection)
+        cond, fs, _ = harness._frontend(cfg, [(0.0, None)], 0.0)
+        drives = harness._injections(cfg, cond, fs)
+        assert len(drives) == 2
+        assert all(inj.coupling is injection for inj in drives)
+
 
 class TestRunSweep:
     def test_row_cardinality_and_keys(self, default_trial):

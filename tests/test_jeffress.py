@@ -628,8 +628,8 @@ def _head_spike_direction(net, offset, t0=20e-6, duration=0.8e-3):
         ),
     )
     rec, _ = run(spec, duration, DT)
-    events = readout.poll_loop(
-        rec, readout.ReadoutConfig(detector_ids=net.detectors), t_end=duration)
+    events = readout.poll_loop(rec, readout.ReadoutSection(), net.detectors,
+                               t_end=duration)
     assert events, "head spikes produced no detection"
     return events[0].direction
 

@@ -10,6 +10,7 @@ from itdloc import jeffress
 from itdloc.lif import (
     AnalogInjection,
     ExternalSpike,
+    InjectionSection,
     LifParams,
     NetworkSpec,
     Simulation,
@@ -47,7 +48,7 @@ class TestIntegrator:
         p = LifParams(v_thresh=10.0)
         rng = np.random.default_rng(7)
         seg = rng.uniform(0.2, 1.2, 40)
-        inj = AnalogInjection(0, seg, 200000.0, r_src=110e3)
+        inj = AnalogInjection(0, seg, 200000.0, InjectionSection(r_src=110e3))
         _, traces = run(single_neuron(p, injections=(inj,)), 200e-6, DT,
                         record_traces=[0])
         g = 1.0 / (110e3 * p.c_m)
@@ -64,7 +65,8 @@ class TestIntegrator:
 
     def test_constant_superthreshold_drive_fires_at_refractory_rate(self):
         p = LifParams()
-        inj = AnalogInjection(0, np.full(3001, 1.19), 1e6, r_src=110e3)
+        inj = AnalogInjection(0, np.full(3001, 1.19), 1e6,
+                              InjectionSection(r_src=110e3))
         rec, _ = run(single_neuron(p, injections=(inj,)), 3e-3, DT)
         assert len(rec) >= 4
         isis = np.diff(rec.times)
@@ -88,7 +90,7 @@ class TestStepRules:
     def test_constant_drive_gives_one_interval(self, mode, t_ref, clamped):
         # the spikes fall on many absolute steps; each clamps ceil(t_ref / dt)
         p = LifParams(t_ref=t_ref)
-        inj = AnalogInjection(0, np.full(3, 2.0), 1e3, mode=mode)
+        inj = AnalogInjection(0, np.full(3, 2.0), 1e3, InjectionSection(mode=mode))
         rec, tr = run(single_neuron(p, injections=(inj,)), 2e-3, DT,
                       record_traces=[0])
         steps = np.round(rec.times / DT).astype(int)  # spike step boundaries
@@ -118,7 +120,7 @@ class TestStepRules:
         # a lone supra-threshold trigger sample fires on its own step
         trace = np.zeros(sample + 5)
         trace[sample] = 2.0
-        inj = AnalogInjection(0, trace, 10_000_000, mode="trigger")
+        inj = AnalogInjection(0, trace, 10_000_000, InjectionSection(mode="trigger"))
         rec, _ = run(single_neuron(injections=(inj,)), trace.size * DT, DT)
         assert rec.times.tolist() == [(sample + 1) * DT]
 
@@ -193,13 +195,14 @@ class TestInjection:
         tone = 0.5 + 0.6 * np.sin(2 * np.pi * 1000 * t)
         counts = {}
         for mode in ("resistive", "trigger"):
-            inj = AnalogInjection(0, tone, fs, mode=mode)
+            inj = AnalogInjection(0, tone, fs, InjectionSection(mode=mode))
             rec, _ = run(single_neuron(injections=(inj,)), 0.01, DT)
             counts[mode] = len(rec)
         assert counts["trigger"] == counts["resistive"] == 10
 
     def test_short_trace_holds_its_last_sample(self):
-        inj = AnalogInjection(0, np.array([1.19, 1.19]), 1e6, r_src=110e3)
+        inj = AnalogInjection(0, np.array([1.19, 1.19]), 1e6,
+                              InjectionSection(r_src=110e3))
         spec = single_neuron(injections=(inj,))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # holding is the model, not a fault
@@ -210,9 +213,9 @@ class TestInjection:
         with pytest.raises(ValueError, match="finite"):
             AnalogInjection(0, np.array([np.inf]), 1e6)
         with pytest.raises(ValueError, match="r_src"):
-            AnalogInjection(0, np.array([0.5]), 1e6, r_src=0.0)
+            InjectionSection(r_src=0.0)
         with pytest.raises(ValueError, match="mode"):
-            AnalogInjection(0, np.array([0.5]), 1e6, mode="capacitive")
+            InjectionSection(mode="capacitive")
 
 
 class TestValidation:
@@ -230,7 +233,7 @@ class TestValidation:
         drive = np.full(3, 1.19)
         spec = NetworkSpec(neurons=(LifParams(), LifParams()), injections=(
             AnalogInjection(1, drive, 1e6),
-            AnalogInjection(1, drive, 1e6, mode="trigger"),
+            AnalogInjection(1, drive, 1e6, InjectionSection(mode="trigger")),
             AnalogInjection(1, drive, 1e6)))
         with pytest.raises(ValueError, match="neuron 1 has two resistive injections"):
             Simulation(spec, DT)

@@ -65,8 +65,8 @@ def reference_run(spec: NetworkSpec, dt: float, n_steps: int):
                 if inj.target != i:
                     continue
                 u = inj.trace[min(int(t * inj.sample_rate + 1e-6), inj.trace.size - 1)]
-                if inj.mode == "resistive":
-                    g = 1.0 / (inj.r_src * p.c_m)
+                if inj.coupling.mode == "resistive":
+                    g = 1.0 / (inj.coupling.r_src * p.c_m)
                     rate, drive = rate + g, drive + g * u
                 else:
                     trigger = trigger or u >= p.v_thresh
@@ -96,6 +96,8 @@ _params = st.builds(LifParams, tau_m=_floats(1e-6, 3e-5), tau_syn=_floats(1e-6, 
                     v_leak=_floats(0.0, 0.9), v_thresh=_floats(1.0, 1.2),
                     v_reset=_floats(0.0, 0.9), t_ref=_floats(1e-7, 5e-6),
                     c_m=_floats(1e-12, 5e-12))
+_couplings = st.builds(InjectionSection, _floats(5e4, 5e5),
+                       st.sampled_from(("resistive", "trigger")))
 
 
 @st.composite
@@ -112,10 +114,10 @@ def networks(draw):
     injections = draw(st.lists(st.builds(
         AnalogInjection, ids,
         st.lists(_floats(0.4, 1.6), min_size=1, max_size=12).map(np.array),
-        _floats(1e5, 2e7), r_src=_floats(5e4, 5e5),
-        mode=st.sampled_from(("resistive", "trigger"))), max_size=3,
+        _floats(1e5, 2e7), _couplings), max_size=3,
         # triggers may share a neuron, resistive injections may not
-        unique_by=lambda inj: inj.target if inj.mode == "resistive" else id(inj)))
+        unique_by=lambda inj: (inj.target if inj.coupling.mode == "resistive"
+                               else id(inj))))
     external = draw(st.lists(st.builds(ExternalSpike, _floats(0.0, n_steps * DT), ids,
                                        _floats(-2e-7, 6e-7)), max_size=4))
     spec = NetworkSpec(neurons=neurons, synapses=synapses, injections=injections,
@@ -197,8 +199,7 @@ def screened_inputs(draw):
     nor 1 / dt be whole, clips may end before the run, and samples may sit
     at or near the level whose resting point is the threshold."""
     params = draw(_params)
-    injection = InjectionSection(draw(_floats(5e4, 5e5)),
-                                 draw(st.sampled_from(("resistive", "trigger"))))
+    injection = draw(_couplings)
     rate = draw(st.one_of(st.sampled_from((44100, 48000, 192000, 8_000_000)),
                           st.integers(1000, 30_000_000)))
     sample = _floats(0.2, 1.6)

@@ -10,7 +10,6 @@ from itdloc.lif import SpikeRecord
 from itdloc.readout import (
     DirectionEvent,
     PwmConfig,
-    ReadoutConfig,
     ReadoutSection,
     poll_loop,
     pwm_pulse_width,
@@ -29,58 +28,58 @@ def record(events, n=30):
 
 
 def cfg(iteration=55e-6, dead=0.2, ids=IDS):
-    return ReadoutConfig(detector_ids=ids, iteration_time=iteration,
-                         dead_time=dead)
+    """poll_loop's section and detector ids."""
+    return ReadoutSection(iteration_time=iteration, dead_time=dead), ids
 
 
 class TestPollLoop:
     def test_empty_record_no_events(self):
-        assert poll_loop(record([]), cfg(), t_end=10e-3) == []
+        assert poll_loop(record([]), *cfg(), t_end=10e-3) == []
 
     def test_two_active_detectors_average(self):
-        events = poll_loop(record([(30e-6, 10), (40e-6, 12)]), cfg(), 5e-3)
+        events = poll_loop(record([(30e-6, 10), (40e-6, 12)]), *cfg(), 5e-3)
         assert len(events) == 1
         assert events[0].direction == 11.0
         assert events[0].t == pytest.approx(55e-6)
 
     def test_single_detector(self):
-        events = poll_loop(record([(30e-6, 25)]), cfg(), 5e-3)
+        events = poll_loop(record([(30e-6, 25)]), *cfg(), 5e-3)
         assert [e.direction for e in events] == [25.0]
 
     def test_counts_not_weighted(self):
         # three spikes on 10 and one on 12 still average to 11: each active
         # detector contributes its id once
         spikes = [(20e-6, 10), (30e-6, 10), (40e-6, 10), (45e-6, 12)]
-        events = poll_loop(record(spikes), cfg(), 5e-3)
+        events = poll_loop(record(spikes), *cfg(), 5e-3)
         assert [e.direction for e in events] == [11.0]
 
     def test_spike_on_boundary_counts(self):
-        events = poll_loop(record([(55e-6, 7)]), cfg(), 5e-3)
+        events = poll_loop(record([(55e-6, 7)]), *cfg(), 5e-3)
         assert events[0].t == pytest.approx(55e-6)
 
     def test_late_boundary_has_no_float_drift(self):
         # a simulator spike (step index times dt) exactly on boundary 34529;
         # a running sum of 34529 iteration times falls 1e-12 s short of it
         t_spike = 18990950 * 1e-7
-        events = poll_loop(record([(t_spike, 7)]), cfg(), 2.0)
+        events = poll_loop(record([(t_spike, 7)]), *cfg(), 2.0)
         assert events[0].t == 34529 * 55e-6
         assert events[0].t == pytest.approx(1.899095, abs=1e-9)
 
     def test_second_clap_in_dead_time_dropped(self):
         spikes = [(30e-6, 10), (50e-3, 12)]
-        events = poll_loop(record(spikes), cfg(), 0.5)
+        events = poll_loop(record(spikes), *cfg(), 0.5)
         assert len(events) == 1
         assert events[0].direction == 10.0
 
     def test_second_clap_after_dead_time_detected(self):
         spikes = [(30e-6, 10), (250e-3, 12)]
-        events = poll_loop(record(spikes), cfg(), 0.5)
+        events = poll_loop(record(spikes), *cfg(), 0.5)
         assert [e.direction for e in events] == [10.0, 12.0]
 
     def test_first_iteration_preference(self):
         # detector 9 fires after the first active iteration and must not
         # influence the event nor produce a second one
-        events = poll_loop(record([(30e-6, 5), (60e-6, 9)]), cfg(), 0.5)
+        events = poll_loop(record([(30e-6, 5), (60e-6, 9)]), *cfg(), 0.5)
         assert [e.direction for e in events] == [5.0]
 
     def test_residue_after_reset_counts_next_read(self):
@@ -88,7 +87,7 @@ class TestPollLoop:
         # read at the next boundary
         t_reset = 55e-6 + 0.2
         spikes = [(30e-6, 5), (t_reset + 1e-6, 20)]
-        events = poll_loop(record(spikes), cfg(), 0.5)
+        events = poll_loop(record(spikes), *cfg(), 0.5)
         assert len(events) == 2
         assert events[1].direction == 20.0
         # the second read is the first grid point after the reset
@@ -98,7 +97,7 @@ class TestPollLoop:
     def test_spike_just_before_reset_is_discarded(self):
         t_reset = 55e-6 + 0.2
         spikes = [(30e-6, 5), (t_reset - 1e-6, 20)]
-        events = poll_loop(record(spikes), cfg(), 0.5)
+        events = poll_loop(record(spikes), *cfg(), 0.5)
         assert [e.direction for e in events] == [5.0]
 
     def test_event_spacing_respects_dead_time(self):
@@ -106,7 +105,7 @@ class TestPollLoop:
         for _ in range(20):
             spikes = [(float(t), int(rng.integers(0, 30)))
                       for t in rng.uniform(0, 1.0, rng.integers(1, 120))]
-            events = poll_loop(record(spikes), cfg(), 1.0)
+            events = poll_loop(record(spikes), *cfg(), 1.0)
             gaps = np.diff([e.t for e in events])
             assert np.all(gaps >= 0.2)
 
@@ -114,29 +113,30 @@ class TestPollLoop:
         rng = np.random.default_rng(23)
         spikes = [(float(t), int(rng.integers(0, 30)))
                   for t in rng.uniform(0, 0.3, 50)]
-        a = poll_loop(record(spikes), cfg(), 0.3)
-        b = poll_loop(record(spikes), cfg(), 0.3)
+        a = poll_loop(record(spikes), *cfg(), 0.3)
+        b = poll_loop(record(spikes), *cfg(), 0.3)
         assert a == b
 
     def test_direction_uses_positions_not_raw_ids(self):
         # detectors listed as global neuron ids 102.. map onto positions 0..
         ids = tuple(range(102, 132))
         events = poll_loop(record([(10e-6, 104), (20e-6, 108)], n=200),
-                           cfg(ids=ids), 1e-3)
+                           *cfg(ids=ids), 1e-3)
         assert [e.direction for e in events] == [4.0]
 
     def test_zero_dead_time(self):
         spikes = [(30e-6, 3), (80e-6, 4)]
-        events = poll_loop(record(spikes), cfg(dead=0.0), 1e-3)
+        events = poll_loop(record(spikes), *cfg(dead=0.0), 1e-3)
         assert [e.direction for e in events] == [3.0, 4.0]
 
     def test_config_validation(self):
+        message = "detector_ids must be non-empty and unique"
+        with pytest.raises(ValueError, match=message):
+            poll_loop(record([]), *cfg(ids=()), 1e-3)
+        with pytest.raises(ValueError, match=message):
+            poll_loop(record([(30e-6, 1)]), *cfg(ids=(1, 1)), 1e-3)
         with pytest.raises(ValueError):
-            ReadoutConfig(detector_ids=(), iteration_time=55e-6)
-        with pytest.raises(ValueError):
-            ReadoutConfig(detector_ids=(1, 1))
-        with pytest.raises(ValueError):
-            ReadoutConfig(detector_ids=(1,), iteration_time=0.0)
+            ReadoutSection(iteration_time=0.0)
 
 
 class TestPollTiming:
@@ -151,7 +151,7 @@ class TestPollTiming:
         assert ReadoutSection(iteration, m * iteration).dead_polls == m
         n_polls = 4 * (m + 1)
         spikes = [((k - 0.5) * iteration, 7) for k in range(1, n_polls + 1)]
-        events = poll_loop(record(spikes), cfg(iteration, m * iteration),
+        events = poll_loop(record(spikes), *cfg(iteration, m * iteration),
                            n_polls * iteration)
         assert [round(e.t / iteration) for e in events] == list(
             range(1, n_polls + 1, m + 1))
@@ -173,7 +173,7 @@ class TestPollTiming:
             # later by poll k + 1
             for spike, poll in ((s, k), (s + 1, k + 1)):
                 events = poll_loop(record([(spike * dt, 0)]),
-                                   cfg(iteration, 0.0), 300 * iteration)
+                                   *cfg(iteration, 0.0), 300 * iteration)
                 assert round(events[0].t / iteration) == poll
 
 
@@ -230,7 +230,7 @@ def test_poll_loop_equals_brute_force_replay(case):
     tick = 1e-6
     rec = SpikeRecord(12, [t * tick for t, _ in spikes],
                       [i for _, i in spikes])
-    got = poll_loop(rec, cfg(iteration * tick, dead * tick, detector_ids),
+    got = poll_loop(rec, *cfg(iteration * tick, dead * tick, detector_ids),
                     t_end * tick)
     want = replay(spikes, detector_ids, iteration, dead, t_end)
     assert [(round(e.t / tick), e.direction) for e in got] == want
