@@ -47,10 +47,14 @@ def _network(config: jeffress.JeffressConfig) -> jeffress.JeffressNetwork:
 def _trial(cfg: RunConfig, wav: str | None) -> harness.TrialConfig:
     """The trial `cfg` describes, on a network built from it, with the
     recording at `wav` in place of the synthetic clap if one is named. A
-    recording that resamples to no sample at 1 / dt is an input error."""
+    recording that is not mono, or resamples to no sample at 1 / dt, is an
+    input error."""
     net = _network(cfg.network)
     recording = load_wav(wav) if wav else None
     if recording is not None:
+        if recording.n_channels != 1:
+            raise WavError(f"{wav}: {recording.n_channels} channels; the "
+                           "stimulus recording must be mono")
         rate = round(1.0 / cfg.dt)
         if round(recording.n_samples * rate / recording.sample_rate) < 1:
             raise WavError(

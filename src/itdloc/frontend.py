@@ -243,20 +243,25 @@ def condition(samples: np.ndarray, sample_rate: float, params: FrontEndParams) -
     Stages: preamp gain, single-pole high-pass (DC removal, skipped when
     highpass_cutoff is 0), re-bias by v_offset, series-diode cut
     max(x - v_diode, v_floor) and clamp to v_clip. Output is always
-    inside [v_floor, v_clip].
+    inside [v_floor, v_clip]. The filter is causal: the first n outputs
+    are the output of the first n samples.
     """
-    from scipy.signal import lfilter
-
     x = np.asarray(samples, dtype=float) * params.preamp_gain
     if not np.all(np.isfinite(x)):
         raise ValueError("condition input must be finite")
     if params.highpass_cutoff > 0 and x.size:
         rc = 1.0 / (2.0 * np.pi * params.highpass_cutoff)
         alpha = rc / (rc + 1.0 / sample_rate)
-        # zi primes each channel with its first sample, so a constant
-        # input yields exactly 0
-        x, _ = lfilter([alpha, -alpha], [1.0, -alpha], x, axis=-1,
-                       zi=-alpha * x[..., :1])
+        # y[n] = alpha * (y[n-1] + x[n] - x[n-1]) in direct form II
+        # transposed, rounded as lfilter rounds it, one sample of every row
+        # at a time; the state starts at -a[0], so a constant row gives 0
+        a = np.multiply(x.reshape(-1, x.shape[-1]).T, alpha, order="C")
+        hp, z, alphas = np.empty_like(a), -a[0], np.full(len(a[0]), alpha)
+        for a_n, y_n in zip(a, hp):  # positional outs: cheaper calls
+            np.add(z, a_n, y_n)
+            np.multiply(y_n, alphas, z)
+            np.subtract(z, a_n, z)
+        x = np.ascontiguousarray(hp.T).reshape(x.shape)
     y = x + params.v_offset
     y = np.maximum(y - params.v_diode, params.v_floor)
     return np.minimum(y, params.v_clip)

@@ -162,17 +162,23 @@ class TrialDetail:
 
 def _frontend(cfg: TrialConfig, cells, noise_amplitude: float) -> tuple:
     """Each cell's (itd, seed) stimulus, delay and noise, then the stacked
-    channels conditioned in one call (a stacked lfilter gives each row its
-    own call's values): (the rows, their rate, per cell the threshold
-    crossing time or None)."""
+    channels conditioned in one call up to the last sample the run reads:
+    (the rows, their rate, per cell the threshold crossing time or None).
+    Conditioning is causal, so the rows begin the whole clip's; an input
+    fires only on a read sample at or above its threshold, so no event
+    follows a first crossing past them."""
+    fs, sim_rate = cfg.mono_stimulus().sample_rate, round(1.0 / cfg.dt)
+    # the drive at each of the run's need steps interpolates the samples
+    # around it
+    need = round(cfg.duration * sim_rate) + 1
+    window = int(np.ceil(need * fs / sim_rate)) + 2
     raws = []
     for itd, seed in cells:
         raw = apply_itd(cfg.mono_stimulus(), itd).samples
         if noise_amplitude > 0:
             rng = np.random.default_rng(seed)
             raw = raw + rng.normal(0.0, noise_amplitude, size=raw.shape)
-        raws.append(raw)
-    fs = cfg.mono_stimulus().sample_rate
+        raws.append(raw[:, :window])
     cond = condition(np.concatenate(raws), fs, cfg.frontend)
     above = (cond >= cfg.net.config.input_params.v_thresh).reshape(
         len(raws), 2, -1).any(axis=1)
@@ -183,13 +189,10 @@ def _frontend(cfg: TrialConfig, cells, noise_amplitude: float) -> tuple:
 def _injections(cfg: TrialConfig, cond, fs: int) -> list:
     """The two conditioned channels resampled to the simulator rate, as
     drives of the input neurons; past its end a drive holds its final
-    value."""
+    value. Interpolation is pointwise, so the samples _frontend keeps give
+    the run the drive the whole clip gives it."""
     sim_rate = int(round(1.0 / cfg.dt))
-    need = int(round(cfg.duration * sim_rate)) + 1
-    # interpolation is pointwise, so resampling only the input samples that
-    # cover the run gives the run the same drive as resampling the whole clip
-    window = min(cond.shape[1], int(np.ceil(need * fs / sim_rate)) + 2)
-    drive = resample(AudioClip(fs, cond[:, :window]), sim_rate / fs).samples
+    drive = resample(AudioClip(fs, cond), sim_rate / fs).samples
     return [AnalogInjection(target, trace, sim_rate, cfg.injection)
             for target, trace in zip((cfg.net.input_left, cfg.net.input_right),
                                      drive)]

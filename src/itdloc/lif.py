@@ -431,7 +431,9 @@ def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
     below it and the distance past j; the audio intervals that hold steps,
     their samples j and first steps; per interval the terms of a resistive
     membrane's end from its start, y' = m * y + alpha * c[j] + beta *
-    c[j + 1] with y = v - v_rest; the one-step decay, gain, v_rest."""
+    c[j + 1] with y = v - v_rest; the one-step decay, gain, v_rest; the
+    matrix that takes a wave's drives to its membrane, and the decay of its
+    start."""
     rate = round(1.0 / dt)  # the drive's sample rate at the simulator
     # the drive is the clip resampled to `rate` by linear interpolation
     # (frontend.resample), its final value held past the resampled end
@@ -455,7 +457,15 @@ def _audio_intervals(params: LifParams, injection: InjectionSection, dt: float,
     alpha = np.bincount(interval, weight * (1.0 - w))
     beta = np.bincount(interval, weight * w)
     m = decay ** (ends - first)
-    return (j, past, j[first], first, m, alpha, beta, decay, gain, v_rest)
+    # a wave's v - v_rest at its step t: the sum over s <= t of u[s]
+    # d^(t-s), plus its start's d^(t+1); powers under 1e-150 change no sum
+    # (and would go subnormal)
+    powers = decay ** np.arange(_WAVE_STEPS + 1)
+    powers[powers < 1e-150] = 0.0
+    steps = np.arange(_WAVE_STEPS)
+    wave = np.triu(powers[np.abs(steps - steps[:, None])])
+    return (j, past, j[first], first, m, alpha, beta, decay, gain, v_rest,
+            wave, powers[1:])
 
 
 def injected_spike_steps(params: LifParams, injection: InjectionSection,
@@ -473,15 +483,16 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
     where an interval's endpoint samples reach it. The rows go in waves: a
     row at a cool interval's start is carried to the next hot one, then
     each row resolves up to _WAVE_STEPS steps of its interval, or of the
-    hot run it starts, in one 2-D interpolation and one lfilter. A row
-    equals the stepper's up to rounding: None where its membrane, or a
-    trigger sample, comes within _MARGIN volts of threshold.
+    hot run it starts, in one 2-D interpolation and one matrix product:
+    the membrane in closed form, the drives through a triangular matrix of
+    decay powers plus the start's decay. A row equals the stepper's up to
+    rounding: None where its membrane, or a trigger sample, comes within
+    _MARGIN volts of threshold.
     """
-    from scipy.signal import lfilter
-
     c = np.atleast_2d(samples)
-    at, past, j, first, m, alpha, beta, d, gain, v_rest = _audio_intervals(
-        params, injection, dt, n_steps, sample_rate, c.shape[1])
+    (at, past, j, first, m, alpha, beta, d, gain, v_rest, wave,
+     carry) = _audio_intervals(params, injection, dt, n_steps, sample_rate,
+                               c.shape[1])
     c = np.concatenate((c, c[:, -1:]), axis=1)  # the last sample held on
     # np.interp's slopes at unit spacing, shaped like c (the last unread)
     slope = np.diff(c, axis=1, append=0.0)
@@ -531,8 +542,8 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
         flat = at[step] + live[:, None] * c.shape[1]  # rows flattened
         v = slope.take(flat) * past[step] + c.take(flat)
         if resistive:
-            v = lfilter([1.0], [1.0, -d], v * gain, axis=1,
-                        zi=d * y[:, None])[0] + v_rest
+            w = v.shape[1]
+            v = (v * gain) @ wave[:w, :w] + y[:, None] * carry[:w] + v_rest
         above = (v >= lim) & (np.arange(n.max()) < n[:, None])
         i, each = above.argmax(axis=1), np.arange(live.size)
         near = above[each, i] & (v[each, i] < params.v_thresh + _MARGIN)

@@ -42,6 +42,21 @@ def sinc_interpolate(x: np.ndarray, t_samples: np.ndarray) -> np.ndarray:
     return out
 
 
+def condition_reference(samples, sample_rate: float, params) -> np.ndarray:
+    """frontend.condition with its high-pass run by scipy.signal.lfilter,
+    the state primed so that a constant row gives exactly 0."""
+    from scipy.signal import lfilter
+
+    x = np.asarray(samples, dtype=float) * params.preamp_gain
+    if params.highpass_cutoff > 0 and x.size:
+        rc = 1.0 / (2.0 * np.pi * params.highpass_cutoff)
+        alpha = rc / (rc + 1.0 / sample_rate)
+        x, _ = lfilter([alpha, -alpha], [1.0, -alpha], x, axis=-1,
+                       zi=-alpha * x[..., :1])
+    y = np.maximum(x + params.v_offset - params.v_diode, params.v_floor)
+    return np.minimum(y, params.v_clip)
+
+
 def write_wav_16bit(path, channels: np.ndarray, rate: int) -> None:
     """Write float [-1, 1] channels as a 16-bit PCM WAV via the stdlib."""
     channels = np.atleast_2d(channels)

@@ -343,6 +343,38 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "sample rate 0" in err[0]
 
+    @staticmethod
+    def _stereo_wav(path):
+        clap = synth_clap(ClapSpec(rng_seed=9), 192000, 9e-4)
+        write_wav_16bit(path, apply_itd(clap, 40e-6).samples, 192000)
+        return path
+
+    def test_simulate_stereo_wav_exit_2(self, small_config, tmp_path, capsys):
+        # the right channel would be dropped: refused, naming the file
+        wav = self._stereo_wav(tmp_path / "s.wav")
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", str(small_config), "--wav",
+                       str(wav), "--itd", "40", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(wav) in err[0] and "2 channels" in err[0]
+        assert not out.exists()
+
+    def test_sweep_config_stereo_wav_exit_2(self, tmp_path, capsys):
+        wav = self._stereo_wav(tmp_path / "s.wav")
+        cfg = dict(SMALL, stimulus=dict(SMALL["stimulus"], wav=str(wav)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--config", str(path), "--trials", "1",
+                       "--itds", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(wav) in err[0] and "2 channels" in err[0]
+        assert not out.exists()
+
     def test_sweep_single_cell(self, small_config, tmp_path, capsys):
         out = tmp_path / "sw"
         rc = cli.main(["sweep", "--config", str(small_config),

@@ -22,7 +22,12 @@ from itdloc.frontend import (
     write_trace_csv,
 )
 
-from conftest import raw_wav_bytes, sinc_interpolate, write_wav_16bit
+from conftest import (
+    condition_reference,
+    raw_wav_bytes,
+    sinc_interpolate,
+    write_wav_16bit,
+)
 
 
 class TestAudioClip:
@@ -233,6 +238,39 @@ class TestCondition:
         both = condition(rows, rate, p)
         assert np.array_equal(both[0], out)
         assert np.array_equal(both[1], condition(rows[1], rate, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 130), st.integers(1, 400), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3), st.sampled_from([8000, 44100, 48000, 192000])
+           | st.integers(100, 10**7), st.floats(0.01, 30.0),
+           st.sampled_from([0.0, 20.0]) | st.floats(1e-3, 1e5))
+    def test_equals_lfilter_reference(self, rows, n, seed, scale, rate, gain,
+                                      cutoff):
+        # bit for bit, and every prefix conditioned alone is the prefix of
+        # the whole: the filter is causal, which the harness's window uses
+        x = np.random.default_rng(seed).normal(0.0, scale, (rows, n))
+        p = FrontEndParams(highpass_cutoff=cutoff, preamp_gain=gain)
+        out = condition(x, rate, p)
+        assert np.array_equal(out, condition_reference(x, rate, p))
+        cut = 1 + seed % n
+        assert np.array_equal(condition(x[:, :cut], rate, p), out[:, :cut])
+        assert np.array_equal(condition(x[0], rate, p), out[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=130),
+           st.integers(1, 400), st.floats(1e-3, 1e5),
+           st.integers(100, 10**7), st.floats(0.01, 30.0))
+    def test_constant_row_high_pass_is_zero(self, levels, n, cutoff, rate,
+                                            gain):
+        # with no offset, diode or clamp in reach the output is the
+        # high-pass itself
+        p = FrontEndParams(v_offset=0.0, v_diode=0.0, v_floor=-1e9,
+                           v_clip=1e9, highpass_cutoff=cutoff,
+                           preamp_gain=gain)
+        x = np.repeat(np.array(levels)[:, None], n, axis=1)
+        out = condition(x, rate, p)
+        assert np.all(out == 0.0)
+        assert np.array_equal(out, condition_reference(x, rate, p))
 
     def test_clamp_stage_idempotent(self):
         # with offset and diode zeroed the chain reduces to the clamp, which

@@ -34,6 +34,8 @@ from itdloc.harness import (
 from itdloc.jeffress import JeffressConfig, LifParams, build, tune_chain_weight
 from itdloc.lif import AnalogInjection
 
+from conftest import condition_reference
+
 
 def oracle_reference(stereo: AudioClip, max_lag: float) -> float:
     """xcorr_oracle from its definition: np.correlate at every lag, the lags
@@ -557,9 +559,10 @@ class TestEventEngine:
 
 
 class TestResampleWindow:
-    """Only the input samples that cover the run are resampled; on each step
-    the stepper holds the sample it holds on the whole clip's resample,
-    whose last sample is held past its end."""
+    """Only the input samples the run reads are conditioned and resampled;
+    on each step the stepper holds the sample it holds on the whole clip's
+    conditioned and resampled channels, whose last sample is held past
+    their end."""
 
     @pytest.mark.parametrize("rate, seconds", [
         (48000, 0.05), (44100, 0.05), (8000, 0.05), (48000, 0.8e-3)],
@@ -568,13 +571,45 @@ class TestResampleWindow:
         clip = synth_clap(ClapSpec(onset_time=1e-4, rng_seed=2), rate, seconds)
         cfg = dataclasses.replace(default_trial, recording=clip)
         cond, _, _ = harness._frontend(cfg, [(40e-6, 3)], 0.05)
+        raw = apply_itd(clip, 40e-6).samples
+        raw = raw + np.random.default_rng(3).normal(0.0, 0.05, raw.shape)
+        whole = condition_reference(raw, rate, cfg.frontend)
+        assert np.array_equal(cond, whole[:, :cond.shape[1]])
         sim_rate = round(1 / cfg.dt)
         times = np.arange(round(cfg.duration * sim_rate) + 1) * cfg.dt
-        full = full_resample(AudioClip(rate, cond), sim_rate / rate)
-        whole = [AnalogInjection(0, trace, sim_rate) for trace in full.samples]
+        full = full_resample(AudioClip(rate, whole), sim_rate / rate)
+        drives = [AnalogInjection(0, trace, sim_rate) for trace in full.samples]
         assert np.array_equal(
             lif._held(harness._injections(cfg, cond, rate), times),
-            lif._held(whole, times))
+            lif._held(drives, times))
+
+    @staticmethod
+    def _recording(cfg, onset):
+        """cfg with a 20 ms, 48 kHz clap recording starting at onset."""
+        clip = synth_clap(ClapSpec(onset_time=onset, rng_seed=2), 48000, 0.02)
+        return dataclasses.replace(cfg, recording=clip)
+
+    def _whole_crossing(self, cfg, itd) -> float | None:
+        """The first threshold crossing over the whole conditioned clip."""
+        cond = condition_reference(apply_itd(cfg.recording, itd).samples,
+                                   48000, cfg.frontend)
+        above = (cond >= cfg.net.config.input_params.v_thresh).any(axis=0)
+        return float(np.argmax(above)) / 48000 if above.any() else None
+
+    def test_latency_from_the_whole_clip_crossing(self, default_trial):
+        cfg = self._recording(default_trial, 1e-4)
+        res = run_trial_detailed(40e-6, None, cfg).result
+        assert not res.miss
+        assert res.latency == res.event_time - self._whole_crossing(cfg, 40e-6)
+        assert run_trial(40e-6, None, cfg) == res
+
+    def test_clap_past_the_window_misses(self, default_trial):
+        # the clap crosses threshold at about 4.8 ms, after the 1.1 ms run
+        cfg = self._recording(default_trial, 4e-3)
+        assert self._whole_crossing(cfg, 40e-6) > cfg.duration
+        res = run_trial_detailed(40e-6, None, cfg).result
+        assert res.miss and res.latency is None
+        assert run_trial(40e-6, None, cfg) == res
 
 
 class TestStats:

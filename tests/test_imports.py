@@ -1,5 +1,5 @@
-"""What a fresh interpreter loads: itdloc itself needs only numpy, scipy
-loads in the functions that filter, correlate or find a root, and a
+"""What a fresh interpreter loads: itdloc itself and its trials need only
+numpy, scipy loads in the functions that correlate or find a root, and a
 calibration leaves numpy.ma unloaded."""
 
 import dataclasses
@@ -29,6 +29,7 @@ def _fresh(code: str, *args: str) -> str:
 
 
 def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
+    # and so do a noisy simulate and a sweep, which run trials
     code = """if True:
         import contextlib, io, json, sys
 
@@ -42,14 +43,23 @@ def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             rc = [cli.main(["config", "dump"])]
             seen["config dump"] = scipy()
-            rc.append(cli.main(["calibrate", "--out", sys.argv[1]]))
-        seen["calibrate"] = scipy()
+            rc.append(cli.main(["calibrate", "--out", sys.argv[1] + "/cal"]))
+            seen["calibrate"] = scipy()
+            rc.append(cli.main(["simulate", "--seed", "5",
+                                "--out", sys.argv[1] + "/sim"]))
+            seen["simulate"] = scipy()
+            rc.append(cli.main(["sweep", "--trials", "1", "--itds=-40,0,40",
+                                "--out", sys.argv[1] + "/sw"]))
+        seen["sweep"] = scipy()
         print(json.dumps({"rc": rc, "seen": seen}))
     """
-    out = json.loads(_fresh(code, str(tmp_path / "cal")))
-    assert out["rc"] == [0, 0]
-    assert out["seen"] == {"import": [], "config dump": [], "calibrate": []}
+    out = json.loads(_fresh(code, str(tmp_path)))
+    assert out["rc"] == [0, 0, 0, 0]
+    assert out["seen"] == {"import": [], "config dump": [], "calibrate": [],
+                           "simulate": [], "sweep": []}
     assert (tmp_path / "cal" / "tuned_config.json").is_file()
+    assert (tmp_path / "sim" / "spikes.csv").is_file()
+    assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 4
 
 
 def test_calibration_leaves_numpy_ma_unloaded():
@@ -64,23 +74,31 @@ def test_calibration_leaves_numpy_ma_unloaded():
     assert _fresh(code).strip() == "False"
 
 
-def test_noisy_trial_loads_scipy_signal_and_matches(default_trial):
+def test_noisy_trial_leaves_scipy_unloaded_and_matches(default_trial):
     code = """if True:
         import dataclasses, json, sys
         from itdloc import harness, jeffress
 
         itd, seed, noise = json.loads(sys.argv[1])
-        before = "scipy.signal" in sys.modules
         cfg = harness.TrialConfig(net=jeffress.build(jeffress.JeffressConfig()))
         res = harness.run_trial(itd, seed, cfg, noise_amplitude=noise)
-        print(json.dumps({"before": before,
-                          "after": "scipy.signal" in sys.modules,
-                          "result": dataclasses.astuple(res)}))
+        detail = harness.run_trial_detailed(itd, seed, cfg,
+                                            noise_amplitude=noise)
+        sweep = harness.run_sweep(harness.SweepConfig(
+            cfg, itds=(-itd, itd), trials=2, noise_amplitude=noise))
+        print(json.dumps({
+            "scipy": sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy"),
+            "result": dataclasses.astuple(res),
+            "detailed": dataclasses.astuple(detail.result),
+            "rows": len(sweep.rows)}))
     """
     out = json.loads(_fresh(code, json.dumps(NOISY)))
     itd, seed, noise = NOISY
     here = harness.run_trial(itd, seed, default_trial, noise_amplitude=noise)
-    assert (out["before"], out["after"]) == (False, True)
+    assert out["scipy"] == []
+    assert out["rows"] == 4
+    assert out["detailed"] == out["result"]
     assert not here.miss
     # json writes each float by repr, so equal tuples are equal bits
     assert out["result"] == list(dataclasses.astuple(here))

@@ -193,13 +193,14 @@ def _at_threshold(params: LifParams, injection: InjectionSection) -> float:
 
 
 @st.composite
-def screened_inputs(draw):
-    """Input params, an injection section, a step, a sample rate, two
-    conditioned channels and a run length. Rates need not divide 1 / dt,
-    nor 1 / dt be whole, clips may end before the run, and samples may sit
-    at or near the level whose resting point is the threshold."""
+def screened_inputs(draw, couplings=_couplings):
+    """Input params, an injection section drawn from couplings, a step, a
+    sample rate, two conditioned channels and a run length. Rates need not
+    divide 1 / dt, nor 1 / dt be whole, clips may end before the run, and
+    samples may sit at or near the level whose resting point is the
+    threshold."""
     params = draw(_params)
-    injection = draw(_couplings)
+    injection = draw(couplings)
     rate = draw(st.one_of(st.sampled_from((44100, 48000, 192000, 8_000_000)),
                           st.integers(1000, 30_000_000)))
     sample = _floats(0.2, 1.6)
@@ -226,15 +227,32 @@ def _stepped_input_spikes(params, injection, dt, rate, samples, n_steps) -> list
     return [[round(t / dt) for t in rec.times[rec.ids == i]][:2] for i in (0, 1)]
 
 
-@settings(max_examples=120, deadline=None, phases=set(Phase) - {Phase.explain})
-@given(screened_inputs())
-def test_input_screen_matches_stepper(case):
+def _screen_matches_stepper(case):
     params, injection, dt, rate, samples, n_steps = case
     screened = lif.injected_spike_steps(params, injection, dt, n_steps,
                                         samples, rate)
     if screened != [None, None]:  # None: a row's membrane came within 1 nV
         for row, stepped in zip(screened, _stepped_input_spikes(*case)):
             assert row is None or row == stepped
+
+
+@settings(max_examples=120, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(screened_inputs())
+def test_input_screen_matches_stepper(case):
+    _screen_matches_stepper(case)
+
+
+# r_src * c_m below dt / 2.7 at every dt drawn: one step decays the
+# membrane by d < 0.067, so d ** 128 < 1e-150 and a wave's later decay
+# powers are zero
+@settings(max_examples=40, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(screened_inputs(st.builds(InjectionSection, _floats(100.0, 2000.0),
+                                 st.just("resistive"))))
+def test_input_screen_matches_stepper_on_a_fast_membrane(case):
+    params, injection, dt = case[:3]
+    rate = 1.0 / params.tau_m + 1.0 / (injection.r_src * params.c_m)
+    assert math.exp(-dt * rate) ** 128 < 1e-150
+    _screen_matches_stepper(case)
 
 
 @settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
