@@ -100,7 +100,8 @@ class ClapSpec:
 def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file into an AudioClip.
 
-    Supports PCM 16/24-bit and IEEE float 32-bit, 1 or 2 channels.
+    Supports PCM 16/24-bit and IEEE float 32-bit, 1 or 2 channels, as
+    plain formats or as WAVE_FORMAT_EXTENSIBLE subformats.
     Integer samples are scaled by the full-scale magnitude so values land
     in [-1, +1] volts around zero; no gain or offset is applied here.
     """
@@ -119,7 +120,7 @@ def load_wav(path) -> AudioClip:
         if cid == b"fmt ":
             if len(body) < 16:
                 raise WavError(f"{path}: truncated fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif cid == b"data":
             if len(body) < size:
                 raise WavError(f"{path}: truncated data chunk")
@@ -133,7 +134,13 @@ def load_wav(path) -> AudioClip:
     if len(payload) == 0:
         raise WavError(f"{path}: empty data")
 
-    audio_format, n_channels, sample_rate, _, block_align, bits = fmt
+    audio_format, n_channels, sample_rate, _, block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt)
+    kind = "format"
+    if audio_format == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: SubFormat GUID at 24
+        if len(fmt) < 40:
+            raise WavError(f"{path}: truncated extensible fmt chunk")
+        kind, (audio_format,) = "extensible subformat", struct.unpack_from("<H", fmt, 24)
     if n_channels == 0 or n_channels > 2:
         raise WavError(f"{path}: {n_channels} channels unsupported (need 1 or 2)")
     if sample_rate == 0:
@@ -157,7 +164,7 @@ def load_wav(path) -> AudioClip:
         values = raw.astype(float)
     else:
         raise WavError(
-            f"{path}: unsupported encoding (format {audio_format}, {bits}-bit)"
+            f"{path}: unsupported encoding ({kind} {audio_format}, {bits}-bit)"
         )
 
     if values.size == 0 or values.size % n_channels:

@@ -25,13 +25,14 @@ from .lif import (
     quantize_weight,
 )
 
-# chain weight producing a 3.8 us per-stage delay with the default neuron
-# parameters at dt = 0.1 us; center of the plateau found by tune_chain_weight
+# a 3.8 us stage delay at the default neuron parameters and dt = 0.1 us: near
+# the middle of the step-38 weight band [4.0548e-07, 4.1367e-07), which
+# tune_chain_weight enters at 4.124536e-07
 DEFAULT_CHAIN_WEIGHT = 4.095e-07
 
 _T_INJECT = 5e-6  # when the calibration spike enters the chain head
 _WINDOW_PER_STAGE = 30e-6  # calibration run time per stage
-_PROBE_STAGES = 9  # length of the chains tune_chain_weight probes
+_PROBE_STAGES = 9  # length of the chain tune_chain_weight walks at its weight
 _MAX_ITER = 80  # bisection steps before tune_chain_weight gives up
 _RESIDUAL_TOL = 1e-9  # seconds of ITD woodworth_angle may miss by
 _MAX_PEAK_STEPS = 2000  # probe_tables' peak bound: a 96 MB pair table at it
@@ -69,28 +70,12 @@ def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
                    trace: bool = False):
     """The step D on which a neuron at rest fires after a synaptic kick of
     `weight` amperes on each step in `at` (ascending): a neuron kicked once
-    on step s fires on step s + D; None if never. One Simulation run of the
-    steps _psp_fire_step gives, or none; with trace, a pair of D and the
-    membrane at each step boundary."""
-    steps = _psp_fire_step(params, weight, dt, at, trace)[1]
-    if not steps:
-        return None
-    sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
-        ExternalSpike(s * dt, 0, weight) for s in at)), dt)
-    record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
-    step = int(round(record.times[0] / dt)) if len(record) else None
-    return (step, traces.v[0]) if trace else step
-
-
-def _psp_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
-                   trace: bool = False) -> tuple:
-    """(D, steps) from the closed-form PSP v of kicks of `weight` on the
-    steps in `at`, their shifted lone PSPs summed. D is the first boundary
-    where v reaches threshold; inf if v peaks more than _MARGIN below it;
-    None, for the stepper, if a v up to the crossing (or the peak) is within
-    _MARGIN of it. A run of `steps` decides it: one past the first boundary
-    where v passes threshold by _MARGIN; else, or with trace, two past the
-    last kick's peak, past which v only falls; 0 if D is inf, unless trace.
+    on step s fires on step s + D; None if never. With trace, a pair of D
+    and the membrane at each step boundary. One Simulation run, as long as
+    the closed-form PSP v of the kicks (their shifted lone PSPs summed)
+    says: one past the first boundary where v passes threshold by _MARGIN;
+    else, or with trace, two past the last kick's peak, past which v only
+    falls; none if v peaks more than _MARGIN below threshold, unless trace.
     v doubles in length until then, so no array is sized by the taus."""
     thresh, n = params.v_thresh - params.v_leak, 64
     while True:
@@ -100,11 +85,17 @@ def _psp_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
         if cross.size and not trace or np.argmax(y) < n:  # or the peak is in
             break
         n *= 2
-    c = int(cross[0]) if cross.size else v.size  # v[:c + 1] the stepper compares
-    d = None if (np.abs(v[:c + 1]) < _MARGIN).any() else c if cross.size else math.inf
     if cross.size and not trace:
-        return d, c + 1
-    return d, at[-1] + int(np.argmax(y)) + 2 if trace or d != math.inf else 0
+        steps = int(cross[0]) + 1
+    elif trace or v.max() > -_MARGIN:
+        steps = at[-1] + int(np.argmax(y)) + 2
+    else:
+        return None
+    sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
+        ExternalSpike(s * dt, 0, weight) for s in at)), dt)
+    record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
+    step = int(round(record.times[0] / dt)) if len(record) else None
+    return (step, traces.v[0]) if trace else step
 
 
 def single_spike_fire_weight(params: LifParams) -> float:
@@ -415,38 +406,37 @@ def calibrate_stage_delay(net: JeffressNetwork, dt: float) -> CalibrationResult:
 
 
 def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> float:
-    """Bisect the chain weight until a bare _PROBE_STAGES-stage chain's D
-    (_psp_fire_step's where that answers and fires_once, else _chain_walk's;
-    inf where it does not propagate) is the target's nearest whole step."""
+    """Bisect the chain weight into the band of weights whose kick fires
+    on the target's nearest whole step d: below threshold a kick of w gives
+    w u, u the unit PSP, which rises until its peak, so the band runs from
+    thresh / u[d] up to thresh / max(u[:d]). A bare _PROBE_STAGES-stage
+    chain walked at the weight found (_chain_walk) must give D == d."""
     if not 0 < target_delay < math.inf:
         raise ValueError(f"target_delay must be finite and > 0, got {target_delay}")
     check_dt((params,), dt)
-
-    def probe(weight: float) -> float:
-        d = _psp_fire_step(params, weight, dt)[0]
-        if d is None or not fires_once(params, weight):
-            try:
-                return _chain_walk(params, weight, dt, range(_PROBE_STAGES))[1]
-            except CalibrationError:
-                return math.inf
-        return d if _stages_fired(d, _PROBE_STAGES, dt) == _PROBE_STAGES else math.inf
-
-    target, w_fire = round(target_delay / dt), single_spike_fire_weight(params)
+    d, w_fire = round(target_delay / dt), single_spike_fire_weight(params)
     lo, hi = 1.02 * w_fire, 400.0 * w_fire
-    d_lo, d_hi = probe(lo), probe(hi)
-    if not d_hi <= target <= d_lo:
+    bottom = top = math.inf  # the band [bottom, top), empty past the window
+    if d >= 1 and _stages_fired(d, _PROBE_STAGES, dt) == _PROBE_STAGES:
+        u, thresh = _lone_psp(params, 1.0, dt, d), params.v_thresh - params.v_leak
+        bottom, rise = thresh / u[d], u[:d].max()
+        top = thresh / rise if rise > 0 else math.inf
+    if not (bottom < top and bottom <= hi and lo < top):
         raise ValueError(
-            f"target delay {target_delay:.3g}s outside achievable range "
-            f"[{d_hi * dt:.3g}, {d_lo * dt:.3g}]s")
+            f"target delay {target_delay:.3g}s outside achievable range: no "
+            f"chain weight in [{lo:.3g}, {hi:.3g}] A gives a {_PROBE_STAGES}-"
+            f"stage chain a {d}-step stage delay")
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        d = probe(mid)
-        if d == target:
-            return mid
-        if d > target:
+        if mid < bottom:
             lo = mid  # too slow, drive harder
-        else:
+        elif mid >= top:
             hi = mid
+        elif _chain_walk(params, mid, dt, range(_PROBE_STAGES))[1] == d:
+            return mid
+        else:
+            raise CalibrationError(
+                f"chain weight {mid:.6e} A misses the {d}-step stage delay")
     raise RuntimeError(
         f"chain weight search did not converge to {target_delay:.3g}s "
         f"within {_MAX_ITER} iterations")

@@ -68,12 +68,20 @@ def write_wav_16bit(path, channels: np.ndarray, rate: int) -> None:
         w.writeframes(ints.T.tobytes())
 
 
+# the 14 bytes that follow a subformat code in a WAVE_FORMAT_EXTENSIBLE
+# SubFormat GUID (KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT share them)
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
 def raw_wav_bytes(fmt_code: int, bits: int, n_channels: int, rate: int,
-                  payload: bytes) -> bytes:
-    """Assemble a minimal RIFF/WAVE file by hand."""
+                  payload: bytes, extensible: bool = False) -> bytes:
+    """Assemble a minimal RIFF/WAVE file by hand; extensible writes format
+    tag 0xFFFE with fmt_code as the subformat, in a 40-byte fmt chunk."""
     block = n_channels * bits // 8
-    fmt = struct.pack("<HHIIHH", fmt_code, n_channels, rate,
-                      rate * block, block, bits)
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_code,
+                      n_channels, rate, rate * block, block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, SubFormat GUID
+        fmt += struct.pack("<HHIH", 22, bits, 0, fmt_code) + _GUID_TAIL
     chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     chunks += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks

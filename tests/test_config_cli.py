@@ -27,7 +27,7 @@ from itdloc.config import (
     save_config,
 )
 
-from conftest import write_wav_16bit
+from conftest import raw_wav_bytes, write_wav_16bit
 from itdloc.frontend import ClapSpec, FrontEndParams, apply_itd, synth_clap
 from itdloc.jeffress import GeometryParams, JeffressConfig
 from itdloc.lif import LifParams
@@ -298,6 +298,29 @@ class TestCli:
                        "--wav", str(wav), "--itd", "0", "--out", str(out)])
         assert rc == 0
         assert "dir=" in (out / "events.txt").read_text()
+
+    def test_simulate_from_an_extensible_wav(self, small_config, tmp_path,
+                                             capsys):
+        # the same 16-bit samples under format tag 0xFFFE give the same
+        # spikes; with the fmt chunk too short for a subformat, exit 2
+        clap = synth_clap(ClapSpec(rng_seed=9), 192000, 9e-4)
+        payload = np.round(clap.channel(0) * 32767).astype("<i2").tobytes()
+        spikes = []
+        for name, extensible in (("plain", False), ("ext", True)):
+            wav, out = tmp_path / f"{name}.wav", tmp_path / name
+            wav.write_bytes(raw_wav_bytes(1, 16, 1, 192000, payload, extensible))
+            assert cli.main(["simulate", "--config", str(small_config), "--wav",
+                             str(wav), "--itd", "0", "--out", str(out)]) == 0
+            spikes.append((out / "spikes.csv").read_bytes())
+        assert spikes[0] == spikes[1]
+        capsys.readouterr()
+        wav, out = tmp_path / "short.wav", tmp_path / "short"
+        wav.write_bytes(raw_wav_bytes(0xFFFE, 16, 1, 192000, payload))
+        assert cli.main(["simulate", "--config", str(small_config), "--wav",
+                         str(wav), "--itd", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {wav}: truncated extensible fmt chunk"]
+        assert not out.exists()
 
     def test_simulate_wav_flag_replaces_config_wav(self, tmp_path):
         # the config names a file that does not exist; only --wav is read

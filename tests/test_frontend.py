@@ -112,6 +112,37 @@ class TestLoadWav:
         clip = load_wav(path)
         assert np.allclose(clip.channel(0), vals, atol=1e-7)
 
+    @pytest.mark.parametrize("fmt_code, bits, n_channels, payload", [
+        (1, 16, 1, np.array([32767, -32768, 0, 16384], "<i2").tobytes()),
+        (1, 16, 2, np.array([32767, -32768, 0, 16384], "<i2").tobytes()),
+        (1, 24, 1, b"\xff\xff\x7f" + b"\x00\x00\x80" + b"\x00\x00\x40"),
+        (3, 32, 1, np.array([0.125, -0.75, 1.0], "<f4").tobytes()),
+    ])
+    def test_extensible_loads_as_plain(self, tmp_path, fmt_code, bits,
+                                       n_channels, payload):
+        # format tag 0xFFFE, the one the spec asks for above 16 bits, with
+        # the PCM or float subformat: the clip the plain tag gives
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(raw_wav_bytes(fmt_code, bits, n_channels, 48000, payload))
+        ext.write_bytes(raw_wav_bytes(fmt_code, bits, n_channels, 48000, payload,
+                                      extensible=True))
+        want, got = load_wav(plain), load_wav(ext)
+        assert got.sample_rate == want.sample_rate
+        assert np.array_equal(got.samples, want.samples)
+
+    def test_extensible_subformat_unsupported(self, tmp_path):
+        path = tmp_path / "alaw.wav"  # subformat 6, A-law
+        path.write_bytes(raw_wav_bytes(6, 16, 1, 48000, b"\x00" * 8,
+                                       extensible=True))
+        with pytest.raises(WavError, match=r"extensible subformat 6, 16-bit"):
+            load_wav(path)
+
+    def test_extensible_fmt_chunk_without_subformat(self, tmp_path):
+        path = tmp_path / "short.wav"  # tag 0xFFFE in a 16-byte fmt chunk
+        path.write_bytes(raw_wav_bytes(0xFFFE, 16, 1, 48000, b"\x00" * 8))
+        with pytest.raises(WavError, match="truncated extensible fmt chunk"):
+            load_wav(path)
+
 
 class TestSynthClap:
     SPEC = ClapSpec(onset_time=2e-4, rise_time=1e-4, decay_time=2e-3,

@@ -281,18 +281,18 @@ class TestChainWalk:
             assert {round(x / dt) for x in reference.stage_delays} == {d}
 
     def test_tune_and_calibrate_simulate_at_most_two_neurons(self):
-        # a 5 us clamp lets a chain neuron kicked hard fire twice: the
-        # calibration steps two neurons, and the tuner's strongest probe
-        # chain does not propagate
+        # a 5 us clamp lets a chain neuron kicked hard fire twice, as the
+        # tuner's strongest bracket weight does: the tuner reads the target
+        # step's band off the PSP, so it tunes as at the default clamp, and
+        # its check and the calibration step the head and its successor
         p = LifParams(t_ref=5e-6)
         with simulated_sizes() as sizes:
-            w = tune_chain_weight(3.8e-6, LifParams(), DT)
-            cal = calibrate_stage_delay(build(JeffressConfig(chain_weight=w)), DT)
-            assert cal.stage_delay_mean == pytest.approx(3.8e-6, abs=0.1e-6)
-            with pytest.raises(ValueError, match="achievable range"):
-                tune_chain_weight(3.8e-6, p, DT)
-            cal = calibrate_stage_delay(build(JeffressConfig(neuron_params=p)), DT)
-            assert cal.stage_delay_mean == pytest.approx(3.8e-6, abs=0.1e-6)
+            w = tune_chain_weight(3.8e-6, p, DT)
+            cal = calibrate_stage_delay(build(JeffressConfig(
+                neuron_params=p, chain_weight=w)), DT)
+        assert f"{w:.6e}" == "4.124536e-07"
+        assert w == tune_chain_weight(3.8e-6, LifParams(), DT)
+        assert cal.stage_delay_mean == pytest.approx(3.8e-6, abs=1e-12)
         assert max(sizes) == 2
 
 
@@ -344,21 +344,28 @@ class TestKickFireStep:
             assert jeffress.kick_fire_step(params, w, DT) is None
         assert sizes == []
 
-    @settings(max_examples=40, deadline=None)
-    @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.floats(2e-6, 40e-6),
-           factor=st.floats(0.3, 3.0), off=st.none() | st.integers(1, 60),
+    # each example's weight is bisected so that the stepped membrane's
+    # peak lies within 1e-11 V of threshold: the closed form cannot tell
+    # whether it fires, so the kick is stepped
+    @settings(max_examples=60, deadline=None)
+    @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.none() | st.floats(2e-6, 40e-6),
+           factor=st.floats(0.3, 400.0), off=st.none() | st.integers(1, 60),
            dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
+    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, off=None, dt=1e-7)
+    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, off=None, dt=5e-8)
+    @example(tau_m=15e-6, tau_syn=None, factor=0.5027465227918586, off=40, dt=1e-7)
+    @example(tau_m=30e-6, tau_syn=8e-6, factor=0.4993806436679734, off=7, dt=2e-8)
     def test_equals_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
         # one run, or none where the closed-form PSP peaks more than
         # _MARGIN below threshold, gives the first spike of a run well past
-        # the last kick's peak
-        assume(tau_m != tau_syn)
-        params = LifParams(tau_m=tau_m, tau_syn=tau_syn)
+        # the last kick's peak; tau_syn None is tau_m, the default network's
+        # case, and up to 400x the firing weight spans the tuner's bracket
+        params = LifParams(tau_m=tau_m, tau_syn=tau_m if tau_syn is None else tau_syn)
         w = factor * single_spike_fire_weight(params)
         at = (0,) if off is None else (0, off)
         with simulated_sizes() as sizes:
             d = jeffress.kick_fire_step(params, w, dt, at=at)
-        n = at[-1] + math.ceil(max(tau_m, tau_syn) / dt) + 10
+        n = at[-1] + math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
         record, traces = run(NetworkSpec((params,), external_spikes=tuple(
             ExternalSpike(s * dt, 0, w) for s in at)), n * dt, dt,
             record_traces=[0])
@@ -370,75 +377,67 @@ class TestKickFireStep:
             assert sizes == [1]
 
 
-class TestClosedFormStep:
-    """_psp_fire_step reads D off the closed-form PSP, and leaves to the
-    stepper every kick whose membrane comes within _MARGIN of threshold
-    before it fires."""
-
-    # each example's weight is bisected so that the stepped membrane's
-    # peak lies within 1e-11 V of threshold: the helper must decline
-    @settings(max_examples=60, deadline=None)
-    @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.none() | st.floats(2e-6, 40e-6),
-           factor=st.floats(0.3, 400.0), off=st.none() | st.integers(1, 60),
-           dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
-    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, off=None, dt=1e-7)
-    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, off=None, dt=5e-8)
-    @example(tau_m=15e-6, tau_syn=None, factor=0.5027465227918586, off=40, dt=1e-7)
-    @example(tau_m=30e-6, tau_syn=8e-6, factor=0.4993806436679734, off=7, dt=2e-8)
-    def test_answers_as_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
-        # tau_syn None is tau_m, the default network's case; 1.02x to 400x
-        # the firing weight is the tuner's bracket
-        params = LifParams(tau_m=tau_m, tau_syn=tau_m if tau_syn is None else tau_syn)
-        w = factor * single_spike_fire_weight(params)
-        at = (0,) if off is None else (0, off)
-        d = jeffress._psp_fire_step(params, w, dt, at)[0]
-        kicks = tuple(ExternalSpike(s * dt, 0, w) for s in at)
-        n = at[-1] + math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
-        record, _ = run(NetworkSpec((params,), external_spikes=kicks), n * dt, dt)
-        first = round(record.times[0] / dt) if len(record) else None
-        # the same membrane with threshold out of reach: the values the
-        # stepper compares, up to its first spike
-        free = dataclasses.replace(params, v_thresh=1e6)
-        _, traces = run(NetworkSpec((free,), external_spikes=kicks), n * dt, dt,
-                        record_traces=[0])
-        seen = traces.v[0][:n + 1 if first is None else first + 1]
-        # a stepped value within 1e-10 V of threshold puts the closed
-        # form's within _MARGIN of it
-        if (np.abs(seen - params.v_thresh) < 1e-10).any():
-            assert d is None
-        if d is not None:
-            assert d == (math.inf if first is None else first)
-        assert jeffress.kick_fire_step(params, w, dt, at=at) == first
+def stepped_tune(target_delay, params, dt):
+    """The tuner's bisection with each midpoint probed by stepping: one
+    neuron kicked once at rest, run to past the target's step d, fires on
+    d (found), before it (too strong) or not yet (too weak)."""
+    d, w_fire = round(target_delay / dt), single_spike_fire_weight(params)
+    lo, hi = 1.02 * w_fire, 400.0 * w_fire
+    for _ in range(jeffress._MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        record, _ = run(NetworkSpec((params,), external_spikes=(
+            ExternalSpike(0.0, 0, mid),)), (d + 2) * dt, dt)
+        first = round(record.times[0] / dt) if len(record) else math.inf
+        if first == d:
+            return mid
+        lo, hi = (mid, hi) if first > d else (lo, mid)
+    return None
 
 
 class TestTuner:
     def test_only_the_calibration_steps(self):
-        # at the defaults every probe takes D from the closed form; the
-        # calibration that follows steps its one kick
+        # the tuner reads its band off one closed-form PSP and steps one
+        # kick, the check of the weight it found; the calibration that
+        # follows steps its one kick
         with simulated_sizes() as sizes:
             w = tune_chain_weight(3.8e-6, LifParams(), DT)
-        assert sizes == []
+        assert sizes == [1]
         with simulated_sizes() as sizes:
             calibrate_stage_delay(build(JeffressConfig(chain_weight=w)), DT)
         assert sizes == [1]
 
-    @pytest.mark.parametrize("target_us", [1.0, 2.6, 3.8, 5.3, 8.0])
+    @pytest.mark.parametrize("target_us", [round(1 + k / 10, 1) for k in range(71)])
     def test_closed_form_probes_tune_as_stepped_ones(self, target_us):
-        # with the closed form declining everywhere each probe walks the
-        # chain and steps its kick; the search lands on the same weight
-        real = jeffress._psp_fire_step
+        # every target from 1.0 to 8.0 us at the defaults: the band read off
+        # the closed-form PSP stops the bisection on the midpoint at which
+        # a stepped probe first fires on the target step
+        target = target_us * 1e-6
+        assert tune_chain_weight(target, LifParams(), DT) == stepped_tune(
+            target, LifParams(), DT)
 
-        def declining(*args):
-            return None, real(*args)[1]
+    def test_bracket_weight_that_fires_twice_does_not_refuse(self):
+        # the bracket's strongest weight fires twice under a 2 us clamp;
+        # the 8 us step's band lies below it and tunes (a 5 us clamp at
+        # 3.8 us: TestChainWalk)
+        p = LifParams(t_ref=2e-6)
+        w = tune_chain_weight(8e-6, p, DT)
+        assert w == stepped_tune(8e-6, p, DT)
+        cal = calibrate_stage_delay(build(JeffressConfig(neuron_params=p,
+                                                         chain_weight=w)), DT)
+        assert round(cal.stage_delay_mean / DT) == 80
 
-        w = tune_chain_weight(target_us * 1e-6, LifParams(), DT)
-        with mock.patch.object(jeffress, "_psp_fire_step", declining), \
-                mock.patch.object(jeffress, "_chain_walk",
-                                  wraps=jeffress._chain_walk) as walks, \
+    @pytest.mark.parametrize("target", [100e-6, 1.0])
+    def test_target_past_the_window_refused_unbuilt(self, target):
+        # with tau_m = 1 s a 100 us stage delay is a weight in the bracket,
+        # but the 9-stage probe chain outlasts its 270 us window: refused
+        # before the PSP is built or a neuron stepped, as is a 1 s target
+        params = LifParams(tau_m=1.0)
+        with mock.patch.object(jeffress, "_lone_psp",
+                               wraps=jeffress._lone_psp) as psps, \
                 simulated_sizes() as sizes:
-            assert tune_chain_weight(target_us * 1e-6, LifParams(), DT) == w
-        assert walks.call_count > 2
-        assert sizes == [1] * walks.call_count
+            with pytest.raises(ValueError, match="achievable range"):
+                tune_chain_weight(target, params, DT)
+        assert psps.call_count == 0 and sizes == []
 
     @pytest.mark.parametrize("target", [math.inf, math.nan, -math.inf])
     def test_non_finite_target_refused(self, target):
@@ -478,8 +477,9 @@ class TestTuner:
            factor=st.floats(1.02, 400.0), dt=st.sampled_from([1e-7, 5e-8]))
     def test_tuned_weight_fires_on_the_target_step(self, tau_m, tau_syn,
                                                    factor, dt):
-        # a target on the step grid that some probe weight reaches: the
-        # tuned weight's kick fires on exactly that step
+        # a target on the step grid that some bracket weight reaches: the
+        # tuned weight's kick fires on exactly that step, and it is the
+        # stepped bisection's weight
         params = LifParams(tau_m=tau_m, tau_syn=tau_syn)
         w_fire = single_spike_fire_weight(params)
         assume(jeffress.fires_once(params, 400.0 * w_fire))
@@ -491,6 +491,7 @@ class TestTuner:
         target = d * dt
         w = tune_chain_weight(target, params, dt)
         assert jeffress.kick_fire_step(params, w, dt) == round(target / dt)
+        assert w == stepped_tune(target, params, dt)
 
 
 class TestDetectorMap:
