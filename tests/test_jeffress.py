@@ -377,6 +377,51 @@ class TestKickFireStep:
             assert sizes == [1]
 
 
+class TestClosedFormStep:
+    """kick_fire_step's closed-form PSP sets the length of its one run: one
+    step past the boundary where it passes threshold by _MARGIN, else two
+    past the last kick's peak; a kick whose membrane comes within _MARGIN of
+    threshold is left to the stepper."""
+
+    # each example's weight is bisected so that the stepped membrane's
+    # peak lies within 1e-11 V of threshold: the kick must be stepped
+    @settings(max_examples=60, deadline=None)
+    @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.none() | st.floats(2e-6, 40e-6),
+           factor=st.floats(0.3, 400.0), off=st.none() | st.integers(1, 60),
+           dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
+    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, off=None, dt=1e-7)
+    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, off=None, dt=5e-8)
+    @example(tau_m=15e-6, tau_syn=None, factor=0.5027465227918586, off=40, dt=1e-7)
+    @example(tau_m=30e-6, tau_syn=8e-6, factor=0.4993806436679734, off=7, dt=2e-8)
+    def test_answers_as_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
+        # tau_syn None is tau_m, the default network's case; 1.02x to 400x
+        # the firing weight is the tuner's bracket
+        params = LifParams(tau_m=tau_m, tau_syn=tau_m if tau_syn is None else tau_syn)
+        w = factor * single_spike_fire_weight(params)
+        at = (0,) if off is None else (0, off)
+        with mock.patch.object(jeffress.Simulation, "run", autospec=True,
+                               side_effect=Simulation.run) as runs:
+            d = jeffress.kick_fire_step(params, w, dt, at=at)
+        steps = [round(call.args[1] / dt) for call in runs.call_args_list]
+        kicks = tuple(ExternalSpike(s * dt, 0, w) for s in at)
+        n = at[-1] + math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
+        record, _ = run(NetworkSpec((params,), external_spikes=kicks), n * dt, dt)
+        first = round(record.times[0] / dt) if len(record) else None
+        # the same membrane with threshold out of reach: the values the
+        # stepper compares, up to its first spike
+        free = dataclasses.replace(params, v_thresh=1e6)
+        _, traces = run(NetworkSpec((free,), external_spikes=kicks), n * dt, dt,
+                        record_traces=[0])
+        seen = traces.v[0][:n + 1 if first is None else first + 1]
+        # a stepped value within 1e-10 V of threshold puts the closed
+        # form's within _MARGIN of it: the kick is stepped
+        if (np.abs(seen - params.v_thresh) < 1e-10).any():
+            assert len(steps) == 1
+        if first is not None:
+            assert len(steps) == 1 and steps[0] > first
+        assert d == first
+
+
 def stepped_tune(target_delay, params, dt):
     """The tuner's bisection with each midpoint probed by stepping: one
     neuron kicked once at rest, run to past the target's step d, fires on
