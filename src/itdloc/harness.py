@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,18 +168,29 @@ def _frontend(cfg: TrialConfig, cells, noise_amplitude: float) -> tuple:
     Conditioning is causal, so the rows begin the whole clip's; an input
     fires only on a read sample at or above its threshold, so no event
     follows a first crossing past them."""
-    fs, sim_rate = cfg.mono_stimulus().sample_rate, round(1.0 / cfg.dt)
+    mono, sim_rate = cfg.mono_stimulus(), round(1.0 / cfg.dt)
+    fs, n = mono.sample_rate, mono.samples.shape[1]
     # the drive at each of the run's need steps interpolates the samples
     # around it
     need = round(cfg.duration * sim_rate) + 1
-    window = int(np.ceil(need * fs / sim_rate)) + 2
+    window = min(int(np.ceil(need * fs / sim_rate)) + 2, n)
     raws = []
     for itd, seed in cells:
-        raw = apply_itd(cfg.mono_stimulus(), itd).samples
+        # the delay interpolates pointwise, and the window's samples read
+        # at most ceil(|itd| fs) + 1 samples past it; a clip that long
+        # still outlasts |itd| (a NaN or too long ITD takes the whole clip
+        # and apply_itd's check)
+        shift = abs(itd) * fs
+        reach = min(window + math.ceil(shift) + 2, n) if shift < n else n
+        raw = apply_itd(AudioClip(fs, mono.samples[:, :reach]),
+                        itd).samples[:, :window]
         if noise_amplitude > 0:
-            rng = np.random.default_rng(seed)
-            raw = raw + rng.normal(0.0, noise_amplitude, size=raw.shape)
-        raws.append(raw[:, :window])
+            # the draws of a (2, n) noise array, in order, up to the
+            # window of its second row
+            noise = np.random.default_rng(seed).normal(
+                0.0, noise_amplitude, n + window)
+            raw = raw + np.stack((noise[:window], noise[n:]))
+        raws.append(raw)
     cond = condition(np.concatenate(raws), fs, cfg.frontend)
     above = (cond >= cfg.net.config.input_params.v_thresh).reshape(
         len(raws), 2, -1).any(axis=1)

@@ -432,11 +432,17 @@ def tune_chain_weight(target_delay: float, params: LifParams, dt: float) -> floa
             lo = mid  # too slow, drive harder
         elif mid >= top:
             hi = mid
-        elif _chain_walk(params, mid, dt, range(_PROBE_STAGES))[1] == d:
-            return mid
-        else:
-            raise CalibrationError(
-                f"chain weight {mid:.6e} A misses the {d}-step stage delay")
+        else:  # the walk names ids of the probe chain, not of any network
+            try:
+                if _chain_walk(params, mid, dt, range(_PROBE_STAGES))[1] == d:
+                    return mid
+            except CalibrationError as exc:
+                raise CalibrationError(
+                    f"chain weight tuner: weight {mid:.6e} A, in the band of "
+                    f"the {d}-step stage delay, fails its {_PROBE_STAGES}-"
+                    f"stage probe chain: {exc}") from exc
+            raise CalibrationError(f"chain weight tuner: weight {mid:.6e} A "
+                                   f"misses the {d}-step stage delay")
     raise RuntimeError(
         f"chain weight search did not converge to {target_delay:.3g}s "
         f"within {_MAX_ITER} iterations")

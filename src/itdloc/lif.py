@@ -20,6 +20,7 @@ _STEP_SLACK = 1e-9  # steps; a time on the step grid keeps its step
 _MARGIN = 1e-9  # volts; a membrane this near threshold is decided by stepping
 _CSV_STEPS = 1024  # steps of a trace CSV formatted and written at a time
 _WAVE_STEPS = 128  # steps per row the input screen resolves at once
+_BLOCK = 64  # most steps Simulation.run advances before a threshold test
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,25 @@ class TraceSet:
             fh.write("time_s,neuron_id,v_volts,i_syn_amps\n")
             # one template per step, filled from columns taken a chunk of
             # steps at a time; each chunk is written as one string
-            row = "".join(f"%s,{i},%.9f,%.6e\n" for i in ids)
+            row = "".join(f"%s,{i},%s,%s\n" for i in ids)
             for lo in range(0, self.times.size, _CSV_STEPS):
                 part = slice(lo, lo + _CSV_STEPS)
                 t = [f"{x:.9f}" for x in self.times[part].tolist()]
                 cols = [col for i in ids for col in (
-                    t, self.v[i][part].tolist(), self.i_syn[i][part].tolist())]
+                    t, _texts(self.v[i][part], ".9f"),
+                    _texts(self.i_syn[i][part], ".6e"))]
                 fh.write("".join(row % step for step in zip(*cols)))
+
+
+def _texts(values, spec: str) -> list:
+    """Float values formatted with `spec`, each distinct value once and all
+    of them in one call; values are told apart by their bits, so -0.0 keeps
+    its sign."""
+    bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    distinct = bits.view(float).tolist()
+    texts = (f"%{spec}\n" * len(distinct) % tuple(distinct)).split("\n")
+    return np.array(texts[:-1], dtype=object)[index].tolist()
 
 
 def _held_index(times, sample_rate, size: int) -> np.ndarray:
@@ -272,6 +285,12 @@ class Simulation:
         self._res_gain = np.array(
             [b[inj.target] / (inj.coupling.r_src * c_m[inj.target])
              for inj in self._resistive], dtype=float)
+        # a driven neuron that no synapse or external spike reaches keeps
+        # i_syn at +0.0, and x + 0.0 + d == x + (0.0 + d) for every x, so
+        # its drive may join the synaptic term before the membrane's add
+        fed = {syn.post for syn in spec.synapses} | {
+            e.target for e in spec.external_spikes}
+        self._drive_apart = bool(fed & set(self._res_targets.tolist()))
         self._triggers = [inj for inj in spec.injections
                           if inj.coupling.mode == "trigger"]
         self._trig_targets = np.array([inj.target for inj in self._triggers],
@@ -309,16 +328,13 @@ class Simulation:
         self._pending = np.zeros(n, dtype=float)
         self._pending_any = False
         self._syn_live = False  # every i_syn is exactly 0 until a delivery
-        self._t1 = np.empty(n, dtype=float)
-        self._buf = np.empty(n, dtype=float)
-        self._fired = np.empty(n, dtype=bool)
 
         self._ev_times: list[float] = []
         self._ev_ids: list[int] = []
 
-    def _emit(self, ids, step: int) -> None:
+    def _emit(self, ids, step: int, v) -> None:
         for i in ids.tolist():
-            self.v[i] = self._v_reset[i]
+            v[i] = self._v_reset[i]
             free = step + self._ref_steps[i]
             self._free_from[i] = free
             self._refr[i] = True
@@ -334,12 +350,19 @@ class Simulation:
     def run(self, duration: float, record_traces=()) -> tuple:
         """Step for `duration` seconds; returns (SpikeRecord, TraceSet or None).
 
-        Consecutive calls continue from the current step.
+        Consecutive calls continue from the current step. The steps go in
+        blocks of up to _BLOCK rows: per block the synaptic currents, their
+        membrane terms and the held drives; per step only the membrane row;
+        per block again the clamp, the threshold and trigger test and the
+        trace copy. A block ends on its first row where a neuron fires, and
+        the rows after it are stepped again from the emitted state; it never
+        spans a clamp lift or an external delivery. Columns do not mix
+        within a block, so every accepted row is the one-step update's.
         """
         if duration <= 0:
             raise ValueError("duration must be > 0")
         n_steps = int(round(duration / self.dt))
-        k0 = self._k
+        k0, n = self._k, self.n
         times = np.arange(k0, k0 + n_steps + 1) * self.dt  # step boundaries
 
         traced = sorted(set(record_traces))
@@ -348,78 +371,113 @@ class Simulation:
             bad = [i for i in traced if not 0 <= i < self.n]
             if bad:
                 raise ValueError(f"trace ids out of range: {bad}")
-            traces = TraceSet(
-                times=times,
-                v={i: np.empty(n_steps + 1) for i in traced},
-                i_syn={i: np.empty(n_steps + 1) for i in traced},
-            )
-            for i in traced:
-                traces.v[i][0] = self.v[i]
-                traces.i_syn[i][0] = self.i_syn[i]
+            trace_v = np.empty((len(traced), n_steps + 1))
+            trace_i = np.empty((len(traced), n_steps + 1))
+            trace_v[:, 0], trace_i[:, 0] = self.v[traced], self.i_syn[traced]
+            traces = TraceSet(times=times, v=dict(zip(traced, trace_v)),
+                              i_syn=dict(zip(traced, trace_i)))
 
-        res_targets, trig_targets = self._res_targets, self._trig_targets
+        rows = min(_BLOCK, n_steps)
+        # v_block[0] holds the state a block starts from, the rows after it
+        # its steps; s_block the synaptic terms, d_block the drives, -0.0
+        # off the targets: adding -0.0 leaves every value, -0.0 too
+        v_block = np.empty((rows + 1, n))
+        v_block[0] = self.v
+        i_block, s_block = np.empty((rows, n)), np.empty((rows, n))
+        d_block = np.full((rows, n), -0.0)
+        fired = np.empty((rows, n), dtype=bool)
+        v_rows, s_rows, d_rows = list(v_block), list(s_block), list(d_block)
+        res_targets = self._res_targets
         if res_targets.size:
             drives = _held(self._resistive, times) * self._res_gain
-        if trig_targets.size:
-            above = _held(self._triggers, times) >= self._v_thresh[trig_targets]
-        recorded = [(i, traces.v[i], traces.i_syn[i]) for i in traced]
+        trig = sorted(set(self._trig_targets.tolist()))
+        if trig:  # per triggered neuron, whether any of its samples is above
+            above = _held(self._triggers, times) >= self._v_thresh[self._trig_targets]
+            trig_above = np.stack([above[:, self._trig_targets == i].any(axis=1)
+                                   for i in trig], axis=1)
 
-        v, t1, buf, i_syn, pending = (self.v, self._t1, self._buf, self.i_syn,
-                                      self._pending)
-        refr, fired, free_from = self._refr, self._fired, self._free_from
+        i_syn, pending, refr, free_from = (self.i_syn, self._pending, self._refr,
+                                           self._free_from)
         decay_syn, gain_syn = self._decay_syn, self._gain_syn
         decay_v, v_rest = self._decay_v, self._v_leak_eff
         v_reset, v_thresh = self._v_reset, self._v_thresh
-        ext, ext_steps, n_ext = self._ext, self._ext_steps, len(self._ext)
-        ext_ptr, live, lift = self._ext_ptr, self._syn_live, self._lift
-        for j in range(n_steps):
+        ext, ext_steps, n_ext = self._ext, self._ext_steps.tolist(), len(self._ext)
+        ext_ptr, live, size, j = self._ext_ptr, self._syn_live, rows, 0
+        subtract, multiply, add = np.subtract, np.multiply, np.add
+        while j < n_steps:
             k = k0 + j
             while ext_ptr < n_ext and ext_steps[ext_ptr] <= k:
                 e = ext[ext_ptr]
                 pending[e.target] += e.weight
                 self._pending_any = True
                 ext_ptr += 1
-
-            if live:
-                i_syn *= decay_syn
-            if self._pending_any:
-                i_syn += pending
-                pending.fill(0.0)
-                self._pending_any = False
-                live = True
-
-            np.subtract(v, v_rest, out=t1)
-            t1 *= decay_v
-            t1 += v_rest
-            if live:
-                np.multiply(i_syn, gain_syn, out=buf)
-                t1 += buf
-            if res_targets.size:
-                t1[res_targets] += drives[j]
-
-            if k >= lift:  # a clamp lifts: rebuild the mask
+            if k >= self._lift:  # a clamp lifts: rebuild the mask
                 np.greater(free_from, k, out=refr)
                 clamped = free_from[refr]
-                lift = int(clamped.min()) if clamped.size else math.inf
-            if lift < math.inf:
-                np.copyto(t1, v_reset, where=refr)
+                self._lift = int(clamped.min()) if clamped.size else math.inf
+            m = min(size, n_steps - j, self._lift - k,
+                    ext_steps[ext_ptr] - k if ext_ptr < n_ext else rows)
+
+            if self._pending_any:
+                if live:
+                    np.multiply(i_syn, decay_syn, out=i_block[0])
+                    i_block[0] += pending
+                else:
+                    np.add(i_syn, pending, out=i_block[0])
+                pending.fill(0.0)
+                self._pending_any, live = False, True
+            elif live:
+                np.multiply(i_syn, decay_syn, out=i_block[0])
+            if res_targets.size:
+                d_block[:m, res_targets] = drives[j:j + m]
+            # each step adds one term row, and the drive row apart only
+            # where a driven neuron has a synaptic current
+            term, extra = d_rows, None
+            if live:
+                if m > 1:  # i_syn *= decay_syn on each later step
+                    i_block[1:m] = decay_syn
+                    np.multiply.accumulate(i_block[:m], axis=0, out=i_block[:m])
+                np.multiply(i_block[:m], gain_syn, out=s_block[:m])
+                term = s_rows
+                if self._drive_apart:
+                    extra = d_rows
+                elif res_targets.size:
+                    np.add(s_block[:m], d_block[:m], out=s_block[:m])
+
+            for r in range(m):  # positional outs: cheaper calls
+                row = v_rows[r + 1]
+                subtract(v_rows[r], v_rest, row)
+                multiply(row, decay_v, row)
+                add(row, v_rest, row)
+                add(row, term[r], row)
+                if extra:
+                    add(row, extra[r], row)
+
+            v_new = v_block[1:m + 1]
+            if self._lift < math.inf:
+                np.copyto(v_new, v_reset, where=refr)
             # a refractory neuron sits at v_reset < v_thresh, so cannot fire
-            np.greater_equal(t1, v_thresh, out=fired)
-            if trig_targets.size:
-                hit = trig_targets[above[j]]
-                fired[hit[~refr[hit]]] = True
+            hit = np.greater_equal(v_new, v_thresh, out=fired[:m])
+            if trig:
+                hit[:, trig] |= trig_above[j:j + m] & ~refr[trig]
+            first = int(hit.argmax()) if n else 0  # no argmax of no neuron
+            if n and hit.flat[first]:  # accept up to the first row that fires
+                m = first // n + 1
+                self._emit(hit[m - 1].nonzero()[0], k + m, v_block[m])
+                size = min(2 * m, _BLOCK)
+            else:
+                size = min(2 * size, _BLOCK)
+            if live:
+                i_syn[:] = i_block[m - 1]
+            if traced:
+                trace_v[:, j + 1:j + m + 1] = v_block[1:m + 1, traced].T
+                trace_i[:, j + 1:j + m + 1] = (i_block[:m, traced].T if live
+                                               else i_syn[traced, None])
+            v_block[0] = v_block[m]
+            j += m
 
-            v, t1 = t1, v
-            if np.count_nonzero(fired):
-                self.v, self._lift = v, lift
-                self._emit(np.flatnonzero(fired), k + 1)
-                lift = self._lift
-            for i, tv, ts in recorded:
-                tv[j + 1] = v[i]
-                ts[j + 1] = i_syn[i]
-
-        self.v, self._t1, self._k = v, t1, k0 + n_steps
-        self._ext_ptr, self._syn_live, self._lift = ext_ptr, live, lift
+        self.v[:] = v_block[0]
+        self._k, self._ext_ptr, self._syn_live = k0 + n_steps, ext_ptr, live
         return SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
 
 

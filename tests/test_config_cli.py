@@ -203,6 +203,22 @@ class TestCli:
         assert rc == 3
         assert "achievable range" in capsys.readouterr().err
 
+    def test_calibrate_refusal_names_the_tuner_exit_3(self, tmp_path, capsys):
+        # with a 2 us clamp every weight of the 38-step band fires its
+        # probe chain's head twice: the refusal names the tuner, the target
+        # step and the weight, and calls the chain a probe chain
+        path = tmp_path / "tref.json"
+        path.write_text(json.dumps({"network": {"neuron_params": {"t_ref": 2e-6}}}))
+        rc = cli.main(["calibrate", "--config", str(path), "--target-us", "3.8",
+                       "--out", str(tmp_path / "cal")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: chain weight tuner: weight ")
+        assert "in the band of the 38-step stage delay" in err
+        assert "9-stage probe chain: chain stage 0 (neuron 0) fired 2 times" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "cal").exists()
+
     @pytest.mark.parametrize("target", ["inf", "nan", "0", "-1"])
     def test_calibrate_bad_target_exit_2(self, target, tmp_path, capsys):
         # refused as an input error before any probe

@@ -570,11 +570,13 @@ class TestResampleWindow:
     def test_window_equals_full_resample(self, default_trial, rate, seconds):
         clip = synth_clap(ClapSpec(onset_time=1e-4, rng_seed=2), rate, seconds)
         cfg = dataclasses.replace(default_trial, recording=clip)
-        cond, _, _ = harness._frontend(cfg, [(40e-6, 3)], 0.05)
-        raw = apply_itd(clip, 40e-6).samples
-        raw = raw + np.random.default_rng(3).normal(0.0, 0.05, raw.shape)
-        whole = condition_reference(raw, rate, cfg.frontend)
-        assert np.array_equal(cond, whole[:, :cond.shape[1]])
+        # an advance reads ceil(|itd| fs) + 1 samples past the window
+        for itd in (-613.7e-6, 40e-6):
+            cond, _, _ = harness._frontend(cfg, [(itd, 3)], 0.05)
+            raw = apply_itd(clip, itd).samples
+            raw = raw + np.random.default_rng(3).normal(0.0, 0.05, raw.shape)
+            whole = condition_reference(raw, rate, cfg.frontend)
+            assert np.array_equal(cond, whole[:, :cond.shape[1]])
         sim_rate = round(1 / cfg.dt)
         times = np.arange(round(cfg.duration * sim_rate) + 1) * cfg.dt
         full = full_resample(AudioClip(rate, whole), sim_rate / rate)

@@ -1,9 +1,10 @@
 """Differential tests against a scalar reference: random small networks
 must give the stepper's spike ids and times, and membranes within 1e-12 V,
 and a run split into random chunks, cut where clamps lift, must give the
-one-call run's spikes and traces bit for bit; the input screen must give the
-stepper's input spikes; and the event engine's probe tables must be those
-the reference steps out."""
+one-call run's spikes and traces bit for bit, as must the per-step loop
+the block stepper replaced; the input screen must give the stepper's input
+spikes; and the event engine's probe tables must be those the reference
+steps out."""
 
 import math
 from dataclasses import replace
@@ -431,3 +432,158 @@ def test_probe_tables_step_every_copy_inside_the_margin(w_lsb, stepped,
     reach = tables[1]
     assert stepped == [((0,), True), *[((0, off), False) for off in
                                        range(reach + 2)], ((0,), False)]
+
+
+class StepOracle(Simulation):
+    """Simulation.run as one update per step: the stepper's loop before it
+    went in blocks, kept as the oracle that the block loop must equal bit
+    for bit. It reads the arrays Simulation.__init__ builds and keeps its
+    own copy of the step state's updates."""
+
+    def _emit_step(self, ids, step: int) -> None:
+        for i in ids.tolist():
+            self.v[i] = self._v_reset[i]
+            free = step + self._ref_steps[i]
+            self._free_from[i] = free
+            self._refr[i] = True
+            self._lift = min(self._lift, free)
+            self._ev_times.append(step * self.dt)
+            self._ev_ids.append(i)
+            lo, hi = self._syn_ptr[i], self._syn_ptr[i + 1]
+            if hi > lo:
+                np.add.at(self._pending, self._syn_post[lo:hi],
+                          self._syn_w[lo:hi])
+                self._pending_any = True
+
+    def run(self, duration: float, record_traces=()) -> tuple:
+        n_steps = int(round(duration / self.dt))
+        k0 = self._k
+        times = np.arange(k0, k0 + n_steps + 1) * self.dt
+        traced = sorted(set(record_traces))
+        traces = lif.TraceSet(times=times,
+                              v={i: np.empty(n_steps + 1) for i in traced},
+                              i_syn={i: np.empty(n_steps + 1) for i in traced})
+        for i in traced:
+            traces.v[i][0] = self.v[i]
+            traces.i_syn[i][0] = self.i_syn[i]
+
+        res_targets, trig_targets = self._res_targets, self._trig_targets
+        if res_targets.size:
+            drives = lif._held(self._resistive, times) * self._res_gain
+        if trig_targets.size:
+            above = lif._held(self._triggers, times) >= self._v_thresh[trig_targets]
+        recorded = [(i, traces.v[i], traces.i_syn[i]) for i in traced]
+
+        v, i_syn, pending = self.v, self.i_syn, self._pending
+        t1, buf = np.empty(self.n), np.empty(self.n)
+        fired = np.empty(self.n, dtype=bool)
+        refr, free_from = self._refr, self._free_from
+        decay_syn, gain_syn = self._decay_syn, self._gain_syn
+        decay_v, v_rest = self._decay_v, self._v_leak_eff
+        v_reset, v_thresh = self._v_reset, self._v_thresh
+        ext, ext_steps, n_ext = self._ext, self._ext_steps, len(self._ext)
+        ext_ptr, live, lift = self._ext_ptr, self._syn_live, self._lift
+        for j in range(n_steps):
+            k = k0 + j
+            while ext_ptr < n_ext and ext_steps[ext_ptr] <= k:
+                e = ext[ext_ptr]
+                pending[e.target] += e.weight
+                self._pending_any = True
+                ext_ptr += 1
+
+            if live:
+                i_syn *= decay_syn
+            if self._pending_any:
+                i_syn += pending
+                pending.fill(0.0)
+                self._pending_any = False
+                live = True
+
+            np.subtract(v, v_rest, out=t1)
+            t1 *= decay_v
+            t1 += v_rest
+            if live:
+                np.multiply(i_syn, gain_syn, out=buf)
+                t1 += buf
+            if res_targets.size:
+                t1[res_targets] += drives[j]
+
+            if k >= lift:
+                np.greater(free_from, k, out=refr)
+                clamped = free_from[refr]
+                lift = int(clamped.min()) if clamped.size else math.inf
+            if lift < math.inf:
+                np.copyto(t1, v_reset, where=refr)
+            np.greater_equal(t1, v_thresh, out=fired)
+            if trig_targets.size:
+                hit = trig_targets[above[j]]
+                fired[hit[~refr[hit]]] = True
+
+            v, t1 = t1, v
+            if np.count_nonzero(fired):
+                self.v, self._lift = v, lift
+                self._emit_step(np.flatnonzero(fired), k + 1)
+                lift = self._lift
+            for i, tv, ts in recorded:
+                tv[j + 1] = v[i]
+                ts[j + 1] = i_syn[i]
+
+        self.v, self._k = v, k0 + n_steps
+        self._ext_ptr, self._syn_live, self._lift = ext_ptr, live, lift
+        return lif.SpikeRecord(self.n, self._ev_times, self._ev_ids), traces
+
+
+@st.composite
+def block_networks(draw):
+    """A network from networks() plus what decides where a block of steps
+    ends: two trigger injections on one neuron, a resistively driven neuron
+    that also receives synapses, external spikes on random steps and clamps
+    of 1-80 steps, so that some lift inside a would-be block of 64."""
+    spec, n_steps = draw(networks())
+    n = spec.n_neurons
+    ids = st.integers(0, n - 1)
+    neurons = tuple(replace(p, t_ref=draw(st.integers(1, 80)) * DT)
+                    if draw(st.booleans()) else p for p in spec.neurons)
+    trace = st.lists(_floats(0.4, 1.6), min_size=1, max_size=12).map(np.array)
+    rate = _floats(1e5, 2e7)
+    injections = list(spec.injections)
+    if draw(st.booleans()):  # two triggers on one neuron
+        target = draw(ids)
+        injections += [AnalogInjection(target, draw(trace), draw(rate),
+                                       InjectionSection(mode="trigger"))
+                       for _ in range(2)]
+    synapses = list(spec.synapses)
+    driven = {inj.target for inj in injections if inj.coupling.mode == "resistive"}
+    if draw(st.booleans()):  # a resistive target that receives synapses
+        free = [i for i in range(n) if i not in driven]
+        target = draw(st.sampled_from(sorted(driven) or free))
+        if target not in driven:
+            injections.append(AnalogInjection(target, draw(trace), draw(rate)))
+        synapses += draw(st.lists(st.builds(SynapseSpec, ids, st.just(target),
+                                            _floats(-2e-7, 6e-7)),
+                                  min_size=1, max_size=3))
+    external = spec.external_spikes + tuple(draw(st.lists(st.builds(
+        ExternalSpike, st.integers(0, n_steps - 1).map(lambda s: s * DT), ids,
+        _floats(-2e-7, 6e-7)), max_size=6)))
+    return NetworkSpec(neurons, synapses, injections, external), n_steps
+
+
+@settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(block_networks(), st.lists(st.integers(1, 399), max_size=4))
+def test_block_stepper_matches_per_step_oracle(case, cuts):
+    # whole runs and runs chunked at the same cuts give the oracle's spike
+    # ids and times, every traced value and the end state bit for bit
+    spec, n_steps = case
+    bounds = [0, *sorted({c for c in cuts if c < n_steps}), n_steps]
+    sims = Simulation(spec, DT), StepOracle(spec, DT)
+    runs = [[sim.run((b - a) * DT, record_traces=range(spec.n_neurons))
+             for a, b in zip(bounds, bounds[1:])] for sim in sims]
+    for (rec, tr), (want, want_tr) in zip(*runs):
+        assert rec.ids.tolist() == want.ids.tolist()
+        assert rec.times.tolist() == want.times.tolist()
+        for i in range(spec.n_neurons):
+            assert tr.v[i].tobytes() == want_tr.v[i].tobytes()
+            assert tr.i_syn[i].tobytes() == want_tr.i_syn[i].tobytes()
+    got, want = sims
+    assert got.v.tobytes() == want.v.tobytes()
+    assert got.i_syn.tobytes() == want.i_syn.tobytes()
