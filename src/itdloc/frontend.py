@@ -237,7 +237,7 @@ def apply_itd(mono: AudioClip, itd: float) -> AudioClip:
     """
     if mono.n_channels != 1:
         raise ValueError("apply_itd expects a mono clip")
-    if abs(itd) >= mono.duration:
+    if not abs(itd) < mono.duration:  # NaN too
         raise ValueError("|itd| must be smaller than the clip duration")
     left = mono.channel(0)
     right = fractional_delay(left, itd * mono.sample_rate)

@@ -66,36 +66,30 @@ def fires_once(params: LifParams, weight: float) -> bool:
         params.v_reset, params.v_leak)
 
 
-def kick_fire_step(params: LifParams, weight: float, dt: float, at=(0,),
-                   trace: bool = False):
-    """The step D on which a neuron at rest fires after a synaptic kick of
-    `weight` amperes on each step in `at` (ascending): a neuron kicked once
-    on step s fires on step s + D; None if never. With trace, a pair of D
-    and the membrane at each step boundary. One Simulation run, as long as
-    the closed-form PSP v of the kicks (their shifted lone PSPs summed)
-    says: one past the first boundary where v passes threshold by _MARGIN;
-    else, or with trace, two past the last kick's peak, past which v only
-    falls; none if v peaks more than _MARGIN below threshold, unless trace.
-    v doubles in length until then, so no array is sized by the taus."""
+def kick_fire_step(params: LifParams, weight: float, dt: float):
+    """The step D on which a neuron at rest, kicked with `weight` amperes on
+    step 0, fires; None if never. One Simulation run, as long as the
+    closed-form PSP v says: one past the first boundary where v passes
+    threshold by _MARGIN, else two past its peak; none if v peaks more than
+    _MARGIN below threshold. v doubles in length until it crosses or peaks,
+    so no array is sized by the taus."""
     thresh, n = params.v_thresh - params.v_leak, 64
     while True:
-        y = _lone_psp(params, weight, dt, at[-1] + n)
-        v = sum(np.pad(y[:y.size - s], (s, 0)) for s in at) - thresh
-        cross = np.flatnonzero(v >= _MARGIN)[:1]
-        if cross.size and not trace or np.argmax(y) < n:  # or the peak is in
+        y = _lone_psp(params, weight, dt, n)
+        cross = np.flatnonzero(y - thresh >= _MARGIN)[:1]
+        if cross.size or np.argmax(y) < n:  # or the peak is in
             break
         n *= 2
-    if cross.size and not trace:
+    if cross.size:
         steps = int(cross[0]) + 1
-    elif trace or v.max() > -_MARGIN:
-        steps = at[-1] + int(np.argmax(y)) + 2
+    elif y.max() - thresh > -_MARGIN:
+        steps = int(np.argmax(y)) + 2
     else:
         return None
-    sim = Simulation(NetworkSpec((params,), external_spikes=tuple(
-        ExternalSpike(s * dt, 0, weight) for s in at)), dt)
-    record, traces = sim.run(steps * dt, record_traces=[0] if trace else ())
-    step = int(round(record.times[0] / dt)) if len(record) else None
-    return (step, traces.v[0]) if trace else step
+    sim = Simulation(NetworkSpec((params,), external_spikes=(
+        ExternalSpike(0.0, 0, weight),)), dt)
+    record, _ = sim.run(steps * dt)
+    return int(round(record.times[0] / dt)) if len(record) else None
 
 
 def single_spike_fire_weight(params: LifParams) -> float:
@@ -307,17 +301,16 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     """(stage, reach, fire): a chain neuron kicked on step s fires on step
     s + stage (never if None; see kick_fire_step); a detector kicked on
     steps a and b fires on step max(a, b) + fire[|b - a|] if |b - a| <=
-    reach and that is >= 0, else never. Below threshold the membrane is
-    linear: a detector kicked on steps 0 and off sits at v_leak + y[off + m]
-    + y[m] m steps after its second kick, y the lone PSP, which peaks on
-    step top; fire[off] is the first m <= top + 1 at which that reaches
-    threshold, for off <= 3 * peak. Past top the first PSP only falls, so
-    the first silent offset past top ends the reach. A copy, the lone PSP's
-    peak or its step that comes within _MARGIN of going the other way is
-    decided by stepping (kick_fire_step). None if a chain neuron (one kick)
-    or a detector (two coincidence kicks) can fire twice, when peak >
-    _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), when a detector
-    fires on one kick, or when no offset is silent."""
+    reach and that is >= 0, else never. Below threshold a detector kicked
+    on steps 0 and off sits at v_leak + y[off + m] + y[m] m steps after its
+    second kick, y the lone PSP, which peaks on step top; fire[off] is the
+    first m <= top + 1 at which that reaches threshold. Past top the first
+    PSP only falls, so the first silent offset past top ends the reach.
+    None, and the trials are stepped, if a unit can fire twice
+    (fires_once), if peak > _MAX_PEAK_STEPS (at the default taus, dt <
+    7.5 ns), if no offset up to 3 * peak is silent, or if the lone peak or
+    a value compared up to the reach + 1 lies within _MARGIN of threshold
+    or of a tie."""
     params, w_coin = net.config.neuron_params, net.coincidence_weight
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # a bound on it
     once = fires_once(params, max(abs(net.chain_weight), 2 * abs(w_coin)))
@@ -326,31 +319,23 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     thresh = params.v_thresh - params.v_leak
     k, y = 3 * peak, _lone_psp(params, w_coin, dt, 5 * peak)
     top = int(np.argmax(y))
-    if (abs(y[top] - thresh) < _MARGIN
+    if (y[top] - thresh > -_MARGIN
             or np.count_nonzero(y > y[top] - _MARGIN) > 1):
-        lone, v = kick_fire_step(params, w_coin, dt, trace=True)
-        if lone is not None:
-            return None
-        top = int(np.argmax(v))
-    elif y[top] >= thresh:
         return None
     # row off, column m: the copy kicked on steps 0 and off, m steps on
     pair = sliding_window_view(y, top + 2)[:k + 1] + y[:top + 2]
     pair -= thresh  # in place, one table; x - thresh >= 0 iff x >= thresh
     hit = pair >= 0
     fire = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
-    # the values the stepper compares: up to the first hit, or all
-    last = np.where(fire < 0, top + 1, fire)[:, None]
-    near = (np.abs(pair, out=pair) < _MARGIN) & (np.arange(top + 2) <= last)
-    for off in np.flatnonzero(near.any(axis=1)).tolist():
-        if (fire[top:off] < 0).any():  # past the reach
-            break
-        step = kick_fire_step(params, w_coin, dt, at=(0, off))
-        fire[off] = -1 if step is None else step - off
     silent = np.flatnonzero(fire[top:] < 0)
     if not silent.size:
         return None
     reach = top + int(silent[0]) - 1
+    # the values the stepper compares: up to the first hit, or all
+    last = np.where(fire < 0, top + 1, fire)[:reach + 2, None]
+    near = np.abs(pair, out=pair)[:reach + 2] < _MARGIN
+    if (near & (np.arange(top + 2) <= last)).any():
+        return None
     return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
 
 

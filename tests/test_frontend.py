@@ -222,9 +222,11 @@ class TestApplyItd:
         assert 0.051 / 343.0 == pytest.approx(149e-6, abs=0.5e-6)
 
     def test_rejects_overlong_shift(self):
+        # a NaN ITD is refused with the same message
         clip = AudioClip(192000, np.zeros(192))
-        with pytest.raises(ValueError, match="duration"):
-            apply_itd(clip, 1.5e-3)
+        for itd in (1.5e-3, np.nan, -np.inf, np.inf):
+            with pytest.raises(ValueError, match="duration"):
+                apply_itd(clip, itd)
 
     def test_rejects_stereo_input(self):
         with pytest.raises(ValueError, match="mono"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itdloc import harness, lif
+from itdloc import harness, jeffress, lif
 from itdloc.config import (
     InjectionSection,
     ReadoutSection,
@@ -464,7 +464,7 @@ class TestEventEngine:
         assert run_trial(30e-6, None, trial) == detail.result
 
     @pytest.mark.parametrize("case", ["drive-inside-margin", "input-fires-twice",
-                                      "unit-fires-twice"])
+                                      "unit-fires-twice", "tables-in-doubt"])
     def test_fallback_steps_the_trial(self, case, default_net, fallbacks,
                                       monkeypatch):
         if case == "drive-inside-margin":
@@ -476,11 +476,17 @@ class TestEventEngine:
             # before any detector does
             trial = TrialConfig(net=build(JeffressConfig(
                 input_neuron_params=LifParams(t_ref=2e-6))))
-        else:
+        elif case == "unit-fires-twice":
             # with a 2 us refractory period a chain neuron or detector
             # could fire again, so the network has no tables
             trial = TrialConfig(net=build(JeffressConfig(
                 neuron_params=LifParams(t_ref=2e-6))))
+            assert trial._tables is None
+        else:
+            # every table value lies within a 10 V margin of threshold, so
+            # the network has no tables
+            monkeypatch.setattr(jeffress, "_MARGIN", 10.0)
+            trial = TrialConfig(net=default_net)
             assert trial._tables is None
         cfg = SweepConfig(trial=trial, itds=(-60e-6, 20e-6), trials=2,
                           noise_amplitude=0.07, base_seed=9)

@@ -315,20 +315,19 @@ class TestKickFireStep:
         assert round(record.times[0] / DT) == d
 
     @pytest.mark.parametrize("factor", [0.3, 0.7, 1.2, 3.0])
-    @pytest.mark.parametrize("at", [(0,), (0, 17)])
-    def test_one_run_to_the_crossing(self, at, factor):
-        # kicks that fire are stepped in one run, to one step past the
-        # closed-form crossing, and give the step of one run past the last
-        # kick's peak; kicks whose closed-form PSP peaks below threshold
-        # are not stepped at all
+    def test_one_run_to_the_crossing(self, factor):
+        # a kick that fires is stepped in one run, to one step past the
+        # closed-form crossing, and gives the step of one run past its
+        # peak; a kick whose closed-form PSP peaks below threshold is not
+        # stepped at all
         params = LifParams()
         w = factor * single_spike_fire_weight(params)
         with mock.patch.object(jeffress.Simulation, "run", autospec=True,
                                side_effect=Simulation.run) as runs:
-            d = jeffress.kick_fire_step(params, w, DT, at=at)
+            d = jeffress.kick_fire_step(params, w, DT)
         steps = [round(call.args[1] / DT) for call in runs.call_args_list]
-        record, _ = run(NetworkSpec((params,), external_spikes=tuple(
-            ExternalSpike(s * DT, 0, w) for s in at)), (at[-1] + 200) * DT, DT)
+        record, _ = run(NetworkSpec((params,), external_spikes=(
+            ExternalSpike(0.0, 0, w),)), 200 * DT, DT)
         assert d == (round(record.times[0] / DT) if len(record) else None)
         if d is None:
             assert steps == []
@@ -349,26 +348,21 @@ class TestKickFireStep:
     # whether it fires, so the kick is stepped
     @settings(max_examples=60, deadline=None)
     @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.none() | st.floats(2e-6, 40e-6),
-           factor=st.floats(0.3, 400.0), off=st.none() | st.integers(1, 60),
-           dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
-    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, off=None, dt=1e-7)
-    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, off=None, dt=5e-8)
-    @example(tau_m=15e-6, tau_syn=None, factor=0.5027465227918586, off=40, dt=1e-7)
-    @example(tau_m=30e-6, tau_syn=8e-6, factor=0.4993806436679734, off=7, dt=2e-8)
-    def test_equals_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
+           factor=st.floats(0.3, 400.0), dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
+    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, dt=1e-7)
+    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, dt=5e-8)
+    def test_equals_a_long_stepped_run(self, tau_m, tau_syn, factor, dt):
         # one run, or none where the closed-form PSP peaks more than
         # _MARGIN below threshold, gives the first spike of a run well past
-        # the last kick's peak; tau_syn None is tau_m, the default network's
+        # the kick's peak; tau_syn None is tau_m, the default network's
         # case, and up to 400x the firing weight spans the tuner's bracket
         params = LifParams(tau_m=tau_m, tau_syn=tau_m if tau_syn is None else tau_syn)
         w = factor * single_spike_fire_weight(params)
-        at = (0,) if off is None else (0, off)
         with simulated_sizes() as sizes:
-            d = jeffress.kick_fire_step(params, w, dt, at=at)
-        n = at[-1] + math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
-        record, traces = run(NetworkSpec((params,), external_spikes=tuple(
-            ExternalSpike(s * dt, 0, w) for s in at)), n * dt, dt,
-            record_traces=[0])
+            d = jeffress.kick_fire_step(params, w, dt)
+        n = math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
+        record, traces = run(NetworkSpec((params,), external_spikes=(
+            ExternalSpike(0.0, 0, w),)), n * dt, dt, record_traces=[0])
         assert d == (round(record.times[0] / dt) if len(record) else None)
         peak = traces.v[0].max()  # a kick that fires resets the membrane
         if not len(record) and peak < params.v_thresh - 2 * jeffress._MARGIN:
@@ -380,31 +374,27 @@ class TestKickFireStep:
 class TestClosedFormStep:
     """kick_fire_step's closed-form PSP sets the length of its one run: one
     step past the boundary where it passes threshold by _MARGIN, else two
-    past the last kick's peak; a kick whose membrane comes within _MARGIN of
+    past the kick's peak; a kick whose membrane comes within _MARGIN of
     threshold is left to the stepper."""
 
     # each example's weight is bisected so that the stepped membrane's
     # peak lies within 1e-11 V of threshold: the kick must be stepped
     @settings(max_examples=60, deadline=None)
     @given(tau_m=st.floats(2e-6, 40e-6), tau_syn=st.none() | st.floats(2e-6, 40e-6),
-           factor=st.floats(0.3, 400.0), off=st.none() | st.integers(1, 60),
-           dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
-    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, off=None, dt=1e-7)
-    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, off=None, dt=5e-8)
-    @example(tau_m=15e-6, tau_syn=None, factor=0.5027465227918586, off=40, dt=1e-7)
-    @example(tau_m=30e-6, tau_syn=8e-6, factor=0.4993806436679734, off=7, dt=2e-8)
-    def test_answers_as_a_long_stepped_run(self, tau_m, tau_syn, factor, off, dt):
+           factor=st.floats(0.3, 400.0), dt=st.sampled_from([1e-7, 5e-8, 2e-8]))
+    @example(tau_m=15e-6, tau_syn=None, factor=0.9966703703510573, dt=1e-7)
+    @example(tau_m=15e-6, tau_syn=5e-6, factor=0.9950145790498935, dt=5e-8)
+    def test_answers_as_a_long_stepped_run(self, tau_m, tau_syn, factor, dt):
         # tau_syn None is tau_m, the default network's case; 1.02x to 400x
         # the firing weight is the tuner's bracket
         params = LifParams(tau_m=tau_m, tau_syn=tau_m if tau_syn is None else tau_syn)
         w = factor * single_spike_fire_weight(params)
-        at = (0,) if off is None else (0, off)
         with mock.patch.object(jeffress.Simulation, "run", autospec=True,
                                side_effect=Simulation.run) as runs:
-            d = jeffress.kick_fire_step(params, w, dt, at=at)
+            d = jeffress.kick_fire_step(params, w, dt)
         steps = [round(call.args[1] / dt) for call in runs.call_args_list]
-        kicks = tuple(ExternalSpike(s * dt, 0, w) for s in at)
-        n = at[-1] + math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
+        kicks = (ExternalSpike(0.0, 0, w),)
+        n = math.ceil(max(params.tau_m, params.tau_syn) / dt) + 10
         record, _ = run(NetworkSpec((params,), external_spikes=kicks), n * dt, dt)
         first = round(record.times[0] / dt) if len(record) else None
         # the same membrane with threshold out of reach: the values the
