@@ -2,12 +2,14 @@
 and the cross-correlation oracle.
 
 Exit codes: 0 success, 2 configuration or input error (including OS errors
-such as an unreadable file), 3 runtime failure.
+such as an unreadable file), 3 runtime failure, a closed standard output
+among them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -244,7 +246,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError as exc:  # the reader left; the files are written
+        sys.stdout = open(os.devnull, "w")  # so the last flush cannot raise
+        print(f"error: standard output closed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, WavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,7 +5,6 @@ cross-correlation ITD estimator used as ground truth for the network path.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from dataclasses import dataclass, field
@@ -325,6 +324,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
     chunks = [cells[lo:lo + CHUNK] for lo in range(0, len(cells), CHUNK)]
     rows_of = functools.partial(_sweep_rows, cfg)
     if jobs > 1:
+        import concurrent.futures  # loads logging and threading: only here
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(rows_of, chunks))
     else:

@@ -250,17 +250,15 @@ class Simulation:
     def __init__(self, spec: NetworkSpec, dt: float):
         n = spec.n_neurons
         check_dt(spec.neurons, dt)
-        tau_m = np.array([p.tau_m for p in spec.neurons], dtype=float)
-        tau_s = np.array([p.tau_syn for p in spec.neurons], dtype=float)
         self.spec = spec
         self.dt = dt
         self.n = n
         self._k = 0  # completed steps
 
-        c_m = np.array([p.c_m for p in spec.neurons], dtype=float)
-        self._v_leak = np.array([p.v_leak for p in spec.neurons], dtype=float)
-        self._v_thresh = np.array([p.v_thresh for p in spec.neurons], dtype=float)
-        self._v_reset = np.array([p.v_reset for p in spec.neurons], dtype=float)
+        # one row per constant, each contiguous
+        tau_m, tau_s, c_m, self._v_leak, self._v_thresh, self._v_reset = np.array(
+            [(p.tau_m, p.tau_syn, p.c_m, p.v_leak, p.v_thresh, p.v_reset)
+             for p in spec.neurons], dtype=float).reshape(n, 6).T.copy()
         # firing on step k clamps steps k + 1 .. k + ceil(t_ref / dt)
         self._ref_steps = [_refractory_steps(p, dt) for p in spec.neurons]
 
@@ -363,9 +361,9 @@ class Simulation:
             raise ValueError("duration must be > 0")
         n_steps = int(round(duration / self.dt))
         k0, n = self._k, self.n
-        times = np.arange(k0, k0 + n_steps + 1) * self.dt  # step boundaries
-
         traced = sorted(set(record_traces))
+        if traced or self.spec.injections:  # step boundaries
+            times = np.arange(k0, k0 + n_steps + 1) * self.dt
         traces = None
         if traced:
             bad = [i for i in traced if not 0 <= i < self.n]
@@ -386,7 +384,8 @@ class Simulation:
         i_block, s_block = np.empty((rows, n)), np.empty((rows, n))
         d_block = np.full((rows, n), -0.0)
         fired = np.empty((rows, n), dtype=bool)
-        v_rows, s_rows, d_rows = list(v_block), list(s_block), list(d_block)
+        v_rows, s_rows, d_rows = list(v_block), [], []
+        a, b = np.empty(n), np.empty(n)  # scratch rows: no out is an input
         res_targets = self._res_targets
         if res_targets.size:
             drives = _held(self._resistive, times) * self._res_gain
@@ -431,27 +430,31 @@ class Simulation:
             if res_targets.size:
                 d_block[:m, res_targets] = drives[j:j + m]
             # each step adds one term row, and the drive row apart only
-            # where a driven neuron has a synaptic current
-            term, extra = d_rows, None
+            # where a driven neuron has a synaptic current; the row views
+            # (about 0.16 us each) are made on the first block that reads them
+            extra = None
             if live:
                 if m > 1:  # i_syn *= decay_syn on each later step
                     i_block[1:m] = decay_syn
                     np.multiply.accumulate(i_block[:m], axis=0, out=i_block[:m])
                 np.multiply(i_block[:m], gain_syn, out=s_block[:m])
-                term = s_rows
+                term = s_rows = s_rows or list(s_block)
                 if self._drive_apart:
-                    extra = d_rows
+                    extra = d_rows = d_rows or list(d_block)
                 elif res_targets.size:
                     np.add(s_block[:m], d_block[:m], out=s_block[:m])
+            else:
+                term = d_rows = d_rows or list(d_block)
 
             for r in range(m):  # positional outs: cheaper calls
-                row = v_rows[r + 1]
-                subtract(v_rows[r], v_rest, row)
-                multiply(row, decay_v, row)
-                add(row, v_rest, row)
-                add(row, term[r], row)
+                subtract(v_rows[r], v_rest, a)
+                multiply(a, decay_v, b)
+                add(b, v_rest, a)
                 if extra:
-                    add(row, extra[r], row)
+                    add(a, term[r], b)
+                    add(b, extra[r], v_rows[r + 1])
+                else:
+                    add(a, term[r], v_rows[r + 1])
 
             v_new = v_block[1:m + 1]
             if self._lift < math.inf:

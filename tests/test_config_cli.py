@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 from unittest import mock
 
 import numpy as np
@@ -264,6 +265,24 @@ class TestCli:
         # servo schedule of the event: 1.5 ms pulses for the center detector
         assert (out / "pwm.csv").read_text().splitlines()[:3] == [
             "t_s,level", "0.000000000,1", "0.001500000,0"]
+
+    def test_closed_stdout_exit_3(self, small_config, tmp_path, capsys,
+                                  monkeypatch):
+        # a reader that leaves early, as `itdloc simulate | grep -m1` does,
+        # is no input error: exit 3, one error line, the files written
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--config", str(small_config),
+                       "--itd", "0", "--out", str(out)])
+        sys.stdout.close()  # the os.devnull stream main put in its place
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "error: standard output closed: [Errno 32] Broken pipe\n"
+        assert (out / "spikes.csv").exists()
 
     def test_simulate_pwm_period_from_config(self, tmp_path):
         path = tmp_path / "pwm.json"

@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: itdloc itself and its trials need only
-numpy, scipy loads in the functions that correlate or find a root, and a
-calibration leaves numpy.ma unloaded."""
+numpy, scipy loads in the functions that correlate or find a root, the
+process pool (concurrent.futures, which loads logging) only in a sweep
+with jobs > 1, and a calibration leaves numpy.ma unloaded."""
 
 import dataclasses
 import json
@@ -29,28 +30,30 @@ def _fresh(code: str, *args: str) -> str:
 
 
 def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
-    # and so do a noisy simulate and a sweep, which run trials
+    # and so do a noisy simulate and a serial sweep, which run trials; none
+    # of them loads the process pool either
     code = """if True:
         import contextlib, io, json, sys
 
-        def scipy():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def unwanted():
+            return sorted(m for m in sys.modules if m.split(".")[0] in
+                          ("scipy", "concurrent", "logging"))
 
         seen = {}
         import itdloc
         from itdloc import cli
-        seen["import"] = scipy()
+        seen["import"] = unwanted()
         with contextlib.redirect_stdout(io.StringIO()):
             rc = [cli.main(["config", "dump"])]
-            seen["config dump"] = scipy()
+            seen["config dump"] = unwanted()
             rc.append(cli.main(["calibrate", "--out", sys.argv[1] + "/cal"]))
-            seen["calibrate"] = scipy()
+            seen["calibrate"] = unwanted()
             rc.append(cli.main(["simulate", "--seed", "5",
                                 "--out", sys.argv[1] + "/sim"]))
-            seen["simulate"] = scipy()
+            seen["simulate"] = unwanted()
             rc.append(cli.main(["sweep", "--trials", "1", "--itds=-40,0,40",
                                 "--out", sys.argv[1] + "/sw"]))
-        seen["sweep"] = scipy()
+        seen["sweep"] = unwanted()
         print(json.dumps({"rc": rc, "seen": seen}))
     """
     out = json.loads(_fresh(code, str(tmp_path)))

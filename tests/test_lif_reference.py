@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from itdloc import harness, jeffress, lif
@@ -595,6 +595,13 @@ def block_networks(draw):
 
 @settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
 @given(block_networks(), st.lists(st.integers(1, 399), max_size=4))
+# calibrate's one-neuron kick, and one neuron both driven and kicked, whose
+# rows add the drive apart
+@example((NetworkSpec((LifParams(),), external_spikes=(
+    ExternalSpike(0.0, 0, 4.124536e-07),)), 39), [])
+@example((NetworkSpec((LifParams(),), injections=(
+    AnalogInjection(0, np.array([0.5, 1.4, 0.9]), 1e6),), external_spikes=(
+    ExternalSpike(0.0, 0, 4.124536e-07),)), 60), [25])
 def test_block_stepper_matches_per_step_oracle(case, cuts):
     # whole runs and runs chunked at the same cuts give the oracle's spike
     # ids and times, every traced value and the end state bit for bit
