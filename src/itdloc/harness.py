@@ -376,24 +376,22 @@ def xcorr_oracle(stereo: AudioClip, max_lag: float) -> float:
     cross-correlation peak between the two channels, refined by parabolic
     interpolation. Positive values mean the right channel lags, matching
     apply_itd's sign."""
-    from scipy.signal import correlate, correlation_lags
-
     if stereo.n_channels != 2:
         raise ValueError("xcorr_oracle needs a stereo clip")
-    if max_lag >= stereo.duration:
-        raise ValueError("max_lag must be below the clip duration")
+    if not 0 <= max_lag < stereo.duration:
+        raise ValueError(f"max_lag must lie in [0, {stereo.duration:.3g}) s, "
+                         f"the clip duration; got {max_lag}")
     left = stereo.channel(0) - np.mean(stereo.channel(0))
     right = stereo.channel(1) - np.mean(stereo.channel(1))
     norm = np.sqrt(np.sum(left**2) * np.sum(right**2))
     if norm == 0:
         raise ValueError("xcorr_oracle: a channel is silent (zero variance)")
 
-    max_shift = int(np.floor(max_lag * stereo.sample_rate))
+    n, max_shift = left.size, int(np.floor(max_lag * stereo.sample_rate))
     # lag m correlates right[k + m] with left[k]; positive lag = right lags
-    lags = correlation_lags(right.size, left.size)
-    window = np.abs(lags) <= max_shift
-    vals = correlate(right, left, method="fft")[window] / norm
-    lags = lags[window]
+    lags = np.arange(-max_shift, max_shift + 1)
+    vals = np.array([left[max(-m, 0):n - max(m, 0)]
+                     @ right[max(m, 0):n - max(-m, 0)] for m in lags]) / norm
     peak = int(np.argmax(vals))
     lag = float(lags[peak])
     if 0 < peak < vals.size - 1:

@@ -461,19 +461,19 @@ def woodworth_itd(theta: float, geom: GeometryParams) -> float:
 
 
 def woodworth_angle(itd: float, geom: GeometryParams) -> float:
-    """Invert the Woodworth map by Brent's method on the strictly
-    increasing forward formula. The root is bracketed to 1e-10 rad, so the
-    returned angle reproduces the ITD well inside _RESIDUAL_TOL seconds."""
-    from scipy.optimize import brentq
-
+    """Invert the Woodworth map: bisect the strictly increasing forward
+    formula for |itd| over [0, pi/2] until the bracket is under 5e-11 rad,
+    and give its lower end itd's sign, so the map is exactly odd and 0
+    maps to 0. The angle reproduces itd within _RESIDUAL_TOL seconds."""
     bound = woodworth_itd(math.pi / 2, geom)
-    if abs(itd) > bound + _RESIDUAL_TOL:
+    if not abs(itd) <= bound + _RESIDUAL_TOL:  # a NaN fails here too
         raise ValueError(
             f"|itd|={abs(itd):.3g}s exceeds the half-space maximum {bound:.3g}s")
-    # up to _RESIDUAL_TOL past the bound is accepted; the ends must bracket
-    target = min(max(itd, -bound), bound)
-    theta = brentq(lambda th: woodworth_itd(th, geom) - target,
-                   -math.pi / 2, math.pi / 2, xtol=1e-10)
+    lo, hi = 0.0, math.pi / 2
+    while hi - lo > 5e-11:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if woodworth_itd(mid, geom) < abs(itd) else (lo, mid)
+    theta = math.copysign(lo, itd)
     if abs(woodworth_itd(theta, geom) - itd) >= _RESIDUAL_TOL:
         raise RuntimeError("woodworth inversion failed to converge")
     return theta
@@ -486,8 +486,10 @@ def planewave_angle(itd: float, mic_distance: float,
     Arguments overshooting |1| by up to 0.5 % (rounded ITDs at the
     half-space edge) are clamped; anything larger is an error.
     """
-    if mic_distance <= 0 or c_sound <= 0:
-        raise ValueError("mic_distance and c_sound must be > 0")
+    if not (math.isfinite(itd) and 0 < mic_distance < math.inf
+            and 0 < c_sound < math.inf):
+        raise ValueError("itd must be finite, and mic_distance and c_sound "
+                         f"finite and > 0; got {itd}, {mic_distance}, {c_sound}")
     arg = itd * c_sound / mic_distance
     if abs(arg) > 1.005:
         raise ValueError(f"|itd * c / d| = {abs(arg):.4g} > 1: no real angle")

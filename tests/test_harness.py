@@ -56,6 +56,29 @@ def oracle_reference(stereo: AudioClip, max_lag: float) -> float:
     return lag / stereo.sample_rate
 
 
+def scipy_oracle(stereo: AudioClip, max_lag: float) -> float:
+    """The FFT correlation xcorr_oracle took from scipy.signal before it
+    took one dot product per lag: the full correlation, masked to the lag
+    window, then the same parabolic refinement."""
+    from scipy.signal import correlate, correlation_lags
+
+    left = stereo.channel(0) - np.mean(stereo.channel(0))
+    right = stereo.channel(1) - np.mean(stereo.channel(1))
+    norm = np.sqrt(np.sum(left**2) * np.sum(right**2))
+    lags = correlation_lags(right.size, left.size)
+    window = np.abs(lags) <= int(np.floor(max_lag * stereo.sample_rate))
+    vals = correlate(right, left, method="fft")[window] / norm
+    lags = lags[window]
+    peak = int(np.argmax(vals))
+    lag = float(lags[peak])
+    if 0 < peak < vals.size - 1:
+        y0, y1, y2 = vals[peak - 1], vals[peak], vals[peak + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0:
+            lag += 0.5 * (y0 - y2) / denom
+    return lag / stereo.sample_rate
+
+
 class TestXcorrOracle:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(48, 400),
@@ -76,8 +99,10 @@ class TestXcorrOracle:
         stereo = AudioClip(rate, np.stack([noise[50:50 + n],
                                            noise[50 - shift:50 - shift + n]]))
         max_lag = (window + 0.5) / rate
-        assert xcorr_oracle(stereo, max_lag) == pytest.approx(
-            oracle_reference(stereo, max_lag), abs=1e-12)
+        est = xcorr_oracle(stereo, max_lag)
+        assert est == pytest.approx(oracle_reference(stereo, max_lag),
+                                    abs=1e-12)
+        assert est == pytest.approx(scipy_oracle(stereo, max_lag), abs=1e-12)
 
     def test_identical_channels_zero_lag(self):
         clap = synth_clap(ClapSpec(rng_seed=3), 192000, 3e-3)
@@ -100,6 +125,13 @@ class TestXcorrOracle:
     def test_needs_stereo(self):
         with pytest.raises(ValueError, match="stereo"):
             xcorr_oracle(AudioClip(192000, np.ones(64)), 1e-4)
+
+    @pytest.mark.parametrize("max_lag", [-1e-4, np.nan, np.inf, 64 / 192000])
+    def test_max_lag_outside_the_clip_rejected(self, max_lag):
+        # the last value is the clip's duration
+        noise = np.random.default_rng(5).normal(size=(2, 64))
+        with pytest.raises(ValueError, match=r"max_lag must lie in \[0, "):
+            xcorr_oracle(AudioClip(192000, noise), max_lag)
 
 
 class TestRunTrial:

@@ -1,7 +1,7 @@
-"""What a fresh interpreter loads: itdloc itself and its trials need only
-numpy, scipy loads in the functions that correlate or find a root, the
-process pool (concurrent.futures, which loads logging) only in a sweep
-with jobs > 1, and a calibration leaves numpy.ma unloaded."""
+"""What a fresh interpreter loads: itdloc needs only numpy, in its
+commands, trials, cross-correlation oracle and Woodworth inverse alike;
+the process pool (concurrent.futures, which loads logging) loads only in a
+sweep with jobs > 1, and a calibration leaves numpy.ma unloaded."""
 
 import dataclasses
 import json
@@ -12,6 +12,9 @@ from pathlib import Path
 
 import itdloc
 from itdloc import harness
+from itdloc.frontend import ClapSpec, synth_clap
+
+from conftest import write_wav_16bit
 
 SRC = str(Path(itdloc.__file__).resolve().parents[1])
 NOISY = (40e-6, 7, 0.07)  # itd, seed, noise amplitude
@@ -30,8 +33,12 @@ def _fresh(code: str, *args: str) -> str:
 
 
 def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
-    # and so do a noisy simulate and a serial sweep, which run trials; none
-    # of them loads the process pool either
+    # and so do a noisy simulate and a serial sweep, which run trials, the
+    # oracle on a self-shifted mono WAV and the Woodworth inverse; none of
+    # them loads the process pool either
+    write_wav_16bit(tmp_path / "mono.wav",
+                    synth_clap(ClapSpec(rng_seed=12), 192000, 3e-3).samples,
+                    192000)
     code = """if True:
         import contextlib, io, json, sys
 
@@ -53,13 +60,19 @@ def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
             seen["simulate"] = unwanted()
             rc.append(cli.main(["sweep", "--trials", "1", "--itds=-40,0,40",
                                 "--out", sys.argv[1] + "/sw"]))
-        seen["sweep"] = unwanted()
+            seen["sweep"] = unwanted()
+            rc.append(cli.main(["oracle", "--wav", sys.argv[1] + "/mono.wav",
+                                "--itd", "100"]))
+            seen["oracle"] = unwanted()
+        itdloc.woodworth_angle(100e-6, itdloc.GeometryParams())
+        seen["woodworth_angle"] = unwanted()
         print(json.dumps({"rc": rc, "seen": seen}))
     """
     out = json.loads(_fresh(code, str(tmp_path)))
-    assert out["rc"] == [0, 0, 0, 0]
+    assert out["rc"] == [0, 0, 0, 0, 0]
     assert out["seen"] == {"import": [], "config dump": [], "calibrate": [],
-                           "simulate": [], "sweep": []}
+                           "simulate": [], "sweep": [], "oracle": [],
+                           "woodworth_angle": []}
     assert (tmp_path / "cal" / "tuned_config.json").is_file()
     assert (tmp_path / "sim" / "spikes.csv").is_file()
     assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 4

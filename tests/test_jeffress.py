@@ -606,9 +606,35 @@ class TestGeometryMath:
             theta = woodworth_angle(itd, g)
             assert abs(woodworth_itd(theta, g) - itd) < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(fraction=st.floats(-1.0, 1.0),
+           mic_distance=st.floats(0.01, 1.0))
+    @example(fraction=0.0, mic_distance=0.051)
+    @example(fraction=1.0, mic_distance=0.051)
+    def test_inverse_matches_brentq_property(self, fraction, mic_distance):
+        # the Brent root woodworth_angle took from scipy.optimize before it
+        # bisected; the bisection is exactly odd and maps 0 to 0
+        from scipy.optimize import brentq
+
+        g = GeometryParams(mic_distance=mic_distance)
+        itd = fraction * woodworth_itd(math.pi / 2, g)
+        ref = brentq(lambda th: woodworth_itd(th, g) - itd,
+                     -math.pi / 2, math.pi / 2, xtol=1e-10)
+        theta = woodworth_angle(itd, g)
+        assert theta == pytest.approx(ref, abs=1e-10)
+        assert woodworth_angle(-itd, g) == -theta
+        assert math.copysign(1.0, woodworth_angle(0.0, g)) == 1.0  # not -0.0
+
     def test_inverse_out_of_range(self):
         with pytest.raises(ValueError):
             woodworth_angle(1e-3, GeometryParams())
+
+    @pytest.mark.parametrize("itd", [math.nan, math.inf, -math.inf])
+    def test_inverse_not_finite(self, itd):
+        # the range check refuses these; the bisection alone would
+        # return 0 for a NaN
+        with pytest.raises(ValueError, match="half-space maximum"):
+            woodworth_angle(itd, GeometryParams())
 
     def test_human_one_degree(self):
         # a 0.0875 m head radius maps 8.9 us to one degree of azimuth
@@ -632,6 +658,15 @@ class TestGeometryMath:
     def test_planewave_out_of_range(self):
         with pytest.raises(ValueError):
             planewave_angle(200e-6, 0.051)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_planewave_not_finite(self, bad):
+        # a NaN fails every comparison, so the range check alone would
+        # let it through to the clamp
+        for args in ((bad, 0.051, 343.0), (80e-6, bad, 343.0),
+                     (80e-6, 0.051, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                planewave_angle(*args)
 
     def test_angular_resolution_report(self):
         res = angular_resolution(3.8e-6, GeometryParams(mic_distance=0.051))
