@@ -128,8 +128,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     flags = {"trials": args.trials, "base_seed": args.seed}
     try:  # the flags pass the section's checks, as the config's values do
         if args.itds is not None:  # "--itds=" is an error, not the default list
@@ -145,7 +143,7 @@ def cmd_sweep(args) -> int:
         trials=sweep.trials, noise_amplitude=sweep.noise_amplitude,
         base_seed=sweep.base_seed)
     out = Path(args.out)
-    result = harness.run_sweep(sweep_cfg, jobs=args.jobs, out_dir=out)
+    result = harness.run_sweep(sweep_cfg, out_dir=out)
     misses = sum(1 for r in result.rows if r.miss)
     print(f"rows={len(result.rows)} misses={misses}")
     if result.fit:
@@ -213,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run the ITD x trial grid")
     common(sp)
-    sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="parallel trial workers")
     sp.add_argument("--trials", type=int, metavar="N",
                     help="override trials per ITD")
     sp.add_argument("--itds", metavar="US,US,...",

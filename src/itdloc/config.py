@@ -51,8 +51,8 @@ class SweepSection:
             raise ValueError("the ITD list must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not 0 <= self.noise_amplitude < math.inf:  # a NaN skips the noise
+            raise ValueError("noise_amplitude must be >= 0 and finite")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
 

@@ -300,39 +300,30 @@ def run_trial(itd: float, seed, cfg: TrialConfig, *,
     return _trials(cfg, [(itd, seed)], noise_amplitude)[0]
 
 
-def _sweep_rows(cfg: SweepConfig, cells) -> list:
-    """The rows of grid cells (itd index, trial index), as one batch."""
-    trials = [(cfg.itds[i], trial_seed(cfg.base_seed, i, k)) for i, k in cells]
-    labels = [f"itd={cfg.itds[i] * 1e6:.3f}us, trial={k}, "
-              f"seed=({cfg.base_seed}, {i}, {k})" for i, k in cells]
-    results = _trials(cfg.trial, trials, cfg.noise_amplitude, labels)
-    return [SweepRow(cfg.itds[i], k, res.direction, res.latency)
-            for (i, k), res in zip(cells, results)]
-
-
 def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
-    """Run the full ITD x trial grid in batches of CHUNK cells (mapped over
-    `jobs` worker processes when jobs > 1); rows are keyed by (itd, trial)
-    and identical regardless of worker count. When out_dir is given, it is
-    created first, and sweep.csv and stats.csv written there."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    """Run the full ITD x trial grid in batches of CHUNK cells; rows are
+    keyed by (itd, trial). When out_dir is given, it is created first, and
+    sweep.csv and stats.csv written there. The `jobs` keyword takes only 1:
+    it stays for benchmark/workloads.py's `run_sweep(..., jobs=1)` call and
+    goes when that call drops it."""
+    if jobs != 1:
+        raise ValueError("run_sweep runs in one process: jobs must be 1")
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     cells = [(i, k) for i in range(len(cfg.itds)) for k in range(cfg.trials)]
-    chunks = [cells[lo:lo + CHUNK] for lo in range(0, len(cells), CHUNK)]
-    rows_of = functools.partial(_sweep_rows, cfg)
-    if jobs > 1:
-        import concurrent.futures  # loads logging and threading: only here
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(rows_of, chunks))
-    else:
-        parts = map(rows_of, chunks)
-    rows = tuple(row for part in parts for row in part)
+    rows = []
+    for lo in range(0, len(cells), CHUNK):
+        chunk = cells[lo:lo + CHUNK]
+        trials = [(cfg.itds[i], trial_seed(cfg.base_seed, i, k))
+                  for i, k in chunk]
+        labels = [f"itd={cfg.itds[i] * 1e6:.3f}us, trial={k}, "
+                  f"seed=({cfg.base_seed}, {i}, {k})" for i, k in chunk]
+        results = _trials(cfg.trial, trials, cfg.noise_amplitude, labels)
+        rows += [SweepRow(cfg.itds[i], k, res.direction, res.latency)
+                 for (i, k), res in zip(chunk, results)]
     stats_rows, fit = stats(rows)
-    result = SweepResult(rows=rows, stats=stats_rows, fit=fit)
+    result = SweepResult(rows=tuple(rows), stats=stats_rows, fit=fit)
     if out_dir is not None:
         write_sweep_csv(out / "sweep.csv", result)
         write_stats_csv(out / "stats.csv", result)

@@ -142,10 +142,11 @@ class GeometryParams:
     speed_of_sound: float = 343.0
 
     def __post_init__(self):
-        if self.mic_distance <= 0 or self.speed_of_sound <= 0:
-            raise ValueError("mic_distance and speed_of_sound must be > 0")
-        if self.head_radius is not None and self.head_radius <= 0:
-            raise ValueError("head_radius must be > 0")
+        if not (0 < self.mic_distance < math.inf
+                and 0 < self.speed_of_sound < math.inf):
+            raise ValueError("mic_distance and speed_of_sound must be > 0 and finite")
+        if self.head_radius is not None and not 0 < self.head_radius < math.inf:
+            raise ValueError("head_radius must be > 0 and finite")
 
     def resolved_head_radius(self) -> float:
         return self.head_radius or self.mic_distance / 2
@@ -352,19 +353,18 @@ def _chain_walk(params: LifParams, weight: float, dt: float, order) -> tuple:
     head first, has its head kicked on step e (at _T_INJECT); nothing feeds
     back into a chain, so a head that fires once in the window, D steps
     later, has stage k fire on step e + (k + 1) D. D is from kick_fire_step
-    where fires_once; else the head is stepped over the window, where the
-    error counts its spikes, with its successor: numpy steps two neurons
-    faster than one. CalibrationError names the first stage that is silent
-    in the window or fires there more than once."""
+    where fires_once; else the head alone is stepped over the window, where
+    the error counts its spikes. CalibrationError names the first stage
+    that is silent in the window or fires there more than once."""
     start = math.floor(_T_INJECT / dt + _STEP_SLACK)
     if fires_once(params, weight):
         d = kick_fire_step(params, weight, dt)
         head = [] if d is None else [start + d]
     else:
-        spec = NetworkSpec((params,) * 2, (SynapseSpec(0, 1, weight),),
-                           external_spikes=(ExternalSpike(_T_INJECT, 0, weight),))
+        spec = NetworkSpec((params,), external_spikes=(
+            ExternalSpike(_T_INJECT, 0, weight),))
         record, _ = Simulation(spec, dt).run(_T_INJECT + len(order) * _WINDOW_PER_STAGE)
-        head = [round(t / dt) for t in record.times[record.ids == 0].tolist()]
+        head = [round(t / dt) for t in record.times.tolist()]
     if len(head) > 1:
         raise CalibrationError(
             f"chain stage 0 (neuron {order[0]}) fired {len(head)} times")

@@ -36,8 +36,11 @@ class LifParams:
     c_m: float = 2.4e-12
 
     def __post_init__(self):
-        if min(self.tau_m, self.tau_syn, self.t_ref, self.c_m) <= 0:
-            raise ValueError("tau_m, tau_syn, t_ref and c_m must be > 0")
+        if not all(0 < x < math.inf
+                   for x in (self.tau_m, self.tau_syn, self.t_ref, self.c_m)):
+            raise ValueError("tau_m, tau_syn, t_ref and c_m must be > 0 and finite")
+        if not all(map(math.isfinite, (self.v_leak, self.v_thresh, self.v_reset))):
+            raise ValueError("v_leak, v_thresh and v_reset must be finite")
         if self.v_reset >= self.v_thresh:
             raise ValueError("v_reset must be below v_thresh")
         if self.v_leak >= self.v_thresh:
@@ -62,8 +65,8 @@ class InjectionSection:
     mode: str = "resistive"
 
     def __post_init__(self):
-        if self.r_src <= 0:
-            raise ValueError("r_src must be > 0")
+        if not 0 < self.r_src < math.inf:
+            raise ValueError("r_src must be > 0 and finite")
         if self.mode not in ("resistive", "trigger"):
             raise ValueError(f"unknown injection mode {self.mode!r}")
 
@@ -243,8 +246,7 @@ class Simulation:
 
     A single simulation is strictly single-threaded; identical network
     spec, dt and call sequence give bit-identical spike records. The
-    NetworkSpec is never mutated, so it may be shared across concurrent
-    simulations.
+    NetworkSpec is never mutated, so several simulations may share it.
     """
 
     def __init__(self, spec: NetworkSpec, dt: float):

@@ -23,10 +23,10 @@ class ReadoutSection:
     dead_time: float = 0.2
 
     def __post_init__(self):
-        if self.iteration_time <= 0:
-            raise ValueError("iteration_time must be > 0")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
+        if not 0 < self.iteration_time < math.inf:
+            raise ValueError("iteration_time must be > 0 and finite")
+        if not 0 <= self.dead_time < math.inf:
+            raise ValueError("dead_time must be >= 0 and finite")
 
     @property
     def dead_polls(self) -> int:

@@ -374,7 +374,7 @@ class TestCli:
                                                         monkeypatch):
         seen = []
 
-        def capture(cfg, jobs=1, out_dir=None):
+        def capture(cfg, out_dir=None):
             seen.append(cfg.trial)
             raise RuntimeError("captured")
 
@@ -728,14 +728,15 @@ class TestCli:
                                                capsys):
         self._bad_itds_flag("abc", small_config, tmp_path, capsys)
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_sweep_jobs_below_one_exit_2(self, jobs, small_config, tmp_path,
+    def test_sweep_jobs_flag_gone_exit_2(self, small_config, tmp_path,
                                          capsys):
+        # a sweep runs in one process: argparse refuses --jobs
         out = tmp_path / "sw"
-        rc = cli.main(["sweep", "--config", str(small_config), "--itds", "0",
-                       "--trials", "1", "--jobs", jobs, "--out", str(out)])
-        assert rc == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(small_config), "--itds", "0",
+                      "--trials", "1", "--jobs", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """What a fresh interpreter loads: itdloc needs only numpy, in its
 commands, trials, cross-correlation oracle and Woodworth inverse alike;
-the process pool (concurrent.futures, which loads logging) loads only in a
-sweep with jobs > 1, and a calibration leaves numpy.ma unloaded."""
+none of them loads concurrent.futures or logging, and a calibration
+leaves numpy.ma unloaded."""
 
 import dataclasses
 import json
@@ -33,9 +33,9 @@ def _fresh(code: str, *args: str) -> str:
 
 
 def test_import_dump_and_calibrate_leave_scipy_unloaded(tmp_path):
-    # and so do a noisy simulate and a serial sweep, which run trials, the
+    # and so do a noisy simulate and a sweep, which run trials, the
     # oracle on a self-shifted mono WAV and the Woodworth inverse; none of
-    # them loads the process pool either
+    # them loads concurrent.futures or logging either
     write_wav_16bit(tmp_path / "mono.wav",
                     synth_clap(ClapSpec(rng_seed=12), 192000, 3e-3).samples,
                     192000)

@@ -1,6 +1,7 @@
 """Simulator core tests: integrator exactness against closed forms, spike
 and refractory semantics, determinism and weight quantization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -217,6 +218,11 @@ class TestInjection:
         with pytest.raises(ValueError, match="mode"):
             InjectionSection(mode="capacitive")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_injection_section_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError, match="r_src must be > 0 and finite"):
+            InjectionSection(r_src=bad)
+
 
 class TestValidation:
     def test_dt_too_coarse(self):
@@ -228,6 +234,15 @@ class TestValidation:
             LifParams(v_reset=1.5)
         with pytest.raises(ValueError):
             LifParams(tau_m=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tau_m", "tau_syn", "v_leak", "v_thresh",
+                                      "v_reset", "t_ref", "c_m"])
+    def test_lif_params_refuse_non_finite(self, name, bad):
+        # each field alone: min(1.0, nan) is 1.0, so one min over the
+        # fields would pass a NaN that is not its first argument
+        with pytest.raises(ValueError, match=f"{name}.* finite"):
+            LifParams(**{name: bad})
 
     def test_one_resistive_injection_per_neuron(self):
         drive = np.full(3, 1.19)

@@ -322,7 +322,7 @@ def reference_tables(net, dt: float = DT) -> tuple:
     with its threshold out of reach, so that the trace keeps the value
     that crosses, and fires where that value first reaches v_thresh."""
     params = net.config.neuron_params
-    free = replace(params, v_thresh=math.inf)
+    free = replace(params, v_thresh=np.finfo(float).max)  # LifParams is finite
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)
 
     def kicked(kicks, n_steps):

@@ -138,6 +138,12 @@ class TestPollLoop:
         with pytest.raises(ValueError):
             ReadoutSection(iteration_time=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["iteration_time", "dead_time"])
+    def test_section_refuses_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be .* and finite"):
+            ReadoutSection(**{name: bad})
+
 
 class TestPollTiming:
     """The poll-index rules: a dead time in whole polls, and the last
