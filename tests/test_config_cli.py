@@ -728,16 +728,25 @@ class TestCli:
                                                capsys):
         self._bad_itds_flag("abc", small_config, tmp_path, capsys)
 
-    def test_sweep_jobs_flag_gone_exit_2(self, small_config, tmp_path,
-                                         capsys):
+    def _jobs_flag_refused(self, jobs, small_config, tmp_path, capsys):
         # a sweep runs in one process: argparse refuses --jobs
         out = tmp_path / "sw"
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", str(small_config), "--itds", "0",
-                      "--trials", "1", "--jobs", "2", "--out", str(out)])
+                      "--trials", "1", "--jobs", jobs, "--out", str(out)])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --jobs {jobs}" in err
         assert not out.exists()
+
+    def test_sweep_jobs_flag_gone_exit_2(self, small_config, tmp_path,
+                                         capsys):
+        self._jobs_flag_refused("2", small_config, tmp_path, capsys)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exit_2(self, jobs, small_config, tmp_path,
+                                         capsys):
+        self._jobs_flag_refused(jobs, small_config, tmp_path, capsys)
 
 
 def _cli(argv) -> tuple:
