@@ -34,8 +34,8 @@ class StimulusSection:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be > 0 and finite")
 
 
 @dataclass(frozen=True)

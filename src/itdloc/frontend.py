@@ -6,7 +6,7 @@ into the window an injected neuron membrane can accept.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class AudioClip:
         s = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if s.ndim != 2 or s.shape[0] not in (1, 2):
             raise ValueError("AudioClip needs 1 or 2 channels of equal length")
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise ValueError("AudioClip samples must be finite")
         rate = int(self.sample_rate)
         if rate <= 0 or rate != self.sample_rate:
@@ -66,6 +66,9 @@ class FrontEndParams:
     preamp_gain: float = 1.0
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"{' and '.join(bad)} must be finite")
         if self.v_floor > self.v_offset:
             raise ValueError("v_floor must not exceed v_offset")
         if self.v_clip <= self.v_floor:
@@ -89,10 +92,13 @@ class ClapSpec:
     rng_seed: int = 20260809
 
     def __post_init__(self):
-        if min(self.onset_time, self.rise_time, self.decay_time) < 0:
-            raise ValueError("clap times must be >= 0")
-        if self.amplitude <= 0:
-            raise ValueError("clap amplitude must be > 0")
+        times = np.array((self.onset_time, self.rise_time, self.decay_time))
+        if not ((times >= 0) & (times < np.inf)).all():
+            raise ValueError("onset_time, rise_time, decay_time must be finite, >= 0")
+        if not 0 < self.amplitude < np.inf:
+            raise ValueError("clap amplitude must be > 0 and finite")
+        if not np.isfinite(self.noise_bandwidth):
+            raise ValueError("noise_bandwidth must be finite")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 
@@ -221,9 +227,8 @@ def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
     """Shift a 1-D signal by a possibly fractional number of samples using
     linear interpolation; regions shifted in from beyond the ends are zero."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    t_src = np.arange(n, dtype=float) - delay_samples
-    return np.interp(t_src, np.arange(n, dtype=float), x, left=0.0, right=0.0)
+    base = np.arange(x.shape[0], dtype=float)
+    return np.interp(base - delay_samples, base, x, left=0.0, right=0.0)
 
 
 def apply_itd(mono: AudioClip, itd: float) -> AudioClip:
@@ -241,7 +246,7 @@ def apply_itd(mono: AudioClip, itd: float) -> AudioClip:
         raise ValueError("|itd| must be smaller than the clip duration")
     left = mono.channel(0)
     right = fractional_delay(left, itd * mono.sample_rate)
-    return AudioClip(sample_rate=mono.sample_rate, samples=np.stack([left, right]))
+    return AudioClip(sample_rate=mono.sample_rate, samples=np.array((left, right)))
 
 
 def condition(samples: np.ndarray, sample_rate: float, params: FrontEndParams) -> np.ndarray:

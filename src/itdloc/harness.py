@@ -60,7 +60,7 @@ class TrialConfig:
     @functools.cached_property
     def _mono(self) -> AudioClip:
         """The mono stimulus, made once; its samples are read-only."""
-        clip = self.recording or synth_clap(
+        clip = self.recording or _clap(
             self.stimulus.clap, self.stimulus.sample_rate, self.stimulus.duration)
         samples = clip.samples[:1].view()
         samples.flags.writeable = False
@@ -68,7 +68,11 @@ class TrialConfig:
 
     @functools.cached_property
     def _tables(self) -> tuple | None:
-        return probe_tables(self.net, self.dt)
+        return probe_tables(self.net, self.dt, round(self.duration / self.dt))
+
+
+# synth_clap's clip, made once for all configs with an equal stimulus
+_clap = functools.lru_cache(maxsize=16)(lambda *key: synth_clap(*key))
 
 
 @dataclass(frozen=True)
@@ -173,26 +177,26 @@ def _frontend(cfg: TrialConfig, cells, noise_amplitude: float) -> tuple:
     # around it
     need = round(cfg.duration * sim_rate) + 1
     window = min(int(np.ceil(need * fs / sim_rate)) + 2, n)
-    raws = []
-    for itd, seed in cells:
+    rows = np.empty((2 * len(cells), window))
+    for raw, (itd, seed) in zip(rows.reshape(len(cells), 2, window), cells):
         # the delay interpolates pointwise, and the window's samples read
         # at most ceil(|itd| fs) + 1 samples past it; a clip that long
         # still outlasts |itd| (a NaN or too long ITD takes the whole clip
         # and apply_itd's check)
         shift = abs(itd) * fs
         reach = min(window + math.ceil(shift) + 2, n) if shift < n else n
-        raw = apply_itd(AudioClip(fs, mono.samples[:, :reach]),
-                        itd).samples[:, :window]
+        clip = mono if reach == n else AudioClip(fs, mono.samples[:, :reach])
+        raw[...] = apply_itd(clip, itd).samples[:, :window]
         if noise_amplitude > 0:
             # the draws of a (2, n) noise array, in order, up to the
             # window of its second row
             noise = np.random.default_rng(seed).normal(
                 0.0, noise_amplitude, n + window)
-            raw = raw + np.stack((noise[:window], noise[n:]))
-        raws.append(raw)
-    cond = condition(np.concatenate(raws), fs, cfg.frontend)
+            raw[0] += noise[:window]
+            raw[1] += noise[n:]
+    cond = condition(rows, fs, cfg.frontend)
     above = (cond >= cfg.net.config.input_params.v_thresh).reshape(
-        len(raws), 2, -1).any(axis=1)
+        len(cells), 2, -1).any(axis=1)
     return cond, fs, [float(i) / fs if hit else None for i, hit in zip(
         above.argmax(axis=1).tolist(), above.any(axis=1).tolist())]
 
@@ -238,53 +242,60 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
                        traces=traces, events=tuple(events))
 
 
-def _exact(cfg: TrialConfig, inputs, crossing) -> TrialResult | None:
-    """One trial's result with no neuron stepped: from its inputs' first two
-    spike steps (the audio-rate screen), chains and detectors from the probe
-    tables, then the readout replay. None where stepping may differ: an
-    input firing again by the first event's poll."""
-    (stage, reach, fire), net, dt = cfg._tables, cfg.net, cfg.dt
-    steps = ids = np.zeros(0, dtype=np.int64)
-    if stage is not None and all(inputs):
-        # the kick steps at each detector position, from each side's chain
-        a, b = (spikes[0] + stage * (np.argsort(net.chain_order(side)) + 1)
-                for spikes, side in zip(inputs, ("left", "right")))
-        off = np.abs(a - b)
-        j = np.flatnonzero(off <= reach)
-        j = j[fire[off[j]] >= 0]
-        steps = np.maximum(a, b)[j] + fire[off[j]]
-        order = np.lexsort((j, steps))  # by step, then by id, as stepped
-        steps, ids = steps[order], np.asarray(net.detectors)[j[order]]
-    record = SpikeRecord(net.spec.n_neurons, steps * dt, ids)
-    events = poll_loop(record, cfg.readout, net.detectors, t_end=cfg.duration)
-    horizon = events[0].t if events else cfg.duration
-    if all(len(spikes) < 2 or spikes[1] * dt > horizon for spikes in inputs):
-        return _result(events, crossing)
-    return None
+def _records(cfg: TrialConfig, first) -> list:
+    """Per cell, the detector spikes the tables give, sorted by step and
+    then id, for inputs that first fire on steps first[cell] (-1: never)."""
+    (stage, reach, fire, _), net = cfg._tables, cfg.net
+    if stage is None or reach < 0:  # no chain fires, or no offset fires
+        return [SpikeRecord(net.spec.n_neurons)] * len(first)
+    # the kick steps at each detector position, from each side's chain
+    a, b = (first[:, side, None] + stage * (np.argsort(net.chain_order(name)) + 1)
+            for side, name in enumerate(("left", "right")))
+    off = np.abs(a - b)
+    delay = fire[np.minimum(off, reach)]
+    both = (first >= 0).all(axis=1)[:, None]
+    cell, j = np.nonzero((off <= reach) & (delay >= 0) & both)
+    steps = np.maximum(a, b)[cell, j] + delay[cell, j]
+    order = np.lexsort((j, steps, cell))  # by cell, then step, then id
+    times, ids = steps[order] * cfg.dt, np.asarray(net.detectors)[j[order]]
+    cuts = np.searchsorted(cell[order], np.arange(len(first) + 1)).tolist()
+    return [SpikeRecord(net.spec.n_neurons, times[lo:hi], ids[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _trials(cfg: TrialConfig, cells, noise_amplitude: float, labels=None) -> list:
-    """The results of trials `cells`, (itd, seed) pairs, as
-    run_trial_detailed gives them: the front end and the input screen run
-    once on the stack, then each cell goes through _exact, or through
-    run_trial_detailed where that may differ (see _exact; an input within
-    the screen's margin; no tables). With labels, a failure raises
-    RuntimeError naming its cell, or a stacked stage's first and last."""
+    """The results of trials `cells`, (itd, seed) pairs, as run_trial_detailed
+    gives them, from one front end and screen call on the stack, _records
+    and poll_loop. A cell is stepped where that may differ: no tables; an
+    input within the screen's margin; an input firing again by the first
+    event's poll, unless the other never fires and the tables say a lone
+    chain fires no detector. With labels, a failure raises RuntimeError
+    naming its cell, or a stacked stage's first and last."""
     lo, hi = 0, len(cells) - 1  # the cells a failure names
     try:
         cond, fs, crossings = _frontend(cfg, cells, noise_amplitude)
-        inputs = [None] * len(cond)
-        if cfg._tables is not None:
+        inputs, tables = [None] * len(cond), cfg._tables
+        if tables is not None:
             inputs = injected_spike_steps(
                 cfg.net.config.input_params, cfg.injection, cfg.dt,
                 round(cfg.duration / cfg.dt), cond, fs)
+        # each input's first two spike steps, -1 for none: (cells, 2, 2)
+        first, second = np.array([((s or []) + [-1, -1])[:2] for s in inputs]
+                                 ).reshape(-1, 2, 2).transpose(2, 0, 1)
+        records = tables and _records(cfg, first)
+        silent = ((first < 0).any(axis=1) & bool(tables and tables[3])).tolist()
+        again = np.where(second >= 0, second * cfg.dt, np.inf).min(axis=1).tolist()
         results = []
         for lo, (itd, seed) in enumerate(cells):
-            hi, pair = lo, inputs[2 * lo:2 * lo + 2]
-            results.append(
-                None not in pair and _exact(cfg, pair, crossings[lo])
-                or run_trial_detailed(itd, seed, cfg,
-                                      noise_amplitude=noise_amplitude).result)
+            hi, res = lo, None
+            if None not in inputs[2 * lo:2 * lo + 2]:
+                events = poll_loop(records[lo], cfg.readout, cfg.net.detectors,
+                                   t_end=cfg.duration)
+                horizon = events[0].t if events else cfg.duration
+                if silent[lo] or again[lo] > horizon:
+                    res = _result(events, crossings[lo])
+            results.append(res or run_trial_detailed(
+                itd, seed, cfg, noise_amplitude=noise_amplitude).result)
         return results
     except Exception as exc:
         if labels is None:
@@ -312,18 +323,17 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     cells = [(i, k) for i in range(len(cfg.itds)) for k in range(cfg.trials)]
-    rows = []
+    results = []
     for lo in range(0, len(cells), CHUNK):
         chunk = cells[lo:lo + CHUNK]
         trials = [(cfg.itds[i], trial_seed(cfg.base_seed, i, k))
                   for i, k in chunk]
         labels = [f"itd={cfg.itds[i] * 1e6:.3f}us, trial={k}, "
                   f"seed=({cfg.base_seed}, {i}, {k})" for i, k in chunk]
-        results = _trials(cfg.trial, trials, cfg.noise_amplitude, labels)
-        rows += [SweepRow(cfg.itds[i], k, res.direction, res.latency)
-                 for (i, k), res in zip(chunk, results)]
-    stats_rows, fit = stats(rows)
-    result = SweepResult(rows=tuple(rows), stats=stats_rows, fit=fit)
+        results += _trials(cfg.trial, trials, cfg.noise_amplitude, labels)
+    rows = tuple(SweepRow(cfg.itds[i], k, r.direction, r.latency)
+                 for (i, k), r in zip(cells, results))
+    result = SweepResult(rows, *stats(rows))
     if out_dir is not None:
         write_sweep_csv(out / "sweep.csv", result)
         write_stats_csv(out / "stats.csv", result)
@@ -331,35 +341,35 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, out_dir=None) -> SweepResult:
 
 
 def stats(rows) -> tuple:
-    """Per-ITD mean/std/outlier/miss statistics plus a least-squares line
-    through the per-ITD means. ITDs where every trial missed carry absent
-    statistics and are excluded from the fit; ITDs whose spread squares to
-    zero, like a lone ITD, determine no line."""
-    by_itd: dict = {}
-    for r in rows:
-        by_itd.setdefault(r.itd, []).append(r)
-    out = []
-    xs, ys = [], []
-    for itd in sorted(by_itd):
-        cell = by_itd[itd]
-        hits = np.array([r.direction for r in cell if r.direction is not None])
-        misses = sum(1 for r in cell if r.direction is None)
-        if hits.size == 0:
-            out.append(ItdStats(itd, None, None, 0, misses))
-            continue
-        mean = float(np.mean(hits))
-        std = float(np.std(hits))
-        outliers = int(np.sum(np.abs(hits - mean) > 3.0))
-        out.append(ItdStats(itd, mean, std, outliers, misses))
-        xs.append(itd)
-        ys.append(mean)
+    """Per-ITD mean/std/outlier/miss statistics in ITD order, and a least-
+    squares line through the means. An ITD's hits, in row order, are a row
+    of one (ITDs, m) array per hit count m, whose row-wise np.mean and
+    np.std are each row's own. An all-miss ITD has absent statistics and no
+    part in the fit; ITDs whose spread squares to zero determine no line."""
+    cols = np.array([(r.itd, r.direction) for r in rows], dtype=float).reshape(-1, 2)
+    itd, d = cols[np.argsort(cols[:, 0], kind="stable")].T
+    new, hit = itd != np.append(np.nan, itd[:-1]), ~np.isnan(d)  # NaN: a miss
+    group = np.cumsum(new) - 1
+    counts = np.bincount(group[hit], minlength=np.count_nonzero(new))
+    starts, hits = np.cumsum(counts) - counts, d[hit]
+    mean, std, outliers = np.zeros((3, counts.size))
+    for m in set(counts.tolist()) - {0}:
+        g = np.flatnonzero(counts == m)
+        x = hits[starts[g, None] + np.arange(m)]
+        mean[g], std[g] = np.mean(x, axis=1), np.std(x, axis=1)
+        outliers[g] = np.count_nonzero(np.abs(x - mean[g, None]) > 3.0, axis=1)
+    out = tuple(ItdStats(x, mu if n else None, sd if n else None, int(o), size - n)
+                for x, n, size, mu, sd, o in zip(
+                    itd[new].tolist(), counts.tolist(), np.bincount(group).tolist(),
+                    mean.tolist(), std.tolist(), outliers.tolist()))
+    xs, ys = itd[new][counts > 0].tolist(), mean[counts > 0].tolist()
     fit = None
     if len(xs) >= 2 and np.var(xs) > 0:
         slope, intercept = np.polyfit(xs, ys, 1)
         resid = np.array(ys) - (slope * np.array(xs) + intercept)
         fit = LinearFit(slope=float(slope), intercept=float(intercept),
                         max_abs_residual=float(np.max(np.abs(resid))))
-    return tuple(out), fit
+    return out, fit
 
 
 def xcorr_oracle(stereo: AudioClip, max_lag: float) -> float:

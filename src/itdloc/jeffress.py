@@ -21,6 +21,7 @@ from .lif import (
     Simulation,
     SynapseSpec,
     _propagator,
+    _refractory_steps,
     check_dt,
     quantize_weight,
 )
@@ -298,20 +299,23 @@ def _lone_psp(params: LifParams, weight: float, dt: float, n: int) -> np.ndarray
                            * np.cumsum((lo / hi) ** m)))
 
 
-def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
-    """(stage, reach, fire): a chain neuron kicked on step s fires on step
-    s + stage (never if None; see kick_fire_step); a detector kicked on
+def probe_tables(net: JeffressNetwork, dt: float, n_steps: int) -> tuple | None:
+    """(stage, reach, fire, lone): a chain neuron kicked on step s fires on
+    step s + stage (never if None; see kick_fire_step); a detector kicked on
     steps a and b fires on step max(a, b) + fire[|b - a|] if |b - a| <=
     reach and that is >= 0, else never. Below threshold a detector kicked
     on steps 0 and off sits at v_leak + y[off + m] + y[m] m steps after its
     second kick, y the lone PSP, which peaks on step top; fire[off] is the
     first m <= top + 1 at which that reaches threshold. Past top the first
     PSP only falls, so the first silent offset past top ends the reach.
-    None, and the trials are stepped, if a unit can fire twice
-    (fires_once), if peak > _MAX_PEAK_STEPS (at the default taus, dt <
-    7.5 ns), if no offset up to 3 * peak is silent, or if the lone peak or
-    a value compared up to the reach + 1 lies within _MARGIN of threshold
-    or of a tie."""
+    lone: in n_steps one chain alone fires no detector. A chain neuron
+    fires R = ceil(t_ref / dt) + 1 steps apart or more, so with top <= R
+    its detector stays below v_leak + y[top] + ceil(n_steps / R) y[min(R,
+    len(y) - 1)], which lies _MARGIN below threshold. None, and the trials
+    are stepped, if a unit can fire twice (fires_once), if peak >
+    _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), if no offset up to
+    3 * peak is silent, or if the lone peak or a value compared up to the
+    reach + 1 lies within _MARGIN of threshold or of a tie."""
     params, w_coin = net.config.neuron_params, net.coincidence_weight
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # a bound on it
     once = fires_once(params, max(abs(net.chain_weight), 2 * abs(w_coin)))
@@ -337,7 +341,10 @@ def probe_tables(net: JeffressNetwork, dt: float) -> tuple | None:
     near = np.abs(pair, out=pair)[:reach + 2] < _MARGIN
     if (near & (np.arange(top + 2) <= last)).any():
         return None
-    return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1]
+    r = _refractory_steps(params, dt) + 1  # a chain neuron's spikes lie >= r apart
+    lone = bool(top <= r and y[top] + math.ceil(n_steps / r)
+                * y[min(r, len(y) - 1)] - thresh <= -_MARGIN)
+    return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1], lone
 
 
 def _stages_fired(d, stages: int, dt: float) -> int:

@@ -53,8 +53,8 @@ class PwmConfig:
     pulse_max: float = 2.0e-3
 
     def __post_init__(self):
-        if not 0 < self.pulse_min < self.pulse_max < self.period:
-            raise ValueError("need 0 < pulse_min < pulse_max < period")
+        if not 0 < self.pulse_min < self.pulse_max < self.period < math.inf:
+            raise ValueError("need 0 < pulse_min < pulse_max < period, all finite")
 
 
 def poll_loop(record: SpikeRecord, cfg: ReadoutSection, detector_ids,

@@ -123,6 +123,12 @@ class TestConfig:
         assert cfg.network.input_neuron_params.tau_m == pytest.approx(15e-6)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stimulus_duration_refuses_non_finite(self, bad):
+        # a NaN duration would reach synth_clap's int() and the clap cache
+        with pytest.raises(ValueError, match="duration must be > 0 and finite"):
+            StimulusSection(duration=bad)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.json")
@@ -835,6 +841,9 @@ def _perturbed(path: tuple) -> list:
 # a 1 s membrane time constant: a PSP rising for ten million steps gets no
 # event-engine tables, so the sweep steps its trial
 @example(case=(("network", "neuron_params", "tau_m"), 1.0))
+# a negative coincidence weight builds, and then no offset fires a
+# detector: the tables have reach -1 and an empty fire table
+@example(case=(("network", "coincidence_weight"), -1))
 def test_cli_on_a_perturbed_config(tmp_path_factory, case):
     # one dumped value changed in type or range: sweep and simulate run or
     # exit with a documented code and one error line, never a traceback,

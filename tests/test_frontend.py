@@ -176,6 +176,14 @@ class TestSynthClap:
         corr = np.corrcoef(a[live], b[live])[0, 1]
         assert abs(corr) < 0.2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["onset_time", "rise_time", "decay_time",
+                                      "amplitude", "noise_bandwidth"])
+    def test_clap_spec_refuses_non_finite(self, name, bad):
+        # a ClapSpec keys the shared clap, and a NaN key never equals itself
+        with pytest.raises(ValueError, match=f"{name}.* finite"):
+            ClapSpec(**{name: bad})
+
     def test_duration_must_exceed_onset(self):
         with pytest.raises(ValueError, match="onset"):
             synth_clap(self.SPEC, 192000, 1e-4)
@@ -231,6 +239,19 @@ class TestApplyItd:
     def test_rejects_stereo_input(self):
         with pytest.raises(ValueError, match="mono"):
             apply_itd(AudioClip(192000, np.zeros((2, 64))), 0.0)
+
+
+class TestFrontEndParams:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v_offset", "v_diode", "v_floor", "v_clip",
+                                      "highpass_cutoff", "preamp_gain"])
+    def test_refuses_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FrontEndParams(**{name: bad})
+
+    def test_names_every_non_finite_field(self):
+        with pytest.raises(ValueError, match="^v_offset and highpass_cutoff must"):
+            FrontEndParams(v_offset=np.nan, highpass_cutoff=np.nan)
 
 
 class TestCondition:

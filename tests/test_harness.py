@@ -498,9 +498,11 @@ class TestEventEngine:
         assert run_trial(30e-6, None, trial) == detail.result
 
     @pytest.mark.parametrize("case", ["drive-inside-margin", "input-fires-twice",
-                                      "unit-fires-twice", "tables-in-doubt"])
+                                      "unit-fires-twice", "tables-in-doubt",
+                                      "one-chain-fires-a-detector"])
     def test_fallback_steps_the_trial(self, case, default_net, fallbacks,
                                       monkeypatch):
+        itds = (-60e-6, 20e-6)
         if case == "drive-inside-margin":
             # every drive lies within a 10 V margin of threshold
             monkeypatch.setattr(lif, "_MARGIN", 10.0)
@@ -516,17 +518,66 @@ class TestEventEngine:
             trial = TrialConfig(net=build(JeffressConfig(
                 neuron_params=LifParams(t_ref=2e-6))))
             assert trial._tables is None
-        else:
+        elif case == "tables-in-doubt":
             # every table value lies within a 10 V margin of threshold, so
             # the network has no tables
             monkeypatch.setattr(jeffress, "_MARGIN", 10.0)
             trial = TrialConfig(net=default_net)
             assert trial._tables is None
-        cfg = SweepConfig(trial=trial, itds=(-60e-6, 20e-6), trials=2,
+        else:
+            # the right clap starts after the 350 us run, so the right input
+            # stays silent, while the left fires 11 times; a 20 us chain
+            # clamp lets the left chain's waves pile up on a detector, so
+            # the tables do not rule out a lone chain's event, and there is
+            # one: direction 1.0 at 330 us, from 8 detector spikes
+            trial = TrialConfig(net=build(JeffressConfig(
+                neuron_params=LifParams(t_ref=2e-5),
+                input_neuron_params=LifParams(t_ref=2e-6))),
+                stimulus=StimulusSection(duration=3.5e-4))
+            assert trial._tables is not None and trial._tables[3] is False
+            detail = run_trial_detailed(160e-6, None, trial)
+            ids = detail.record.ids
+            assert (ids == trial.net.input_right).sum() == 0
+            assert (ids == trial.net.input_left).sum() == 11
+            assert np.isin(ids, trial.net.detectors).sum() == 8
+            assert [(e.t, e.direction) for e in detail.events] == [
+                (pytest.approx(330e-6, abs=1e-12), 1.0)]
+            itds = (160e-6,)
+        cfg = SweepConfig(trial=trial, itds=itds, trials=2,
                           noise_amplitude=0.07, base_seed=9)
         rows = run_sweep(cfg).rows
         assert fallbacks == [itd for itd in cfg.itds for _ in range(2)]
         assert rows == full_run_rows(cfg)
+
+    @settings(max_examples=10, deadline=None)
+    @given(itd_us=st.floats(160.0, 300.0), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 0.07]),
+           t_ref=st.sampled_from([2e-6, 1e-4, 5e-4]))
+    @example(itd_us=160.0, seed=0, noise=0.0, t_ref=2e-6)
+    def test_silent_input_steps_nothing_property(self, itd_us, seed, noise,
+                                                 t_ref):
+        # the right clap starts past the 350 us run, so the right input never
+        # fires, while the left may fire again before the run ends: at the
+        # default 500 us chain clamp a lone chain fires no detector, so the
+        # cell is a miss that steps nothing, as the stepped run says
+        trial = TrialConfig(
+            net=build(JeffressConfig(input_neuron_params=LifParams(t_ref=t_ref))),
+            stimulus=StimulusSection(duration=3.5e-4))
+        screened, screen = [], harness.injected_spike_steps
+
+        def capturing(*args):
+            screened.extend(screen(*args))
+            return screened
+
+        def stepping(*args, **kwargs):
+            raise AssertionError("a cell with a silent input was stepped")
+        with mock.patch.object(harness, "injected_spike_steps", capturing), \
+                mock.patch.object(harness, "run_trial_detailed", stepping):
+            fast = run_trial(itd_us * 1e-6, seed, trial, noise_amplitude=noise)
+        full = run_trial_detailed(itd_us * 1e-6, seed, trial,
+                                  noise_amplitude=noise).result
+        assert fast == full and fast.miss
+        assert screened[0] and screened[1] == []  # the left fires, the right not
 
     def test_only_fallbacks_resample(self, fallbacks, monkeypatch):
         # a 200 us input refractory period lets a few noisy inputs fire
@@ -587,7 +638,9 @@ class TestEventEngine:
             made.append(args)
             return synth_clap(*args)
         monkeypatch.setattr(harness, "synth_clap", counting)
-        cfg = TrialConfig(net=default_net)
+        # a clap no other test makes, so that no earlier config shares it
+        stimulus = StimulusSection(clap=ClapSpec(rng_seed=582))
+        cfg = TrialConfig(net=default_net, stimulus=stimulus)
         run_sweep(SweepConfig(trial=cfg, itds=(0.0, 40e-6), trials=2,
                               noise_amplitude=0.07))
         assert len(made) == 1
@@ -596,6 +649,12 @@ class TestEventEngine:
         assert not mono.samples.flags.writeable
         with pytest.raises(ValueError):
             mono.samples[0, 0] = 1.0
+        # a second config with an equal stimulus reads the same samples
+        other = TrialConfig(net=default_net, stimulus=StimulusSection(
+            clap=ClapSpec(rng_seed=582)))
+        run_trial(0.0, None, other)
+        assert len(made) == 1
+        assert np.shares_memory(other.mono_stimulus().samples, mono.samples)
 
 
 class TestResampleWindow:
@@ -654,6 +713,32 @@ class TestResampleWindow:
         assert run_trial(40e-6, None, cfg) == res
 
 
+def stats_reference(rows) -> tuple:
+    """stats as a dict regroup: rows by ITD, one np.mean and np.std each."""
+    by_itd: dict = {}
+    for r in rows:
+        by_itd.setdefault(r.itd, []).append(r.direction)
+    out, xs, ys = [], [], []
+    for itd in sorted(by_itd):
+        hits = np.array([d for d in by_itd[itd] if d is not None])
+        misses = len(by_itd[itd]) - hits.size
+        if not hits.size:
+            out.append(harness.ItdStats(itd, None, None, 0, misses))
+            continue
+        mean, std = float(np.mean(hits)), float(np.std(hits))
+        outliers = int(np.sum(np.abs(hits - mean) > 3.0))
+        out.append(harness.ItdStats(itd, mean, std, outliers, misses))
+        xs.append(itd)
+        ys.append(mean)
+    fit = None
+    if len(xs) >= 2 and np.var(xs) > 0:
+        slope, intercept = np.polyfit(xs, ys, 1)
+        resid = np.array(ys) - (slope * np.array(xs) + intercept)
+        fit = harness.LinearFit(float(slope), float(intercept),
+                                float(np.max(np.abs(resid))))
+    return tuple(out), fit
+
+
 class TestStats:
     def test_constant_rows_zero_std(self):
         rows = [SweepRow(0.0, k, 12.0, 1e-4) for k in range(5)]
@@ -674,6 +759,33 @@ class TestStats:
         out, fit = stats(rows)
         assert [s.mean for s in out] == [12.0, 13.0]
         assert fit is None
+
+    def test_unsorted_itds_with_repeats(self, default_trial):
+        # the two 40 us entries give one stats row, after the 0 us row, over
+        # both entries' trials in row order
+        cfg = SweepConfig(trial=default_trial, itds=(40e-6, 0.0, 40e-6),
+                          trials=3, noise_amplitude=0.07, base_seed=3)
+        result = run_sweep(cfg)
+        assert [s.itd for s in result.stats] == [0.0, 40e-6]
+        merged = [r.direction for r in result.rows if r.itd == 40e-6]
+        hits = [d for d in merged if d is not None]
+        assert len(merged) == 6 and len(set(hits)) > 1
+        s = result.stats[1]
+        assert (s.mean, s.std, s.misses) == (
+            float(np.mean(hits)), float(np.std(hits)), 6 - len(hits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([-40e-6, -0.0, 0.0, 20e-6, 1e-300]),
+        st.one_of(st.none(), st.builds(lambda a, n: a / n, st.integers(0, 490),
+                                       st.integers(1, 10)))),
+        max_size=60))
+    def test_equals_a_dict_regroup_property(self, cells):
+        # the column form gives the floats of one np.mean and np.std per
+        # ITD over its hits in row order, groups of over 8 hits included;
+        # directions like 7 / 3, as poll_loop's means, round by the order
+        rows = [SweepRow(itd, k, d, None) for k, (itd, d) in enumerate(cells)]
+        assert stats(rows) == stats_reference(rows)
 
     def test_all_miss_itd_absent_not_zero(self):
         rows = [SweepRow(0.0, 0, None, None), SweepRow(1e-5, 0, 3.0, 1e-4),

@@ -29,6 +29,7 @@ from itdloc.lif import (
 )
 
 DT = 1e-7
+STEPS = 11000  # the default run, 1.1 ms at DT
 
 
 def reference_run(spec: NetworkSpec, dt: float, n_steps: int):
@@ -357,10 +358,30 @@ def _tables(tables) -> tuple | None:
 @pytest.mark.parametrize("w_lsb", [None, 2e-8], ids=["default", "quantized"])
 def test_probe_tables_match_reference(w_lsb):
     net = build(JeffressConfig(w_lsb=w_lsb))
-    stage, reach, fire = jeffress.probe_tables(net, DT)
+    stage, reach, fire, lone = jeffress.probe_tables(net, DT, STEPS)
     assert (stage, reach, fire.tolist()) == reference_tables(net)[0]
+    assert lone is True  # a default run: one chain fires no detector
     if w_lsb is None:
         assert (stage, reach) == (38, 308)
+
+
+@pytest.mark.parametrize("t_ref, n_steps, lone", [
+    (5e-4, 11000, True), (2e-5, 3500, False)], ids=["default", "short-clamp"])
+def test_lone_flag_bounds_the_densest_kicks(t_ref, n_steps, lone):
+    # one chain neuron kicks its detector at most every ceil(t_ref / dt) + 1
+    # steps; kicked that often over the whole run, a stepped detector stays
+    # _MARGIN below threshold where the flag holds, and passes it where the
+    # flag does not (the 2e-5 s clamp lets 18 kicks pile up)
+    params = LifParams(t_ref=t_ref)
+    net = build(JeffressConfig(neuron_params=params))
+    assert jeffress.probe_tables(net, DT, n_steps)[3] is lone
+    apart = math.ceil(t_ref / DT - 1e-9) + 1
+    free = replace(params, v_thresh=np.finfo(float).max)
+    spec = NetworkSpec((free,), external_spikes=[
+        ExternalSpike(s * DT, 0, net.coincidence_weight)
+        for s in range(0, n_steps, apart)])
+    v = reference_run(spec, DT, n_steps)[2][:, 0]
+    assert bool(v.max() < params.v_thresh - jeffress._MARGIN) is lone
 
 
 @st.composite
@@ -399,7 +420,7 @@ def test_probe_tables_match_reference_on_random_networks(case):
     # stepper compares, or the lone peak's lead, is inside the margin (the
     # closed form's values are the stepper's to well under _MARGIN)
     net, dt = case
-    tables = _tables(jeffress.probe_tables(net, dt))
+    tables = _tables(jeffress.probe_tables(net, dt, STEPS))
     reference, near, lead = reference_tables(net, dt)
     assert tables == reference or (
         tables is None and min(near, lead) < 2 * jeffress._MARGIN)
@@ -431,7 +452,7 @@ def test_probe_tables_match_reference_at_the_edges(case, stepped):
     net = build(JeffressConfig(
         chain_weight=2 * w_fire, neuron_params=params,
         coincidence_weight=(0.5 if case == "peak-tie" else 0.98) * w_fire))
-    assert jeffress.probe_tables(net, DT) is None
+    assert jeffress.probe_tables(net, DT, STEPS) is None
     assert stepped == []
     reference, _, lead = reference_tables(net)
     if case == "peak-tie":  # D = 3, W = 10 stepped out
@@ -451,11 +472,11 @@ def test_probe_tables_step_every_copy_inside_the_margin(w_lsb, stepped,
     tables, near, lead = reference_tables(net)
     assert 1.5 * near < lead
     monkeypatch.setattr(jeffress, "_MARGIN", near / 2)
-    assert _tables(jeffress.probe_tables(net, DT)) == tables
+    assert _tables(jeffress.probe_tables(net, DT, STEPS)) == tables
     for margin in (1.5 * near, 10.0):
         stepped.clear()
         monkeypatch.setattr(jeffress, "_MARGIN", margin)
-        assert jeffress.probe_tables(net, DT) is None
+        assert jeffress.probe_tables(net, DT, STEPS) is None
         assert stepped == []
 
 

@@ -273,6 +273,13 @@ class TestPwm:
         with pytest.raises(ValueError):
             PwmConfig(pulse_min=2e-3, pulse_max=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["period", "pulse_min", "pulse_max"])
+    def test_config_refuses_non_finite(self, name, bad):
+        # an infinite period would write nan and inf edges
+        with pytest.raises(ValueError, match="pulse_max < period, all finite"):
+            PwmConfig(**{name: bad})
+
 
 class TestSerial:
     def test_exact_frame(self):
