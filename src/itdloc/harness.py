@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -226,38 +226,51 @@ def run_trial_detailed(itd: float, seed, cfg: TrialConfig, record_traces=(),
     """One end-to-end localization: stimulus, inter-channel delay, optional
     per-channel Gaussian noise of standard deviation noise_amplitude (volts,
     drawn from seed), conditioning, resampling to the simulator rate,
-    membrane injection, network run over the full duration and readout
-    replay.
-
-    Latency is measured from the first time either conditioned channel
-    crosses the input neurons' threshold to the readout event.
-    """
+    membrane injection, network run and readout replay over the full
+    duration. Nothing feeds back into the inputs: with tables, only inputs
+    traced and neither firing twice (the screen), the record is _records'
+    and only traced inputs step; else the whole network does. Latency runs
+    from either channel's first threshold crossing to the readout event."""
     cond, fs, (crossing,) = _frontend(cfg, [(itd, seed)], noise_amplitude)
-    spec = cfg.net.spec.with_injections(_injections(cfg, cond, fs))
-    record, traces = Simulation(spec, cfg.dt).run(cfg.duration,
-                                                  record_traces=record_traces)
-    events = poll_loop(record, cfg.readout, cfg.net.detectors,
-                       t_end=cfg.duration)
+    net, spec, record, traces = cfg.net, cfg.net.spec, None, None
+    if cfg._tables and set(record_traces) <= {net.input_left, net.input_right}:
+        spikes = injected_spike_steps(net.config.input_params, cfg.injection, cfg.dt,
+                                      round(cfg.duration / cfg.dt), cond, fs)
+        if all(s is not None and len(s) < 2 for s in spikes):
+            (record,) = _records(cfg, np.array([[(s + [-1])[0] for s in spikes]]), True)
+            spec = replace(spec, neurons=spec.neurons[:2], synapses=())  # ids 0, 1
+    if record is None or record_traces:
+        spec = spec.with_injections(_injections(cfg, cond, fs))
+        stepped, traces = Simulation(spec, cfg.dt).run(cfg.duration, record_traces)
+        record = stepped if record is None else record
+    events = poll_loop(record, cfg.readout, net.detectors, t_end=cfg.duration)
     return TrialDetail(result=_result(events, crossing), record=record,
                        traces=traces, events=tuple(events))
 
 
-def _records(cfg: TrialConfig, first) -> list:
-    """Per cell, the detector spikes the tables give, sorted by step and
-    then id, for inputs that first fire on steps first[cell] (-1: never)."""
+def _records(cfg: TrialConfig, first, full: bool = False) -> list:
+    """Per cell, the spikes the tables give up to the run's end, sorted by
+    step and id, for inputs first firing on steps first[cell] (-1: never):
+    the detectors' alone, or with full every neuron's, for inputs firing once."""
     (stage, reach, fire, _), net = cfg._tables, cfg.net
-    if stage is None or reach < 0:  # no chain fires, or no offset fires
-        return [SpikeRecord(net.spec.n_neurons)] * len(first)
-    # the kick steps at each detector position, from each side's chain
-    a, b = (first[:, side, None] + stage * (np.argsort(net.chain_order(name)) + 1)
-            for side, name in enumerate(("left", "right")))
-    off = np.abs(a - b)
-    delay = fire[np.minimum(off, reach)]
-    both = (first >= 0).all(axis=1)[:, None]
-    cell, j = np.nonzero((off <= reach) & (delay >= 0) & both)
-    steps = np.maximum(a, b)[cell, j] + delay[cell, j]
-    order = np.lexsort((j, steps, cell))  # by cell, then step, then id
-    times, ids = steps[order] * cfg.dt, np.asarray(net.detectors)[j[order]]
+    end = round(cfg.duration / cfg.dt)  # the run's last step
+    first = np.where(first < 0, end + 1, first)  # never: past the end
+    a = b = det = np.full((len(first), net.n_stages), end + 1)
+    if stage is not None:  # each side's chain at each detector position
+        a, b = (first[:, side, None] + stage * (np.argsort(net.chain_order(name)) + 1)
+                for side, name in enumerate(("left", "right")))
+        if reach >= 0:  # some offset fires
+            off = np.abs(a - b)
+            delay = fire[np.minimum(off, reach)]
+            det = np.where((off <= reach) & (delay >= 0),
+                           np.maximum(a, b) + delay, end + 1)
+    step = np.hstack((first, a, b, det))  # in id order (JeffressNetwork)
+    if not full:
+        step[:, :net.detectors[0]] = end + 1
+    cell, ids = np.nonzero(step <= end)
+    steps = step[cell, ids]
+    order = np.lexsort((ids, steps, cell))  # by cell, then step, then id
+    times, ids = steps[order] * cfg.dt, ids[order]
     cuts = np.searchsorted(cell[order], np.arange(len(first) + 1)).tolist()
     return [SpikeRecord(net.spec.n_neurons, times[lo:hi], ids[lo:hi])
             for lo, hi in zip(cuts, cuts[1:])]

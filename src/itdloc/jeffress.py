@@ -301,7 +301,17 @@ def _lone_psp(params: LifParams, weight: float, dt: float, n: int) -> np.ndarray
 
 def probe_tables(net: JeffressNetwork, dt: float, n_steps: int) -> tuple | None:
     """(stage, reach, fire, lone): a chain neuron kicked on step s fires on
-    step s + stage (never if None; see kick_fire_step); a detector kicked on
+    step s + stage (never if None; one kick_fire_step run per call), the
+    rest is _coincidence's; None where a chain neuron can fire twice too."""
+    params, w = net.config.neuron_params, net.chain_weight
+    coin = fires_once(params, w) and _coincidence(
+        params, net.coincidence_weight, dt, n_steps)
+    return (kick_fire_step(params, w, dt), *coin) if coin else None
+
+
+@functools.lru_cache(maxsize=16)
+def _coincidence(params: LifParams, w_coin: float, dt: float, n_steps: int):
+    """(reach, fire, lone) of probe_tables, read-only: a detector kicked on
     steps a and b fires on step max(a, b) + fire[|b - a|] if |b - a| <=
     reach and that is >= 0, else never. Below threshold a detector kicked
     on steps 0 and off sits at v_leak + y[off + m] + y[m] m steps after its
@@ -311,15 +321,13 @@ def probe_tables(net: JeffressNetwork, dt: float, n_steps: int) -> tuple | None:
     lone: in n_steps one chain alone fires no detector. A chain neuron
     fires R = ceil(t_ref / dt) + 1 steps apart or more, so with top <= R
     its detector stays below v_leak + y[top] + ceil(n_steps / R) y[min(R,
-    len(y) - 1)], which lies _MARGIN below threshold. None, and the trials
-    are stepped, if a unit can fire twice (fires_once), if peak >
-    _MAX_PEAK_STEPS (at the default taus, dt < 7.5 ns), if no offset up to
-    3 * peak is silent, or if the lone peak or a value compared up to the
-    reach + 1 lies within _MARGIN of threshold or of a tie."""
-    params, w_coin = net.config.neuron_params, net.coincidence_weight
+    len(y) - 1)], which lies _MARGIN below threshold. None if a detector
+    can fire twice, if peak > _MAX_PEAK_STEPS (at the default taus, dt <
+    7.5 ns), if no offset up to 3 * peak is silent, or if the lone peak or
+    a value compared up to the reach + 1 lies within _MARGIN of threshold
+    or of a tie."""
     peak = math.ceil(max(params.tau_m, params.tau_syn) / dt)  # a bound on it
-    once = fires_once(params, max(abs(net.chain_weight), 2 * abs(w_coin)))
-    if not once or peak > _MAX_PEAK_STEPS:
+    if not fires_once(params, 2 * abs(w_coin)) or peak > _MAX_PEAK_STEPS:
         return None
     thresh = params.v_thresh - params.v_leak
     k, y = 3 * peak, _lone_psp(params, w_coin, dt, 5 * peak)
@@ -332,6 +340,7 @@ def probe_tables(net: JeffressNetwork, dt: float, n_steps: int) -> tuple | None:
     pair -= thresh  # in place, one table; x - thresh >= 0 iff x >= thresh
     hit = pair >= 0
     fire = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
+    fire.flags.writeable = False  # shared by every caller of the cache
     silent = np.flatnonzero(fire[top:] < 0)
     if not silent.size:
         return None
@@ -344,7 +353,7 @@ def probe_tables(net: JeffressNetwork, dt: float, n_steps: int) -> tuple | None:
     r = _refractory_steps(params, dt) + 1  # a chain neuron's spikes lie >= r apart
     lone = bool(top <= r and y[top] + math.ceil(n_steps / r)
                 * y[min(r, len(y) - 1)] - thresh <= -_MARGIN)
-    return kick_fire_step(params, net.chain_weight, dt), reach, fire[:reach + 1], lone
+    return reach, fire[:reach + 1], lone
 
 
 def _stages_fired(d, stages: int, dt: float) -> int:

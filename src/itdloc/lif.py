@@ -21,6 +21,7 @@ _MARGIN = 1e-9  # volts; a membrane this near threshold is decided by stepping
 _CSV_STEPS = 1024  # steps of a trace CSV formatted and written at a time
 _WAVE_STEPS = 128  # steps per row the input screen resolves at once
 _BLOCK = 64  # most steps Simulation.run advances before a threshold test
+_FLOAT_COLUMNS = 10  # fewer neurons step one column at a time, as floats
 
 
 @dataclass(frozen=True)
@@ -352,13 +353,13 @@ class Simulation:
 
         Consecutive calls continue from the current step. The steps go in
         blocks of up to _BLOCK rows: per block the synaptic currents, their
-        membrane terms and the held drives; per step only the membrane row;
-        per block again the clamp, the threshold and trigger test and the
-        trace copy. A block ends on its first row where a neuron fires, and
-        the rows after it are stepped again from the emitted state; it never
-        spans a clamp lift or an external delivery. Columns do not mix
-        within a block, so every accepted row is the one-step update's.
-        """
+        membrane terms and the held drives; per step only the membrane row
+        (under _FLOAT_COLUMNS neurons, per neuron its column, in floats); per
+        block the clamp, the threshold and trigger test and the trace copy.
+        A block ends on its first row where a neuron fires, and the rows
+        after it are stepped again from the emitted state; it never spans a
+        clamp lift or an external delivery. Columns do not mix, so every
+        accepted row is the one-step update's, bit for bit either way."""
         if duration <= 0:
             raise ValueError("duration must be > 0")
         n_steps = int(round(duration / self.dt))
@@ -387,7 +388,6 @@ class Simulation:
         d_block = np.full((rows, n), -0.0)
         fired = np.empty((rows, n), dtype=bool)
         v_rows, s_rows, d_rows = list(v_block), [], []
-        a, b = np.empty(n), np.empty(n)  # scratch rows: no out is an input
         res_targets = self._res_targets
         if res_targets.size:
             drives = _held(self._resistive, times) * self._res_gain
@@ -401,6 +401,7 @@ class Simulation:
                                            self._free_from)
         decay_syn, gain_syn = self._decay_syn, self._gain_syn
         decay_v, v_rest = self._decay_v, self._v_leak_eff
+        decay_f, rest_f = decay_v.tolist(), v_rest.tolist()
         v_reset, v_thresh = self._v_reset, self._v_thresh
         ext, ext_steps, n_ext = self._ext, self._ext_steps.tolist(), len(self._ext)
         ext_ptr, live, size, j = self._ext_ptr, self._syn_live, rows, 0
@@ -448,15 +449,19 @@ class Simulation:
             else:
                 term = d_rows = d_rows or list(d_block)
 
-            for r in range(m):  # positional outs: cheaper calls
-                subtract(v_rows[r], v_rest, a)
-                multiply(a, decay_v, b)
-                add(b, v_rest, a)
-                if extra:
-                    add(a, term[r], b)
-                    add(b, extra[r], v_rows[r + 1])
-                else:
-                    add(a, term[r], v_rows[r + 1])
+            if n < _FLOAT_COLUMNS and not extra:  # the row loop's operations
+                for i, (x, q, d) in enumerate(zip(v_block[0].tolist(), rest_f, decay_f)):
+                    v_block[1:m + 1, i] = [x := (x - q) * d + q + u for u in (
+                        s_block if live else d_block)[:m, i].tolist()]
+            else:
+                for r in range(m):  # in place, positional outs: cheaper calls
+                    v = v_rows[r + 1]
+                    subtract(v_rows[r], v_rest, v)
+                    multiply(v, decay_v, v)
+                    add(v, v_rest, v)
+                    add(v, term[r], v)
+                    if extra:
+                        add(v, extra[r], v)
 
             v_new = v_block[1:m + 1]
             if self._lift < math.inf:

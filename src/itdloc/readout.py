@@ -5,6 +5,7 @@ and the two output encodings (servo PWM schedule, serial text frames).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from .lif import SpikeRecord
 
 _SLACK = 1e-12  # seconds; a spike on a poll boundary counts in that poll
+# each detector id's position, made once per id tuple; poll_loop only reads it
+_positions = functools.lru_cache(16)(lambda ids: {n: j for j, n in enumerate(ids)})
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutSection, detector_ids,
     are wiped by that reset, while spikes after it survive into the next
     read.
     """
-    index_of = {nid: j for j, nid in enumerate(detector_ids)}
+    index_of = _positions(tuple(detector_ids))
     if len(index_of) != len(detector_ids) or not index_of:
         raise ValueError("detector_ids must be non-empty and unique")
     times, ids = record.times.tolist(), record.ids.tolist()

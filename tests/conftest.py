@@ -1,5 +1,6 @@
 """Shared fixtures: the default network (built once), its calibrated stage
-delay, and independent signal oracles used to freeze expected values."""
+delay, the whole-network stepped trial every fast path is checked against,
+and independent signal oracles used to freeze expected values."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import wave
 import numpy as np
 import pytest
 
-from itdloc import jeffress
+from itdloc import harness, jeffress, lif, readout
 from itdloc.harness import TrialConfig
 
 DT = 1e-7
@@ -28,6 +29,33 @@ def stage_delay(default_net):
 @pytest.fixture(scope="session")
 def default_trial(default_net):
     return TrialConfig(net=default_net)
+
+
+@pytest.fixture
+def jeffress_margin(monkeypatch):
+    """Sets jeffress._MARGIN for one test. The coincidence tables are cached
+    on the assumption that it stays fixed, so the cache is emptied before
+    the change and after the test."""
+    def set_margin(value):
+        jeffress._coincidence.cache_clear()
+        monkeypatch.setattr(jeffress, "_MARGIN", value)
+    yield set_margin
+    jeffress._coincidence.cache_clear()
+
+
+def stepped_trial(itd, seed, cfg: TrialConfig, record_traces=(), *,
+                  noise_amplitude: float = 0.0) -> harness.TrialDetail:
+    """run_trial_detailed with every neuron of the network stepped over the
+    full run, on the drives and front end the trial builds: the reference
+    that the event engine's records and the two-input path must equal."""
+    cond, fs, (crossing,) = harness._frontend(cfg, [(itd, seed)], noise_amplitude)
+    spec = cfg.net.spec.with_injections(harness._injections(cfg, cond, fs))
+    record, traces = lif.Simulation(spec, cfg.dt).run(cfg.duration,
+                                                      record_traces=record_traces)
+    events = readout.poll_loop(record, cfg.readout, cfg.net.detectors,
+                               t_end=cfg.duration)
+    return harness.TrialDetail(harness._result(events, crossing), record,
+                               traces, tuple(events))
 
 
 def sinc_interpolate(x: np.ndarray, t_samples: np.ndarray) -> np.ndarray:

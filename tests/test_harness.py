@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from itdloc import harness, jeffress, lif
@@ -34,7 +34,8 @@ from itdloc.harness import (
 from itdloc.jeffress import JeffressConfig, LifParams, build, tune_chain_weight
 from itdloc.lif import AnalogInjection
 
-from conftest import condition_reference
+from conftest import condition_reference, stepped_trial
+from test_lif_reference import probed_networks
 
 
 def oracle_reference(stereo: AudioClip, max_lag: float) -> float:
@@ -298,13 +299,13 @@ class TestRunSweep:
 
 
 def full_run_rows(cfg: SweepConfig) -> tuple:
-    """The rows of a sweep built one full-duration trial at a time."""
+    """The rows of a sweep built one full-duration trial at a time, each with
+    the whole network stepped."""
     rows = []
     for i, itd in enumerate(cfg.itds):
         for k in range(cfg.trials):
-            res = run_trial_detailed(itd, trial_seed(cfg.base_seed, i, k),
-                                     cfg.trial,
-                                     noise_amplitude=cfg.noise_amplitude).result
+            res = stepped_trial(itd, trial_seed(cfg.base_seed, i, k), cfg.trial,
+                                noise_amplitude=cfg.noise_amplitude).result
             rows.append(SweepRow(itd, k, res.direction, res.latency))
     return tuple(rows)
 
@@ -366,9 +367,8 @@ class TestEventEngine:
         assert sum(result.rows[n].miss for n in picked) == 3
         for n in picked:
             i, k = divmod(n, cfg.trials)
-            full = run_trial_detailed(cfg.itds[i],
-                                      trial_seed(cfg.base_seed, i, k),
-                                      cfg.trial, noise_amplitude=0.07).result
+            full = stepped_trial(cfg.itds[i], trial_seed(cfg.base_seed, i, k),
+                                 cfg.trial, noise_amplitude=0.07).result
             assert (result.rows[n].direction, result.rows[n].latency) == (
                 full.direction, full.latency)
 
@@ -392,8 +392,8 @@ class TestEventEngine:
                                      w_lsb=w_lsb)),
             injection=InjectionSection(mode=mode))
         fast = run_trial(itd_us * 1e-6, seed, cfg, noise_amplitude=noise)
-        full = run_trial_detailed(itd_us * 1e-6, seed, cfg,
-                                  noise_amplitude=noise).result
+        full = stepped_trial(itd_us * 1e-6, seed, cfg,
+                             noise_amplitude=noise).result
         assert fast == full
 
     @settings(max_examples=8, deadline=None)
@@ -473,8 +473,8 @@ class TestEventEngine:
             result = run_trial(itd, seed, cfg, noise_amplitude=noise)
             assert fallbacks == []
             (engine,) = records
-            stepped = run_trial_detailed(itd, seed, cfg,
-                                         noise_amplitude=noise).record
+            stepped = stepped_trial(itd, seed, cfg,
+                                    noise_amplitude=noise).record
             horizon = cfg.duration if result.miss else result.event_time
 
             def upto(record):
@@ -492,7 +492,7 @@ class TestEventEngine:
         cfg = SweepConfig(trial=trial, itds=(-100e-6, 30e-6), trials=3,
                           noise_amplitude=0.07, base_seed=11)
         assert run_sweep(cfg).rows == full_run_rows(cfg)
-        detail = run_trial_detailed(30e-6, None, trial)
+        detail = stepped_trial(30e-6, None, trial)
         steps = detail.result.event_time / trial.dt
         assert abs(steps - round(steps)) > 0.1  # the poll falls between steps
         assert run_trial(30e-6, None, trial) == detail.result
@@ -501,7 +501,7 @@ class TestEventEngine:
                                       "unit-fires-twice", "tables-in-doubt",
                                       "one-chain-fires-a-detector"])
     def test_fallback_steps_the_trial(self, case, default_net, fallbacks,
-                                      monkeypatch):
+                                      monkeypatch, jeffress_margin):
         itds = (-60e-6, 20e-6)
         if case == "drive-inside-margin":
             # every drive lies within a 10 V margin of threshold
@@ -521,7 +521,7 @@ class TestEventEngine:
         elif case == "tables-in-doubt":
             # every table value lies within a 10 V margin of threshold, so
             # the network has no tables
-            monkeypatch.setattr(jeffress, "_MARGIN", 10.0)
+            jeffress_margin(10.0)
             trial = TrialConfig(net=default_net)
             assert trial._tables is None
         else:
@@ -535,7 +535,7 @@ class TestEventEngine:
                 input_neuron_params=LifParams(t_ref=2e-6))),
                 stimulus=StimulusSection(duration=3.5e-4))
             assert trial._tables is not None and trial._tables[3] is False
-            detail = run_trial_detailed(160e-6, None, trial)
+            detail = stepped_trial(160e-6, None, trial)
             ids = detail.record.ids
             assert (ids == trial.net.input_right).sum() == 0
             assert (ids == trial.net.input_left).sum() == 11
@@ -574,8 +574,8 @@ class TestEventEngine:
         with mock.patch.object(harness, "injected_spike_steps", capturing), \
                 mock.patch.object(harness, "run_trial_detailed", stepping):
             fast = run_trial(itd_us * 1e-6, seed, trial, noise_amplitude=noise)
-        full = run_trial_detailed(itd_us * 1e-6, seed, trial,
-                                  noise_amplitude=noise).result
+        full = stepped_trial(itd_us * 1e-6, seed, trial,
+                             noise_amplitude=noise).result
         assert fast == full and fast.miss
         assert screened[0] and screened[1] == []  # the left fires, the right not
 
@@ -630,6 +630,29 @@ class TestEventEngine:
         assert run_trial(0.0, None, quiet).miss
         assert steps == []
 
+    def test_trial_configs_of_one_network_share_one_table(self, default_net,
+                                                          monkeypatch):
+        # the coincidence tables are cached on the neuron parameters, the
+        # coincidence weight, dt and the run length, and are read-only;
+        # each TrialConfig still steps its chain's D
+        steps = []
+
+        class Counting(jeffress.Simulation):
+            def run(self, duration, record_traces=()):
+                steps.append(round(duration / self.dt))
+                return super().run(duration, record_traces=record_traces)
+        monkeypatch.setattr(jeffress, "Simulation", Counting)
+        a = TrialConfig(net=default_net)
+        b = TrialConfig(net=default_net, readout=ReadoutSection(dead_time=0.1))
+        # another chain weight: another D, the same coincidence tables
+        c = TrialConfig(net=build(JeffressConfig(chain_weight=4.3e-7)))
+        assert a != b
+        assert a._tables[0] == b._tables[0] == 38 and c._tables[0] == 36
+        assert a._tables[2] is b._tables[2] is c._tables[2]
+        assert a._tables[1:] == b._tables[1:]
+        assert not a._tables[2].flags.writeable
+        assert steps == [39, 39, 37]
+
     def test_mono_stimulus_is_made_once_and_read_only(self, default_net,
                                                       monkeypatch):
         made = []
@@ -655,6 +678,108 @@ class TestEventEngine:
         run_trial(0.0, None, other)
         assert len(made) == 1
         assert np.shares_memory(other.mono_stimulus().samples, mono.samples)
+
+
+def detailed_against_stepped(cfg, itd, seed, noise, traces) -> list:
+    """Asserts that run_trial_detailed gives the whole network's stepped
+    record, events and traces, and returns the neuron count of each
+    Simulation it made."""
+    sizes = []
+
+    class Sized(harness.Simulation):
+        def __init__(self, spec, dt):
+            sizes.append(spec.n_neurons)
+            super().__init__(spec, dt)
+    with mock.patch.object(harness, "Simulation", Sized):
+        got = run_trial_detailed(itd, seed, cfg, traces, noise_amplitude=noise)
+    want = stepped_trial(itd, seed, cfg, traces, noise_amplitude=noise)
+    assert (got.result, got.events) == (want.result, want.events)
+    for rec in (got.record, want.record):
+        assert (rec.times.dtype, rec.ids.dtype) == (np.float64, np.int64)
+    assert got.record.n_neurons == want.record.n_neurons
+    assert got.record.times.tolist() == want.record.times.tolist()
+    assert got.record.ids.tolist() == want.record.ids.tolist()
+    if not traces:
+        assert got.traces is None and want.traces is None
+        return sizes
+    assert got.traces.times.tobytes() == want.traces.times.tobytes()
+    assert sorted(got.traces.v) == sorted(want.traces.v) == sorted(set(traces))
+    for i in traces:
+        assert got.traces.v[i].tobytes() == want.traces.v[i].tobytes()
+        assert got.traces.i_syn[i].tobytes() == want.traces.i_syn[i].tobytes()
+    return sizes
+
+
+@st.composite
+def detailed_trials(draw):
+    """A trial config, on the default, a mirrored, a quantized or a random
+    probed network (whose inputs take its neuron params or the defaults),
+    in either injection mode; an ITD, a seed, a noise amplitude and the
+    traced ids."""
+    kind = draw(st.sampled_from(["default", "mirrored", "quantized", "probed"]))
+    dt = 1e-7
+    if kind == "probed":
+        net, dt = draw(probed_networks())
+        if draw(st.booleans()):
+            net = build(dataclasses.replace(net.config,
+                                            input_neuron_params=LifParams()))
+    else:
+        net = build(JeffressConfig(left_first_index=kind != "mirrored",
+                                   w_lsb=2e-8 if kind == "quantized" else None))
+    mode = draw(st.sampled_from(["resistive", "trigger"]))
+    cfg = TrialConfig(net=net, injection=InjectionSection(mode=mode), dt=dt)
+    return (cfg, draw(st.floats(-180.0, 180.0)) * 1e-6,
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.07, 0.2])),
+            draw(st.sampled_from([(), (0,), (0, 1)])))
+
+
+class TestTwoInputPath:
+    """Where the tables hold for the whole run, run_trial_detailed steps at
+    most the two input neurons; its record, events and input traces must be
+    those of the whole network stepped."""
+
+    def test_detailed_trial_equals_whole_network_property(self):
+        paths = []
+
+        @settings(max_examples=30, deadline=None,
+                  phases=set(Phase) - {Phase.explain})
+        @given(detailed_trials())
+        def check(case):
+            sizes = detailed_against_stepped(*case)
+            assert sizes in ([], [2], [152])
+            assert (sizes == []) == (sizes != [152] and not case[4])
+            paths.append(sizes != [152])
+        check()
+        # the inputs alone carry a fair share of the examples (about half)
+        assert sum(paths) >= len(paths) / 5
+
+    @pytest.mark.parametrize("traces, sizes", [((), []), ((0, 1), [2]),
+                                               ((1,), [2])])
+    def test_inputs_step_alone_and_only_for_their_traces(self, default_trial,
+                                                         traces, sizes):
+        assert detailed_against_stepped(default_trial, -80e-6, 7, 0.07,
+                                        traces) == sizes
+
+    @pytest.mark.parametrize("case", ["input-fires-twice", "traced-chain",
+                                      "no-tables"])
+    def test_whole_network_steps_past_the_tables(self, case, default_trial,
+                                                 jeffress_margin):
+        cfg, traces = default_trial, (0, 1)
+        if case == "input-fires-twice":
+            # a 200 us input clamp lets the right input fire again on step
+            # 7413, after its first wave
+            cfg = TrialConfig(net=build(JeffressConfig(
+                input_neuron_params=LifParams(t_ref=2e-4))))
+        elif case == "traced-chain":
+            traces = (0, 1, 40)
+        else:  # every table value within a 10 V margin of threshold
+            jeffress_margin(10.0)
+            cfg = TrialConfig(net=default_trial.net)
+            assert cfg._tables is None
+        assert detailed_against_stepped(cfg, -80e-6, 3, 0.07, traces) == [152]
+        if case == "input-fires-twice":
+            record = run_trial_detailed(-80e-6, 3, cfg, noise_amplitude=0.07).record
+            assert (record.ids == cfg.net.input_right).sum() == 2
 
 
 class TestResampleWindow:
@@ -702,7 +827,8 @@ class TestResampleWindow:
         res = run_trial_detailed(40e-6, None, cfg).result
         assert not res.miss
         assert res.latency == res.event_time - self._whole_crossing(cfg, 40e-6)
-        assert run_trial(40e-6, None, cfg) == res
+        assert run_trial(40e-6, None, cfg) == res == stepped_trial(
+            40e-6, None, cfg).result
 
     def test_clap_past_the_window_misses(self, default_trial):
         # the clap crosses threshold at about 4.8 ms, after the 1.1 ms run
@@ -710,7 +836,8 @@ class TestResampleWindow:
         assert self._whole_crossing(cfg, 40e-6) > cfg.duration
         res = run_trial_detailed(40e-6, None, cfg).result
         assert res.miss and res.latency is None
-        assert run_trial(40e-6, None, cfg) == res
+        assert run_trial(40e-6, None, cfg) == res == stepped_trial(
+            40e-6, None, cfg).result
 
 
 def stats_reference(rows) -> tuple:

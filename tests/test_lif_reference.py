@@ -2,13 +2,15 @@
 must give the stepper's spike ids and times, and membranes within 1e-12 V,
 and a run split into random chunks, cut where clamps lift, must give the
 one-call run's spikes and traces bit for bit, as must the per-step loop
-the block stepper replaced; the input screen must give the stepper's input
-spikes; and the event engine's probe tables must be those the reference
-steps out, or absent where a value the stepper compares lies within
-_MARGIN of threshold or of a tie."""
+the block stepper replaced, whether a block steps as rows or as float
+columns; the input screen must give the stepper's input spikes; and the
+event engine's probe tables must be those the reference steps out, or
+absent where a value the stepper compares lies within _MARGIN of
+threshold or of a tie."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from itdloc.lif import (
     Simulation,
     SynapseSpec,
 )
+
+from conftest import stepped_trial
 
 DT = 1e-7
 STEPS = 11000  # the default run, 1.1 ms at DT
@@ -286,8 +290,7 @@ def test_input_screen_at_the_range_edge(default_net, stage_delay, sign, mode):
         screened = lif.injected_spike_steps(
             default_net.config.input_params, cfg.injection, DT, n_steps, cond,
             fs)
-        record = harness.run_trial_detailed(itd, seed, cfg,
-                                            noise_amplitude=noise).record
+        record = stepped_trial(itd, seed, cfg, noise_amplitude=noise).record
         assert screened == [[round(t / DT) for t in record.times[record.ids == i]][:2]
                             for i in (default_net.input_left,
                                       default_net.input_right)]
@@ -463,7 +466,7 @@ def test_probe_tables_match_reference_at_the_edges(case, stepped):
 
 @pytest.mark.parametrize("w_lsb", [None, 2e-8], ids=["default", "quantized"])
 def test_probe_tables_step_every_copy_inside_the_margin(w_lsb, stepped,
-                                                        monkeypatch):
+                                                        jeffress_margin):
     # a margin under half the smallest distance of a compared value to
     # threshold keeps the tables; one past it, but inside the lone peak's
     # lead, puts a copy in doubt, and a 10 V margin the lone peak itself:
@@ -471,11 +474,11 @@ def test_probe_tables_step_every_copy_inside_the_margin(w_lsb, stepped,
     net = build(JeffressConfig(w_lsb=w_lsb))
     tables, near, lead = reference_tables(net)
     assert 1.5 * near < lead
-    monkeypatch.setattr(jeffress, "_MARGIN", near / 2)
+    jeffress_margin(near / 2)
     assert _tables(jeffress.probe_tables(net, DT, STEPS)) == tables
     for margin in (1.5 * near, 10.0):
         stepped.clear()
-        monkeypatch.setattr(jeffress, "_MARGIN", margin)
+        jeffress_margin(margin)
         assert jeffress.probe_tables(net, DT, STEPS) is None
         assert stepped == []
 
@@ -624,6 +627,19 @@ def block_networks(draw):
     AnalogInjection(0, np.array([0.5, 1.4, 0.9]), 1e6),), external_spikes=(
     ExternalSpike(0.0, 0, 4.124536e-07),)), 60), [25])
 def test_block_stepper_matches_per_step_oracle(case, cuts):
+    _matches_per_step_oracle(case, cuts)
+
+
+@settings(max_examples=30, deadline=None, phases=set(Phase) - {Phase.explain})
+@given(block_networks(), st.lists(st.integers(1, 399), max_size=4))
+def test_row_loop_matches_per_step_oracle(case, cuts):
+    # these networks are narrow enough to step their columns as floats;
+    # stepped as rows, as a wide network is, they give the same bits
+    with mock.patch.object(lif, "_FLOAT_COLUMNS", 0):
+        _matches_per_step_oracle(case, cuts)
+
+
+def _matches_per_step_oracle(case, cuts) -> None:
     # whole runs and runs chunked at the same cuts give the oracle's spike
     # ids and times, every traced value and the end state bit for bit
     spec, n_steps = case

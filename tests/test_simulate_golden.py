@@ -1,7 +1,11 @@
 """Golden bytes of `itdloc simulate`: spikes.csv, traces.csv and events.txt
 of a few fixed runs hash to pinned digests. The reference property bounds
 membranes at 1e-12 V; these digests pin every printed digit, so a change
-to the stepper's float operations or to the CSV writers shows here."""
+to the stepper's float operations or to the CSV writers shows here. Traced
+inputs alone leave the chains and detectors to the event engine's tables
+(INPUT_TRACES), a traced chain neuron or detector steps the network
+(TRACES): both give the same spikes and events, which the whole network
+stepped gave before the tables took over."""
 
 import hashlib
 import json
@@ -12,6 +16,7 @@ from itdloc import cli
 
 # both inputs, a left-chain neuron and a detector that fires at -80 us
 TRACES = "0,1,40,120"
+INPUT_TRACES = "0,1"
 
 CASES = {
     "resistive": ({}, None),
@@ -57,18 +62,43 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_simulate_bytes(case, tmp_path, capsys):
+# sha256 of traces.csv with INPUT_TRACES, computed on the whole network
+# stepped; spikes.csv and events.txt are GOLDEN's
+GOLDEN_INPUT_TRACES = {
+    "mirrored": "dbf30ff7eda47f149cbbaad782887423304e0f3a837f4a102728d7c6c6735329",
+    "quantized": "dbf30ff7eda47f149cbbaad782887423304e0f3a837f4a102728d7c6c6735329",
+    "resistive": "dbf30ff7eda47f149cbbaad782887423304e0f3a837f4a102728d7c6c6735329",
+    "resistive-seeded":
+        "dae31fbcfb2702ceda26435b9a896b08cf9298c591a1ac4aa4c2895ba2937070",
+    "trigger": "f08b7b065775553c0cdb23384cd1e919930b0f628bad21c5ccf8ee2d9aadd01c",
+    "trigger-seeded":
+        "01eea985f7d34e649ab29a71a5d96237ba35156a179f449df50e0792344d304c",
+}
+
+
+def _simulate(case, traces, tmp_path, capsys) -> tuple:
+    """The digests of one run's spikes.csv, traces.csv and events.txt."""
     doc, seed = CASES[case]
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "sim"
-    argv = ["simulate", "--config", str(path), "--itd=-80", "--traces", TRACES,
+    argv = ["simulate", "--config", str(path), "--itd=-80", "--traces", traces,
             "--out", str(out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in ("spikes.csv", "traces.csv", "events.txt"))
-    assert got == GOLDEN[case]
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("spikes.csv", "traces.csv", "events.txt"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulate_bytes(case, tmp_path, capsys):
+    assert _simulate(case, TRACES, tmp_path, capsys) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulate_bytes_tracing_the_inputs(case, tmp_path, capsys):
+    spikes, _, events = GOLDEN[case]
+    assert _simulate(case, INPUT_TRACES, tmp_path, capsys) == (
+        spikes, GOLDEN_INPUT_TRACES[case], events)
