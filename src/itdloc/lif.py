@@ -79,8 +79,7 @@ class AnalogInjection:
     Each sample is held until the next one, the last past the trace's end.
     In resistive mode the trace couples through r_src ohms; in trigger mode
     the neuron fires whenever the trace is at or above its threshold and
-    the neuron is not refractory.
-    """
+    the neuron is not refractory."""
 
     target: int
     trace: np.ndarray
@@ -351,15 +350,14 @@ class Simulation:
     def run(self, duration: float, record_traces=()) -> tuple:
         """Step for `duration` seconds; returns (SpikeRecord, TraceSet or None).
 
-        Consecutive calls continue from the current step. The steps go in
-        blocks of up to _BLOCK rows: per block the synaptic currents, their
-        membrane terms and the held drives; per step only the membrane row
-        (under _FLOAT_COLUMNS neurons, per neuron its column, in floats); per
+        Consecutive calls continue from the current step, in blocks of up
+        to _BLOCK rows: per block the synaptic currents, their membrane terms
+        and the held drives; per step only the membrane row (under
+        _FLOAT_COLUMNS neurons, each column in floats, same operations); per
         block the clamp, the threshold and trigger test and the trace copy.
-        A block ends on its first row where a neuron fires, and the rows
-        after it are stepped again from the emitted state; it never spans a
-        clamp lift or an external delivery. Columns do not mix, so every
-        accepted row is the one-step update's, bit for bit either way."""
+        A block ends on its first row where a neuron fires, and steps again
+        from the emitted state; it never spans a clamp lift or an external
+        delivery. Columns do not mix: each accepted row is the one-step update's."""
         if duration <= 0:
             raise ValueError("duration must be > 0")
         n_steps = int(round(duration / self.dt))
@@ -388,6 +386,7 @@ class Simulation:
         d_block = np.full((rows, n), -0.0)
         fired = np.empty((rows, n), dtype=bool)
         v_rows, s_rows, d_rows = list(v_block), [], []
+        a, b = np.empty(n), np.empty(n)  # scratch rows: no out is an input
         res_targets = self._res_targets
         if res_targets.size:
             drives = _held(self._resistive, times) * self._res_gain
@@ -449,19 +448,22 @@ class Simulation:
             else:
                 term = d_rows = d_rows or list(d_block)
 
-            if n < _FLOAT_COLUMNS and not extra:  # the row loop's operations
+            if n < _FLOAT_COLUMNS:  # the row loop's operations, per column
                 for i, (x, q, d) in enumerate(zip(v_block[0].tolist(), rest_f, decay_f)):
-                    v_block[1:m + 1, i] = [x := (x - q) * d + q + u for u in (
-                        s_block if live else d_block)[:m, i].tolist()]
+                    us = (s_block if live else d_block)[:m, i].tolist()
+                    es = d_block[:m, i].tolist() if extra else ()
+                    v_block[1:m + 1, i] = [x := (x - q) * d + q + u + e for u, e in zip(
+                        us, es)] if extra else [x := (x - q) * d + q + u for u in us]
             else:
-                for r in range(m):  # in place, positional outs: cheaper calls
-                    v = v_rows[r + 1]
-                    subtract(v_rows[r], v_rest, v)
-                    multiply(v, decay_v, v)
-                    add(v, v_rest, v)
-                    add(v, term[r], v)
+                for r in range(m):  # positional outs: cheaper calls
+                    subtract(v_rows[r], v_rest, a)
+                    multiply(a, decay_v, b)
+                    add(b, v_rest, a)
                     if extra:
-                        add(v, extra[r], v)
+                        add(a, term[r], b)
+                        add(b, extra[r], v_rows[r + 1])
+                    else:
+                        add(a, term[r], v_rows[r + 1])
 
             v_new = v_block[1:m + 1]
             if self._lift < math.inf:
@@ -555,8 +557,7 @@ def injected_spike_steps(params: LifParams, injection: InjectionSection,
     the membrane in closed form, the drives through a triangular matrix of
     decay powers plus the start's decay. A row equals the stepper's up to
     rounding: None where its membrane, or a trigger sample, comes within
-    _MARGIN volts of threshold.
-    """
+    _MARGIN volts of threshold."""
     c = np.atleast_2d(samples)
     (at, past, j, first, m, alpha, beta, d, gain, v_rest, wave,
      carry) = _audio_intervals(params, injection, dt, n_steps, sample_rate,

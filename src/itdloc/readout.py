@@ -73,8 +73,7 @@ def poll_loop(record: SpikeRecord, cfg: ReadoutSection, detector_ids,
     boundary, the processor sleeps for dead_time and only then clears the
     counters, skipping dead_polls reads; spikes landing during the sleep
     are wiped by that reset, while spikes after it survive into the next
-    read.
-    """
+    read."""
     index_of = _positions(tuple(detector_ids))
     if len(index_of) != len(detector_ids) or not index_of:
         raise ValueError("detector_ids must be non-empty and unique")

@@ -741,7 +741,9 @@ class TestTwoInputPath:
     def test_detailed_trial_equals_whole_network_property(self):
         paths = []
 
-        @settings(max_examples=30, deadline=None,
+        # derandomized: the share asserted below is of one fixed draw of
+        # examples, not a bound on chance
+        @settings(max_examples=30, deadline=None, derandomize=True,
                   phases=set(Phase) - {Phase.explain})
         @given(detailed_trials())
         def check(case):
@@ -750,7 +752,7 @@ class TestTwoInputPath:
             assert (sizes == []) == (sizes != [152] and not case[4])
             paths.append(sizes != [152])
         check()
-        # the inputs alone carry a fair share of the examples (about half)
+        # the inputs alone carry a fair share of the examples
         assert sum(paths) >= len(paths) / 5
 
     @pytest.mark.parametrize("traces, sizes", [((), []), ((0, 1), [2]),
